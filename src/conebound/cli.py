@@ -286,7 +286,7 @@ def cmd_counting(config, args, out_dir, threads, verbose):
     E_grid = np.logspace(math.log10(resolved["E_top"]),
                          math.log10(resolved["E_bottom"]),
                          resolved["n_points"])
-    curve = counting.counting_curve(problem, E_grid, threads=threads)
+    curve = counting.counting_curve(problem, E_grid)
     fit = counting.fit_log_slope(curve)
     predicted = counting.kirsch_simon_slope(resolved["c"])
     rel = abs(fit.slope - predicted) / predicted if predicted > 0 \

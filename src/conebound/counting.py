@@ -3,14 +3,14 @@
 The core object is A_c = -d^2/drho^2 - c / rho^2 on (rho0, inf) with a
 boundary condition at rho0.  For c > 1/4 the number of eigenvalues below -E
 grows like sqrt(c - 1/4) |ln E| / (2 pi) as E -> 0+; for c <= 1/4 it stays
-bounded.  Counts are evaluated by oscillation theory: a Pruefer phase is
-integrated in t = ln(rho / rho0), where the inverse-square tail turns into a
-constant coefficient and the phase advances at the steady rate nu per unit
-t, so a staircase step costs the same work at every depth of E.  The
-truncation radius is doubled until two consecutive counts agree, so each
-returned count is grid-independent by construction.  Below -c / rho0^2 the
-operator has no spectrum at all (-c/rho^2 >= -c/rho0^2 on the half-line),
-so levels that deep count 0 without any integration.
+bounded.  Counts are evaluated by oscillation theory: in x = sqrt(E) rho
+every level shares one decaying solution, sqrt(rho) K_{i nu}(x), and the
+count below -E is the number of its zeros above x0 = sqrt(E) rho0.  One
+Pruefer phase sweep, run inward in ln x from past the turning point, is
+read off at every requested x0, so a whole staircase costs one integration
+and needs no truncation radius.  Below -c / rho0^2 the operator has no
+spectrum at all (-c/rho^2 >= -c/rho0^2 on the half-line), so levels that
+deep count 0 without any integration.
 
 `assemble_model` stacks these half-line counters into the surface model: the
 cross-section modes come from the curvature operator spectrum, the shrinking
@@ -30,9 +30,6 @@ from . import curvature_operator, spectral1d, threshold
 from ._serial import parallel_map, write_csv
 from .errors import ConvergenceError, PreconditionError
 from .geometry import SampledCurve, sup_curvature
-
-_MAX_DOUBLINGS = 8
-
 
 def kirsch_simon_slope(c: float) -> float:
     """Asymptotic count slope sqrt((c - 1/4)_+) / (2 pi)."""
@@ -84,85 +81,88 @@ class SlopeFit:
     degenerate: bool = False
 
 
-def _log_phase_count(problem: RadialProblem, E: float, rmax: float) -> int:
-    """Zeros on (rho0, rmax) of the solution at level -E, shot from rho0.
+def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
+    """Eigenvalue counts below each level -E / scale, from one phase sweep.
 
-    With rho = rho0 e^t and u = sqrt(rho) w the equation
-    -u'' - c/rho^2 u = -E u becomes -w'' + (E rho0^2 e^{2t} - nu^2) w = 0,
-    nu^2 = c - 1/4, and u, w share their zeros.  The Pruefer phase of w with
-    scale s (w ~ sin(theta), w_t ~ s cos(theta)) obeys
+    Levels are nudged up by TIE_SHIFT, so an eigenvalue at exactly
+    -E / scale is included.
 
-        theta' = s cos^2(theta) + (nu^2 - E rho0^2 e^{2t}) sin^2(theta) / s,
+    With x = sqrt(E) rho, s = ln x and u = sqrt(rho) w, the equation
+    -u'' - c/rho^2 u = -E u becomes w'' = (e^{2s} - nu^2) w, nu^2 = c - 1/4,
+    for every E at once: only the boundary point s0 = ln(sqrt(E) rho0) moves.
+    Its decaying solution is w = K_{i nu}(e^s), and the count below -E is
+    the number of its zeros above s0 (Kirsch & Simon).  The Pruefer phase
+    (w ~ sin(theta), w_s ~ k cos(theta)) obeys
 
-    with s = nu for c > 1/4 (theta' = nu until the turning point) and s = 1
-    otherwise.  Dirichlet u(rho0) = 0 starts at theta = 0; Neumann
-    u'(rho0) = 0 is w_t / w = -1/2, theta = atan2(s, -1/2).  As in spectral1d.oscillation_count, the
-    phase increases strictly through multiples of pi, so the count is
-    ceil(theta(T) / pi) - 1 at T = ln(rmax / rho0): the number of
-    eigenvalues below -E with a Dirichlet condition at rmax.
+        theta' = k cos^2(theta) + (nu^2 - e^{2s}) sin^2(theta) / k,
+
+    with k = nu (theta' = nu below the turning point) floored at 1/4: as
+    nu -> 0 a scale k = nu would squeeze every phase, the start angle and
+    the Neumann target atan2(k, -1/2) alike, onto pi, below the solver's
+    tolerance.  It starts past the turning point, at x1 = nu + 40, from the
+    WKB ratio w_s / w = -sqrt(x^2 - nu^2) - x^2 / (2 (x^2 - nu^2)), and runs
+    inward, where the decaying solution dominates and a start error dies
+    out.  A zero of w is theta = 0 mod pi with theta' = k > 0, so theta
+    falls through the multiples of pi on the way in.  The boundary
+    condition is theta_bc = 0 for Dirichlet and atan2(k, -1/2) for Neumann
+    (u'(rho0) = 0 is w_s / w = -1/2), and the count is the number of
+    branches theta_bc - j pi, j >= 0, above theta(s0).
     """
+    E_eff = np.asarray(E, dtype=float) / problem.scale
+    depth = E_eff * (1.0 - spectral1d.TIE_SHIFT)
+    counts = np.zeros(depth.shape, dtype=int)
     nu2 = problem.c - 0.25
-    s = math.sqrt(nu2) if nu2 > 0.0 else 1.0
-    q0 = E * problem.rho0 * problem.rho0
-    theta0 = 0.0 if problem.bc == "dirichlet" else math.atan2(s, -0.5)
+    # a level at or below -c / rho0^2, the bottom of the potential, has no
+    # spectrum beneath it; so neither has Dirichlet c <= 1/4 (Hardy)
+    live = depth * problem.rho0 * problem.rho0 < problem.c
+    if problem.bc == "dirichlet" and nu2 <= 0.0:
+        live[:] = False
+    if not live.any():
+        return counts
+    nu = math.sqrt(max(nu2, 0.0))
+    k = max(nu, 0.25)
+    # a live level has x0^2 < c = nu^2 + 1/4, so every x0 lies below x1
+    s0, inverse = np.unique(0.5 * np.log(depth[live]) + math.log(problem.rho0),
+                          return_inverse=True)
+    x1 = nu + 40.0
+    q1 = x1 * x1 - nu2
+    theta1 = math.atan2(k, -math.sqrt(q1) - x1 * x1 / (2.0 * q1))
 
-    def rhs(t, y):
+    def rhs(s, y):
         sn = math.sin(y[0])
         cs = math.cos(y[0])
-        return (s * cs * cs + (nu2 - q0 * math.exp(2.0 * t)) * sn * sn / s,)
+        return (k * cs * cs + (nu2 - math.exp(2.0 * s)) * sn * sn / k,)
 
-    T = math.log(rmax / problem.rho0)
-    sol = solve_ivp(rhs, (0.0, T), [theta0], method="RK45",
-                    rtol=1e-8, atol=1e-10)
+    sol = solve_ivp(rhs, (math.log(x1), float(s0[0])), [theta1],
+                    method="RK45", t_eval=s0[::-1], rtol=1e-8, atol=1e-10)
     if not sol.success:
         raise ConvergenceError(
-            f"phase integration on (0, {T}) failed: {sol.message}")
-    return max(0, math.ceil(float(sol.y[0, -1]) / math.pi) - 1)
+            f"inward phase sweep to s = {s0[0]:.3f} failed: {sol.message}")
+    theta = sol.y[0, ::-1][inverse]
+    theta_bc = 0.0 if problem.bc == "dirichlet" else math.atan2(k, -0.5)
+    counts[live] = np.maximum(0, np.ceil((theta_bc - theta) / math.pi))
+    return counts
 
 
-def count_radial(problem: RadialProblem, E: float,
-                 rmax: Optional[float] = None) -> tuple:
+def count_radial(problem: RadialProblem, E: float) -> tuple:
     """Number of eigenvalues of the radial operator below -E.
 
-    Returns (count, stable).  The Pruefer phase, taken in t = ln(rho/rho0)
-    (see `_log_phase_count`), is integrated out to rmax and again to
-    2 rmax; agreement certifies that no eigenvalue mass lives beyond the
-    truncation.  rmax defaults to 10x the classical turning radius and is
-    doubled up to 8 times before giving up.  A level at or below
-    -c / rho0^2, the bottom of the potential, counts 0 without integration.
+    Returns (count, stable); the count is read off one inward phase sweep
+    (see `_sweep_counts`), which has no truncation radius, so stable is
+    always True.  An eigenvalue at exactly -E is included.
     """
     problem.validate()
     if E <= 0:
         raise PreconditionError(f"need E > 0, got {E}")
-    E_eff = E / problem.scale
-    # counts below -E use the strictly-below convention; nudge the level up
-    # by a relative tie shift so an eigenvalue at exactly -E is included
-    depth = E_eff * (1.0 - spectral1d.TIE_SHIFT)
-    if depth * problem.rho0 * problem.rho0 >= problem.c:
-        return 0, True
-    if rmax is None:
-        # above the bottom of the potential the turning radius exceeds rho0
-        rmax = 10.0 * math.sqrt(problem.c / E_eff)
-
-    prev = None
-    for _ in range(_MAX_DOUBLINGS + 1):
-        n = _log_phase_count(problem, depth, rmax)
-        if prev is not None and n == prev:
-            return n, True
-        prev = n
-        rmax *= 2.0
-    raise ConvergenceError(
-        f"radial count at E = {E:.3e} failed to stabilize; "
-        f"last two counts {prev} at rmax = {rmax / 2.0:.3e}")
+    return int(_sweep_counts(problem, [E])[0]), True
 
 
-def counting_curve(problem: RadialProblem, E_grid,
-                   threads=None) -> CountingCurve:
+def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     """Counting function N(E) over a descending positive energy grid.
 
-    Counting functions are nonincreasing in E; a violation signals an
-    unstable count and the offending entries are re-evaluated with a larger
-    truncation radius before giving up.
+    All counts come from a single inward phase sweep read off at every grid
+    energy.  Above the bottom of the potential the phase crosses each
+    boundary branch in one direction only, so N is nonincreasing in E.
     """
     problem.validate()
     E = np.asarray([float(v) for v in E_grid])
@@ -172,24 +172,9 @@ def counting_curve(problem: RadialProblem, E_grid,
         raise PreconditionError("energy grid must be strictly positive")
     if np.any(np.diff(E) >= 0):
         raise PreconditionError("energy grid must be strictly decreasing")
-
-    out = parallel_map(lambda e: count_radial(problem, e), list(E), threads)
-    counts = np.array([o[0] for o in out], dtype=int)
-    stable = np.array([o[1] for o in out], dtype=bool)
-
-    bad = np.nonzero(np.diff(counts) < 0)[0]
-    if bad.size:
-        for i in np.unique(np.concatenate([bad, bad + 1])):
-            turn = math.sqrt(abs(problem.c) / (E[i] / problem.scale)) \
-                if problem.c > 0 else problem.rho0
-            counts[i], stable[i] = count_radial(
-                problem, float(E[i]),
-                rmax=max(2.0 * problem.rho0, 40.0 * turn))
-        if np.any(np.diff(counts) < 0):
-            raise ConvergenceError(
-                "counting function decreased along the grid after retry")
-
-    return CountingCurve(E, np.abs(np.log(E)), counts, stable, problem)
+    counts = _sweep_counts(problem, E)
+    return CountingCurve(E, np.abs(np.log(E)), counts,
+                         np.ones(E.size, dtype=bool), problem)
 
 
 def fit_log_slope(curve: CountingCurve) -> SlopeFit:
@@ -309,11 +294,11 @@ def assemble_model(curve: SampledCurve, potential: threshold.PotentialSpec,
         mu_n(E) = (E - eps0 + lambda_n) R^2 (1 - delta kappa_inf)^2
 
     with attractive coefficient c_m = (1 - C_knob (delta + eps_knob)) / 4
-    - lambda_m.  Modes with c_m <= 0 cannot bind and are dropped; channels
-    n >= 2 stop at the first one contributing nothing, since mu_n is
-    monotone in n.  The staircase is then fitted against |ln E| and compared
-    with the predicted slope sum sqrt(-lambda_m) / (2 pi) from the curvature
-    operator spectrum.
+    - lambda_m.  Modes with c_m <= 0 cannot bind and are dropped.  Each
+    mode counts all its (E, n) shifts from one inward phase sweep.  The
+    staircase is then fitted against |ln E| and compared with the predicted
+    slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
+    spectrum.
     """
     if not 0.0 < delta < 0.5:
         raise PreconditionError(f"need delta in (0, 0.5), got {delta}")
@@ -344,36 +329,27 @@ def assemble_model(curve: SampledCurve, potential: threshold.PotentialSpec,
     if shrink <= 0.0:
         raise PreconditionError("delta kappa_inf >= 1; tube map degenerates")
 
-    def count_at(E):
+    def shifts_at(E):
         R = R_fixed if R_fixed is not None else K_delta * abs(math.log(E))
         if R <= 0.0:
             raise PreconditionError(f"matching radius R = {R} must be positive")
         levels = _transverse_levels(potential, delta * R, n_channels)
-        total = 0
-        per_mode = {}
-        for ch in range(n_channels):
-            # (level - eps0) first: for the ground channel of a closed-form
-            # family the pair cancels exactly, keeping mu = E R^2 alive at
-            # energies far below one ulp of eps0
-            mu = (float(levels[ch]) - eps0 + E) * R * R * shrink
-            if mu <= 0.0:
-                raise PreconditionError(
-                    f"channel shift mu = {mu:.3e} not positive at E = {E:.3e}; "
-                    "model outside its near-threshold regime")
-            contrib = 0
-            for m, lam, c in retained:
-                cnt, _ = count_radial(RadialProblem(c=c), mu)
-                contrib += cnt
-                per_mode[m] = per_mode.get(m, 0) + cnt
-            total += contrib
-            if ch >= 1 and contrib == 0:
-                break
-        return total, per_mode
+        # (level - eps0) first: for the ground channel of a closed-form
+        # family the pair cancels exactly, keeping mu = E R^2 alive at
+        # energies far below one ulp of eps0
+        mu = (levels - eps0 + E) * R * R * shrink
+        if mu.min() <= 0.0:
+            raise PreconditionError(
+                f"channel shift mu = {mu.min():.3e} not positive at "
+                f"E = {E:.3e}; model outside its near-threshold regime")
+        return mu
 
-    out = parallel_map(count_at, list(E_grid), threads)
-    counts = np.array([o[0] for o in out], dtype=int)
-    per_mode = {m: np.array([o[1].get(m, 0) for o in out], dtype=int)
-                for m, _, _ in retained}
+    mu = np.array(parallel_map(shifts_at, list(E_grid), threads))
+    # one sweep per mode covers every (E, channel) shift; mu_n rises with n,
+    # so channels past the first empty one add nothing to the sum
+    per_mode = {m: _sweep_counts(RadialProblem(c=c), mu).sum(axis=1)
+                for m, _, c in retained}
+    counts = sum(per_mode.values())
 
     ccurve = CountingCurve(E_grid, np.abs(np.log(E_grid)), counts,
                            np.ones_like(counts, dtype=bool),

@@ -68,6 +68,12 @@ BESSEL_ENERGIES = {
 }
 
 
+# Counts below -E for c = 1e4 (nu ~ 100), too many states for a zero table.
+# Generated with bessel_zero_count(1e4, E) at 40 and again at 60 digits,
+# which agree.
+STRONG_COUPLING_COUNTS = {1e-3: 247, 1e-4: 283}
+
+
 def bessel_count(c, energy):
     """Number of bound states below -energy, from the frozen zero table."""
     return int(np.count_nonzero(BESSEL_ENERGIES[c] > energy))
@@ -122,3 +128,32 @@ def bessel_first_zero_energy(c, dps=40):
         logt = mp.findroot(f, (a, b), solver="bisect", tol=mp.mpf(10) ** (-dps // 2))
         t = mp.e ** logt
         return float(t * t)
+
+
+def bessel_zero_count(c, energy, dps=40, step=0.01):
+    """Live count of the zeros of K_{i nu}(x) above x0 = sqrt(energy).
+
+    Sign changes of re(besselk(i nu, e^u)) in mpmath, walked down from
+    u = ln nu (the decaying solution has no zero past the turning point
+    x = nu) to u0 = ln x0 in steps of `step`; the step must stay below the
+    zero spacing pi / nu near x0 (0.031 at c = 1e4).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        nu = mp.sqrt(mp.mpf(c) - mp.mpf(1) / 4)
+
+        def f(u):
+            return mp.re(mp.besselk(1j * nu, mp.e ** u))
+
+        u_lo = mp.log(mp.mpf(energy)) / 2
+        u = mp.log(nu)
+        fu = f(u)
+        n = 0
+        while u > u_lo:
+            v = max(u - step, u_lo)
+            fv = f(v)
+            if mp.sign(fv) != mp.sign(fu):
+                n += 1
+            u, fu = v, fv
+        return n

@@ -1,5 +1,6 @@
 """End-to-end runs of the conebound command line."""
 
+import hashlib
 import json
 import math
 
@@ -96,6 +97,33 @@ def test_counting_supercritical_slope(tmp_path):
     doc = load(tmp_path / "slope.json")
     assert doc["predicted_slope"] == pytest.approx(1.0 / (2.0 * math.pi))
     assert doc["relative_error"] < 0.25
+
+
+# sha256 of the data files that conebound 0.1.0 writes for the README
+# counting and assemble examples and for Neumann c = 2 on the README grid;
+# a counting method may change, these bytes may not
+FROZEN_OUTPUTS = [
+    (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
+     "counting.csv",
+     "5ca89373a10be65e71e6680055339182ccb1a7b95b4ea0d2918ccfa712b9c32d"),
+    (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
+      "--family", "hard_wall", "--a", "1.0"],
+     "assemble_counts.csv",
+     "826d81f809bcd774e9586bb7078570e67eb106ab700aa40b66907b63969c8fd5"),
+    (["counting", "--c", "2", "--E-top", "1e-3", "--E-bottom", "1e-8",
+      "--n-points", "41", "--bc", "neumann"],
+     "counting.csv",
+     "644dd1b41d3f9c35c1a5d761c1ca96c7e144afbb8d608b8486ef9f49fc2dd5cf"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", FROZEN_OUTPUTS,
+                         ids=["readme-counting", "readme-assemble",
+                              "neumann-c2"])
+def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
+    assert run(argv + ["--out-dir", tmp_path]) == 0
+    data = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_reproducible_bytes(tmp_path):

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import k0, k1
 
 from conebound import (ConvergenceError, CountingCurve, CurveSpec,
                        PotentialSpec, PreconditionError, RadialProblem,
@@ -13,8 +17,8 @@ from conebound import (ConvergenceError, CountingCurve, CurveSpec,
 from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
 
-from _oracles import (BESSEL_ENERGIES, bessel_count, bessel_first_zero_energy,
-                      dlmf_zero_energies)
+from _oracles import (BESSEL_ENERGIES, STRONG_COUPLING_COUNTS, bessel_count,
+                      bessel_first_zero_energy, dlmf_zero_energies)
 
 # the criterion-6 grid: 8 points per decade down to the default floor 1e-22
 DEEP_GRID = np.logspace(-3, -22, 153)
@@ -104,14 +108,15 @@ def test_deep_counts_match_dlmf_zeros(c):
     assert checked >= DEEP_GRID.size - 3
 
 
-def _forward_neumann_count(problem, E):
-    """count_radial's truncation loop, shot forward in rho instead."""
-    level = -E * (1.0 - TIE_SHIFT)
-    rmax = 10.0 * math.sqrt(problem.c / E)
+def _forward_count(problem, E):
+    """Count below -E shot forward in rho over doubling truncation radii."""
+    E_eff = E / problem.scale
+    level = -E_eff * (1.0 - TIE_SHIFT)
+    rmax = max(10.0 * math.sqrt(problem.c / E_eff), 2.0 * problem.rho0)
     prev = None
     for _ in range(9):
         n = oscillation_count(problem.potential, problem.rho0, rmax,
-                              "neumann", level)
+                              problem.bc, level)
         if n == prev:
             return n
         prev = n
@@ -127,8 +132,21 @@ def test_neumann_counts_match_forward_shooting(c):
     grid = np.logspace(-3, -8, 41)
     problem = RadialProblem(c=c, bc="neumann")
     curve = counting_curve(problem, grid)
-    forward = [_forward_neumann_count(problem, float(E)) for E in grid]
+    forward = [_forward_count(problem, float(E)) for E in grid]
     assert curve.N.tolist() == forward
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(c=st.floats(0.25, 20.0, exclude_min=True),
+       rho0=st.floats(0.25, 4.0), scale=st.floats(0.1, 10.0),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       log10_E=st.floats(-8.0, -2.0))
+def test_count_radial_matches_forward_shooting(c, rho0, scale, bc, log10_E):
+    # the inward sweep and the forward shooter in rho share no integration
+    # variable, start point or truncation; on shallow levels both are exact
+    problem = RadialProblem(c=c, rho0=rho0, bc=bc, scale=scale)
+    E = 10.0 ** log10_E
+    assert count_radial(problem, E) == (_forward_count(problem, E), True)
 
 
 def test_subcritical_coupling_binds_nothing():
@@ -138,6 +156,17 @@ def test_subcritical_coupling_binds_nothing():
         for E in (1e-4, 1e-8, 1e-12):
             n, stable = count_radial(problem, E)
             assert stable and n == 0
+
+
+def test_neumann_ground_state_at_the_hardy_constant():
+    # a Pruefer scale k = nu squeezed the phase onto pi as c -> 1/4+ and
+    # lost this state.  At c = 1/4 the Neumann ground state -kappa^2 has
+    # d/drho [sqrt(rho) K_0(kappa rho)] = 0 at rho = 1
+    kappa = brentq(lambda k: k0(k) - 2.0 * k * k1(k), 1e-3, 1.0)
+    for c in (0.25, 0.25 + 1e-12, math.nextafter(0.25, 1.0)):
+        problem = RadialProblem(c=c, bc="neumann")
+        assert count_radial(problem, 1.02 * kappa * kappa)[0] == 0
+        assert count_radial(problem, 0.98 * kappa * kappa)[0] == 1
 
 
 def test_neumann_dominates_dirichlet():
@@ -173,6 +202,8 @@ def test_strong_coupling_count_certifies_and_scales():
     assert ok3 and ok4
     assert n3 > 200
     assert 35 <= n4 - n3 <= 38
+    assert n3 == STRONG_COUPLING_COUNTS[1e-3]
+    assert n4 == STRONG_COUPLING_COUNTS[1e-4]
 
 
 # ---------------------------------------------------------- counting_curve
