@@ -6,10 +6,11 @@ Its strictly negative eigenvalues lambda_j determine the constant
 
 the universal slope of the logarithmic eigenvalue-counting law.  Two
 independent discretizations are kept deliberately separate: periodic finite
-differences (with Richardson extrapolation) and a truncated Fourier basis in
-which the kinetic part is diagonal and kappa^2/4 acts as a circular
-convolution, assembled by direct summation rather than an FFT so the result
-is bitwise deterministic.
+differences (with Richardson extrapolation), solved as a symmetric band, and
+a truncated real Fourier basis {1, sqrt2 cos, sqrt2 sin} in which the
+kinetic part is diagonal and kappa^2/4 acts through the cosine and sine sums
+of its samples, assembled by direct summation rather than an FFT so the
+result is bitwise deterministic.
 """
 from __future__ import annotations
 
@@ -69,24 +70,36 @@ def _kappa_on_grid(curve: SampledCurve, n: int) -> np.ndarray:
     return PchipInterpolator(s_ext, k_ext)(target)
 
 
-def _fourier_matrix(q: np.ndarray, ell: float, m_max: int) -> np.ndarray:
-    """Hermitian matrix of -d^2/ds^2 + q in modes |m| <= m_max.
+def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int) -> np.ndarray:
+    """Real symmetric matrix of -d^2/ds^2 + q in modes 0 < m <= m_max.
 
-    q enters through its discrete Fourier coefficients, computed by direct
+    The basis is {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, in that
+    block order.  For real q it spans the same space as exp(2pi i m s/ell),
+    |m| <= m_max, and gives the same eigenvalues.  q enters through its
+    discrete cosine and sine sums a_k, b_k, k <= 2 m_max, computed by direct
     summation over the sample grid.
     """
     n = q.shape[0]
-    j = np.arange(n)
-    # coefficients c_k for k = -2 m_max .. 2 m_max
-    ks = np.arange(-2 * m_max, 2 * m_max + 1)
-    phases = np.exp(-2j * math.pi * np.outer(ks, j) / n)
-    coeffs = phases @ q / n
-    modes = np.arange(-m_max, m_max + 1)
-    kin = (2.0 * math.pi * modes / ell) ** 2
-    a = np.diag(kin.astype(complex))
-    diff = modes[:, None] - modes[None, :]
-    a += coeffs[diff + 2 * m_max]
-    return a
+    # the phase index k j is reduced mod n exactly, so cos and sin are
+    # looked up from one period
+    idx = np.outer(np.arange(2 * m_max + 1), np.arange(n)) % n
+    angle = (2.0 * math.pi / n) * np.arange(n)
+    a = np.cos(angle)[idx] @ q / n
+    b = np.sin(angle)[idx] @ q / n
+    m = np.arange(1, m_max + 1)
+    kin = np.diag((2.0 * math.pi * m / ell) ** 2)
+    diff = m[:, None] - m[None, :]
+    gap, total = np.abs(diff), m[:, None] + m[None, :]
+    cs = b[total] - np.sign(diff) * b[gap]
+    out = np.empty((2 * m_max + 1, 2 * m_max + 1))
+    out[0, 0] = a[0]
+    out[0, 1:m_max + 1] = out[1:m_max + 1, 0] = math.sqrt(2.0) * a[m]
+    out[0, m_max + 1:] = out[m_max + 1:, 0] = math.sqrt(2.0) * b[m]
+    out[1:m_max + 1, 1:m_max + 1] = a[gap] + a[total] + kin
+    out[m_max + 1:, m_max + 1:] = a[gap] - a[total] + kin
+    out[1:m_max + 1, m_max + 1:] = cs
+    out[m_max + 1:, 1:m_max + 1] = cs.T
+    return out
 
 
 def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
@@ -94,12 +107,20 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
     """Low eigenvalues of -d^2/ds^2 - kappa^2/4 on the circle of length ell.
 
     method "fd" assembles the periodic second-difference operator on n nodes;
-    method "fourier" diagonalizes in the truncated Fourier basis |m| <= n/2.
+    method "fourier" diagonalizes in the real truncated Fourier basis
+    {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, 0 < m <= n/2.
+    k may not exceed the basis size: n for "fd", 2 (n // 2) + 1 for
+    "fourier".
     """
     if curve.kappa is None or curve.kappa.shape[0] != curve.n_samples:
         raise PreconditionError("curve has no curvature field")
     if n < 128:
         raise PreconditionError(f"need n >= 128, got {n}")
+    size = 2 * (n // 2) + 1 if method == "fourier" else n
+    if not 1 <= k <= size:
+        raise PreconditionError(
+            f"need 1 <= k <= {size}, the {method} basis size at n = {n}, "
+            f"got k = {k}")
     ell = curve.length
     kappa = _kappa_on_grid(curve, n)
     q = -0.25 * kappa * kappa
@@ -115,7 +136,7 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
                                              potential=q_callable)
     if method == "fourier":
         m_max = n // 2
-        a = _fourier_matrix(q, ell, m_max)
+        a = _real_fourier_matrix(q, ell, m_max)
         vals = eigh(a, eigvals_only=True, subset_by_index=[0, k - 1])
         grid = spectral1d.Grid1D.make(0.0, ell, n, "periodic")
         return spectral1d.EigResult(np.asarray(vals), None, "periodic", grid,

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.spatial import cKDTree
 
 from .errors import PreconditionError
 
@@ -171,14 +172,15 @@ def _kappa_from_positions(gamma: np.ndarray, h: float) -> np.ndarray:
 
 def _self_intersection_check(gamma: np.ndarray, h: float) -> None:
     # pairwise minimum distance over non-adjacent samples (cyclic index gap
-    # >= 3) must stay above 2h; adjacent chords sit near h by construction
+    # >= 3) must stay above 2h; adjacent chords sit near h by construction.
+    # Only pairs closer than 3h can decide the test, and a KD-tree lists
+    # exactly those in O(n) memory; with none left the minimum is infinite.
     n = gamma.shape[0]
-    d2 = np.sum((gamma[:, None, :] - gamma[None, :, :]) ** 2, axis=2)
-    i = np.arange(n)
-    gap = np.abs(i[:, None] - i[None, :])
-    gap = np.minimum(gap, n - gap)
-    masked = np.where(gap >= 3, d2, np.inf)
-    dmin = math.sqrt(float(np.min(masked)))
+    pairs = cKDTree(gamma).query_pairs(3.0 * h, output_type="ndarray")
+    gap = np.abs(pairs[:, 0] - pairs[:, 1])
+    pairs = pairs[np.minimum(gap, n - gap) >= 3]
+    d2 = np.sum((gamma[pairs[:, 0]] - gamma[pairs[:, 1]]) ** 2, axis=1)
+    dmin = math.sqrt(float(np.min(d2, initial=np.inf)))
     if dmin <= 2.0 * h:
         raise PreconditionError(
             f"curve is not simple at this resolution: non-adjacent samples "

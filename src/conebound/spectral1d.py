@@ -3,9 +3,10 @@
 Symmetric second-difference operators on intervals (Dirichlet / Neumann ends)
 and circles (periodic), with three independent spectral probes:
 
-* low eigenvalues and eigenvectors via Sturm-sequence bisection plus inverse
-  iteration (LAPACK stebz/stein; the periodic matrix has corner entries and
-  is solved densely),
+* low eigenvalues and eigenvectors via bisection plus inverse iteration
+  (LAPACK stebz/stein on the tridiagonal matrix; the periodic matrix, whose
+  corner entries close the circle, is reordered into a symmetric band of
+  half-bandwidth 2 and solved with LAPACK sbevx),
 * an O(n) eigenvalue counter from the LDL^T inertia of A - sigma I,
 * a Prufer-phase shooting counter that never touches the matrix at all.
 
@@ -24,7 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh_tridiagonal
+# not called here: perfbench/tracing.py patches spectral1d.eigh by name
+from scipy.linalg import eigh  # noqa: F401
 
 from .errors import ConvergenceError, PreconditionError
 
@@ -125,16 +128,32 @@ def assemble(potential_samples, grid: Grid1D, kind: str) -> Operator1D:
     return Operator1D(kind, grid, diag, offdiag, corner, v)
 
 
-def _dense_matrix(op: Operator1D) -> np.ndarray:
-    a = np.diag(op.diag)
+def _cyclic_entries(op: Operator1D, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    # entries A[i, j] of the periodic matrix off its diagonal
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    out = np.zeros(i.shape[0])
+    adjacent = hi - lo == 1
+    out[adjacent] = op.offdiag[lo[adjacent]]
+    out[(lo == 0) & (hi == op.grid.n - 1)] += op.corner
+    return out
+
+
+def _periodic_band(op: Operator1D):
+    """Upper band form of the periodic matrix in the order 0, n-1, 1, n-2, ...
+
+    In that order each node's two circle neighbours sit at most two places
+    away, so the cyclic tridiagonal matrix becomes a symmetric band of
+    half-bandwidth 2.  Returns the (3, n) band and the node order.
+    """
     n = op.grid.n
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = op.offdiag
-    a[idx + 1, idx] = op.offdiag
-    if op.kind == "periodic":
-        a[0, n - 1] += op.corner
-        a[n - 1, 0] += op.corner
-    return a
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    band = np.zeros((3, n))
+    band[2] = op.diag[order]
+    band[1, 1:] = _cyclic_entries(op, order[:-1], order[1:])
+    band[0, 2:] = _cyclic_entries(op, order[:-2], order[2:])
+    return band, order
 
 
 def _coarse_samples(op: Operator1D, coarse_grid: Grid1D,
@@ -158,8 +177,11 @@ def _coarse_samples(op: Operator1D, coarse_grid: Grid1D,
 def _solve_sorted(op: Operator1D, k: int, want_vectors: bool):
     try:
         if op.kind == "periodic":
-            out = eigh(_dense_matrix(op), subset_by_index=[0, k - 1],
-                       eigvals_only=not want_vectors)
+            band, order = _periodic_band(op)
+            out = eig_banded(band, eigvals_only=not want_vectors,
+                             select="i", select_range=(0, k - 1))
+            if want_vectors:
+                out = (out[0], out[1][np.argsort(order)])
         else:
             out = eigh_tridiagonal(op.diag, op.offdiag,
                                    eigvals_only=not want_vectors,

@@ -157,3 +157,21 @@ def bessel_zero_count(c, energy, dps=40, step=0.01):
                 n += 1
             u, fu = v, fv
         return n
+
+
+def complex_fourier_matrix(q, ell, m_max):
+    """Hermitian matrix of -d^2/ds^2 + q in the modes exp(2pi i m s/ell).
+
+    |m| <= m_max; q enters through its discrete Fourier coefficients
+    c_k = (1/n) sum_j q_j exp(-2pi i k j/n), k = -2 m_max .. 2 m_max, by
+    direct summation.  The package assembles the same operator in the real
+    basis {1, sqrt2 cos, sqrt2 sin}; this complex form is its reference.
+    """
+    n = q.shape[0]
+    j = np.arange(n)
+    ks = np.arange(-2 * m_max, 2 * m_max + 1)
+    coeffs = np.exp(-2j * math.pi * np.outer(ks, j) / n) @ q / n
+    modes = np.arange(-m_max, m_max + 1)
+    a = np.diag(((2.0 * math.pi * modes / ell) ** 2).astype(complex))
+    a += coeffs[modes[:, None] - modes[None, :] + 2 * m_max]
+    return a

@@ -187,6 +187,13 @@ def test_invalid_theta_is_a_precondition_error(tmp_path, capsys):
     assert "polar angle" in capsys.readouterr().err
 
 
+def test_oversized_k_is_a_precondition_error(tmp_path, capsys):
+    code = run(["ks", "--preset", "latitude", "--theta", "0.7",
+                "--n-fourier", "128", "--k", "200", "--out-dir", tmp_path])
+    assert code == 4
+    assert "basis size" in capsys.readouterr().err
+
+
 def test_uncertifiable_gap_is_a_convergence_error(tmp_path, capsys):
     x = np.linspace(-12.0, 12.0, 4001)
     v = -8.0 * (np.exp(-2.0 * (x - 5.0) ** 2) + np.exp(-2.0 * (x + 5.0) ** 2))

@@ -7,6 +7,9 @@ import pytest
 
 from conebound import (CurveSpec, PreconditionError, build_curve, ks_constant,
                        ks_spectrum)
+from conebound.curvature_operator import _real_fourier_matrix
+
+from _oracles import complex_fourier_matrix
 
 
 def latitude(theta, n=1024):
@@ -41,6 +44,25 @@ def test_latitude_spectrum_closed_form():
     scale = np.maximum(np.abs(exact), 1.0)
     assert np.max(np.abs(fd - exact) / scale) < 1e-4
     assert np.max(np.abs(fourier - exact) / scale) < 1e-5
+
+
+@pytest.mark.parametrize("m_max, n", [(64, 128), (257, 515)])
+def test_real_fourier_basis_matches_complex_basis(rng, m_max, n):
+    # same operator in the real basis {1, sqrt2 cos, sqrt2 sin} and in the
+    # complex exponentials: the whole spectrum agrees to rounding
+    ell = float(rng.uniform(1.0, 8.0))
+    s = ell * np.arange(n) / n
+    p = np.arange(1, 7)[:, None]
+    w = 2.0 * math.pi * p * s / ell
+    coef = rng.normal(0.0, 1.0, (2, 6, 1)) / p
+    q = -1.0 + np.sum(coef[0] * np.cos(w) + coef[1] * np.sin(w), axis=0)
+    real = _real_fourier_matrix(q, ell, m_max)
+    ref = complex_fourier_matrix(q, ell, m_max)
+    assert real.shape == ref.shape == (2 * m_max + 1, 2 * m_max + 1)
+    assert np.array_equal(real, real.T)
+    norm = np.linalg.norm(ref, 2)
+    diff = np.linalg.eigvalsh(real) - np.linalg.eigvalsh(ref)
+    assert np.max(np.abs(diff)) < 1e-12 * norm
 
 
 def test_degenerate_pairs_resolved():
@@ -128,3 +150,15 @@ def test_rejects_small_grids_and_unknown_method():
         ks_spectrum(c, 64, "fd")
     with pytest.raises(PreconditionError):
         ks_spectrum(c, 256, "chebyshev")
+
+
+def test_k_beyond_basis_size_is_a_precondition_error():
+    # the fourier basis at n = 128 has 129 functions, the fd grid n nodes
+    c = latitude(math.pi / 4, 256)
+    assert ks_spectrum(c, 128, "fourier", k=129).values.shape == (129,)
+    with pytest.raises(PreconditionError, match="basis size"):
+        ks_spectrum(c, 128, "fourier", k=130)
+    with pytest.raises(PreconditionError, match="basis size"):
+        ks_spectrum(c, 128, "fd", k=129)
+    with pytest.raises(PreconditionError, match="basis size"):
+        ks_spectrum(c, 128, "fd", k=0)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conebound import (CurveSpec, PreconditionError, build_curve,
                        geodesic_curvature, read_curve_samples, sup_curvature,
                        write_curve_csv)
+from conebound.geometry import _self_intersection_check
 
 
 def latitude(theta, n=1024):
@@ -158,6 +160,64 @@ def test_off_sphere_tabulated_rejected():
 def test_self_intersecting_curve_rejected():
     with pytest.raises(PreconditionError):
         build_curve(CurveSpec(kind="tabulated", samples=viviani_points()), 256)
+
+
+def _brute_force_dmin(gamma):
+    # O(n^2) reference: closest pair with cyclic index gap >= 3
+    n = gamma.shape[0]
+    d2 = np.sum((gamma[:, None, :] - gamma[None, :, :]) ** 2, axis=2)
+    i = np.arange(n)
+    gap = np.abs(i[:, None] - i[None, :])
+    gap = np.minimum(gap, n - gap)
+    return math.sqrt(float(np.min(np.where(gap >= 3, d2, np.inf))))
+
+
+def _random_loop(rng, n):
+    # smooth closed curve on the sphere from a few random Fourier modes;
+    # loops of this kind often cross themselves
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[:, None]
+    p = rng.normal(0.0, 1.0, (1, 3))
+    for m in range(1, 4):
+        p = p + (rng.normal(0.0, 1.0, (1, 3)) * np.cos(m * t)
+                 + rng.normal(0.0, 1.0, (1, 3)) * np.sin(m * t)) / m
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
+def test_simplicity_check_matches_brute_force(rng):
+    # raises exactly when the brute-force closest pair is within 2h, with
+    # the same message; h at the sample spacing, at half of it (no pair of
+    # the circle is then near enough to be a candidate), and on both sides
+    # of the threshold dmin / 2
+    loops = [viviani_points(n) for n in (64, 128, 256)]
+    loops.append(latitude(math.pi / 4, 128).gamma)
+    loops += [_random_loop(rng, int(rng.integers(64, 257))) for _ in range(8)]
+    raised = 0
+    for gamma in loops:
+        dmin = _brute_force_dmin(gamma)
+        chord = float(np.mean(np.linalg.norm(
+            np.roll(gamma, -1, axis=0) - gamma, axis=1)))
+        for h in (chord, 0.5 * chord, 0.5 * dmin, 0.5 * dmin * (1.0 - 1e-9)):
+            if dmin > 2.0 * h:
+                _self_intersection_check(gamma, h)
+                continue
+            raised += 1
+            with pytest.raises(PreconditionError) as err:
+                _self_intersection_check(gamma, h)
+            assert str(err.value) == (
+                f"curve is not simple at this resolution: non-adjacent "
+                f"samples approach to {dmin:.3e} <= 2h = {2.0 * h:.3e}")
+    assert raised >= len(loops)
+
+
+def test_simplicity_check_memory_is_linear():
+    # an n x n x 3 difference array at n = 4096 would peak near 512 MB
+    tracemalloc.start()
+    try:
+        perturbed(math.pi / 4, 0.1, 3, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_spec_validation():

@@ -229,6 +229,31 @@ def test_count_below_matches_dense_solve(rng):
         assert count_below(op, level) == want
 
 
+def test_periodic_solve_matches_dense_solve(rng):
+    # the banded periodic solver against a dense eigensolve of the cyclic
+    # matrix built here; n of both parities, any k up to n, with vectors
+    for n in (16, 17, *rng.integers(18, 402, 10)):
+        n = int(n)
+        k = int(rng.integers(1, n + 1))
+        grid = Grid1D.make(0.0, float(rng.uniform(0.5, 4.0)), n, "periodic")
+        v = rng.normal(0.0, 20.0, n)
+        op = assemble(v, grid, "periodic")
+        h2 = grid.h * grid.h
+        dense = np.diag(2.0 / h2 + v)
+        idx = np.arange(n)
+        dense[idx, (idx + 1) % n] = dense[(idx + 1) % n, idx] = -1.0 / h2
+        scale = 4.0 / h2 + float(np.max(np.abs(v)))
+        res = lowest_eigenvalues(op, k, want_vectors=True)
+        assert np.max(np.abs(res.values - np.linalg.eigvalsh(dense)[:k])) \
+            < 1e-12 * scale
+        phi = res.vectors
+        assert phi.shape == (n, k)
+        # h-weighted normalization and eigenvector residuals
+        assert np.allclose(grid.h * np.sum(phi**2, axis=0), 1.0, atol=1e-12)
+        resid = dense @ phi - phi * res.values
+        assert np.max(np.abs(resid)) * math.sqrt(grid.h) < 1e-12 * scale
+
+
 def test_oscillation_count_free_string():
     # -u'' on (0, 1): eigenvalues pi^2 k^2
     v = lambda x: 0.0
