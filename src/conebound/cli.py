@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, counting, curvature_operator, geometry, threshold
 from ._serial import canonical_json, sha256_hex, write_json
-from .errors import ConeboundError, ConfigError
+from .errors import ConeboundError, ConfigError, PreconditionError
 
 _TOP_KEYS = {"curve", "ks", "threshold", "counting", "assemble",
              "out_dir", "verbose", "threads"}
@@ -266,6 +266,14 @@ def cmd_threshold(config, args, out_dir, threads, verbose):
 # ------------------------------------------------------------------ counting
 
 
+def _energy_grid(resolved):
+    top, bottom = resolved["E_top"], resolved["E_bottom"]
+    if not (top > 0.0 and bottom > 0.0):
+        raise PreconditionError("energy grid must be strictly positive")
+    return np.logspace(math.log10(top), math.log10(bottom),
+                       resolved["n_points"])
+
+
 def cmd_counting(config, args, out_dir, threads, verbose):
     block = dict(config.get("counting", {}))
     block = _override(block, args, ("c", "rho0", "bc", "scale", "E_top",
@@ -283,9 +291,7 @@ def cmd_counting(config, args, out_dir, threads, verbose):
     problem = counting.RadialProblem(c=resolved["c"], rho0=resolved["rho0"],
                                      bc=resolved["bc"],
                                      scale=resolved["scale"])
-    E_grid = np.logspace(math.log10(resolved["E_top"]),
-                         math.log10(resolved["E_bottom"]),
-                         resolved["n_points"])
+    E_grid = _energy_grid(resolved)
     curve = counting.counting_curve(problem, E_grid)
     fit = counting.fit_log_slope(curve)
     predicted = counting.kirsch_simon_slope(resolved["c"])
@@ -335,10 +341,8 @@ def cmd_assemble(config, args, out_dir, threads, verbose):
         "n_points": int(block.get("n_points", 43)),
         "n_modes": int(block.get("n_modes", 12)),
     }
+    E_grid = _energy_grid(resolved)
     curve = _curve_from_block(curve_block)
-    E_grid = np.logspace(math.log10(resolved["E_top"]),
-                         math.log10(resolved["E_bottom"]),
-                         resolved["n_points"])
     model = counting.assemble_model(
         curve, spec, delta=resolved["delta"], C_knob=resolved["C_knob"],
         eps_knob=resolved["eps_knob"], K_delta=resolved["K_delta"],

@@ -8,9 +8,13 @@ every level shares one decaying solution, sqrt(rho) K_{i nu}(x), and the
 count below -E is the number of its zeros above x0 = sqrt(E) rho0.  One
 Pruefer phase sweep, run inward in ln x from past the turning point, is
 read off at every requested x0, so a whole staircase costs one integration
-and needs no truncation radius.  Below -c / rho0^2 the operator has no
-spectrum at all (-c/rho^2 >= -c/rho0^2 on the half-line), so levels that
-deep count 0 without any integration.
+and needs no truncation radius.  The sweep runs on `_dopri45`, a scalar
+Dormand-Prince 5(4) kernel on plain floats that takes the same steps as
+scipy's RK45 without its per-step array overhead; the forward shooter
+`spectral1d.oscillation_count`, the tests' independent oracle, stays on
+scipy's `solve_ivp`.  Below -c / rho0^2 the operator has no spectrum at
+all (-c/rho^2 >= -c/rho0^2 on the half-line), so levels that deep count 0
+without any integration.
 
 `assemble_model` stacks these half-line counters into the surface model: the
 cross-section modes come from the curvature operator spectrum, the shrinking
@@ -24,12 +28,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import curvature_operator, spectral1d, threshold
 from ._serial import parallel_map, write_csv
 from .errors import ConvergenceError, PreconditionError
 from .geometry import SampledCurve, sup_curvature
+
 
 def kirsch_simon_slope(c: float) -> float:
     """Asymptotic count slope sqrt((c - 1/4)_+) / (2 pi)."""
@@ -50,12 +54,14 @@ class RadialProblem:
     scale: float = 1.0
 
     def validate(self) -> None:
-        if self.rho0 <= 0:
-            raise PreconditionError(f"need rho0 > 0, got {self.rho0}")
+        if not math.isfinite(self.c):
+            raise PreconditionError(f"need finite c, got {self.c}")
+        if not 0.0 < self.rho0 < math.inf:
+            raise PreconditionError(f"need finite rho0 > 0, got {self.rho0}")
         if self.bc not in ("dirichlet", "neumann"):
             raise PreconditionError(f"unsupported boundary condition {self.bc!r}")
-        if self.scale <= 0:
-            raise PreconditionError(f"need scale > 0, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise PreconditionError(f"need finite scale > 0, got {self.scale}")
 
     def potential(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -81,6 +87,98 @@ class SlopeFit:
     degenerate: bool = False
 
 
+# Dormand-Prince 5(4) with Shampine's quartic dense output: the tableau of
+# scipy.integrate.RK45 (Hairer, Norsett & Wanner I, Sec. II.4-6).  _DP_P is
+# its interpolant matrix without the first column, which picks stage 1 alone
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+         -22 / 525, 1 / 40)
+_DP_P = ((-8048581381 / 2820520608, 8663915743 / 2820520608,
+          -12715105075 / 11282082432),
+         (0.0, 0.0, 0.0),
+         (131558114200 / 32700410799, -68118460800 / 10900136933,
+          87487479700 / 32700410799),
+         (-1754552775 / 470086768, 14199869525 / 1410260304,
+          -10690763975 / 1880347072),
+         (127303824393 / 49829197408, -318862633887 / 49829197408,
+          701980252875 / 199316789632),
+         (-282668133 / 205662961, 2019193451 / 616988883,
+          -1453857185 / 822651844),
+         (40617522 / 29380423, -110615467 / 29380423,
+          69997945 / 29380423))
+_RTOL = 1e-8
+_ATOL = 1e-10
+
+
+def _dopri45(fun, t0: float, y0: float, t_eval) -> list:
+    """Solve the scalar y' = fun(t, y), y(t0) = y0, and return y at t_eval.
+
+    `t_eval` runs monotonically away from t0 and the integration stops at
+    its last point.  Step for step this is scipy's RK45 at rtol = _RTOL,
+    atol = _ATOL: the same initial-step rule, the same control (safety 0.9,
+    step factors 0.2 to 10 with exponent -1/5, no growth right after a
+    rejection) and the same dense output, without the per-step array
+    overhead of a general vector solver.  A step that falls below 10 ulp of
+    t, which includes a NaN step, raises ConvergenceError.
+    """
+    t_end = t_eval[-1]
+    direction = math.copysign(1.0, t_end - t0)
+    span = abs(t_end - t0)
+    t, y, f = t0, y0, fun(t0, y0)
+    scale = _ATOL + abs(y) * _RTOL
+    d0, d1 = abs(y) / scale, abs(f) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = abs(fun(t + h0 * direction, y + h0 * direction * f) - f) \
+        / scale / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, span)
+    out = []
+    while direction * (t - t_end) < 0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise ConvergenceError(
+                    f"step size {h_abs:.3e} below {min_step:.3e} at t = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for c, a in zip(_DP_C, _DP_A):
+                K.append(fun(t + c * h,
+                             y + sum(ai * ki for ai, ki in zip(a, K)) * h))
+            y_new = y + h * sum(b * ki for b, ki in zip(_DP_B, K))
+            K.append(fun(t + h, y_new))
+            err = abs(sum(e * ki for e, ki in zip(_DP_E, K)) * h) \
+                / (_ATOL + max(abs(y), abs(y_new)) * _RTOL)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        i = len(out)
+        if i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
+            q = [sum(p[j] * ki for p, ki in zip(_DP_P, K)) for j in range(3)]
+            while i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
+                x = (t_eval[i] - t) / h
+                out.append(y + h * x * (f + x * (q[0] + x * (q[1]
+                                                               + x * q[2]))))
+                i += 1
+        t, y, f = t_new, y_new, K[-1]
+    return out
+
+
 def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
     """Eigenvalue counts below each level -E / scale, from one phase sweep.
 
@@ -102,11 +200,14 @@ def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
     tolerance.  It starts past the turning point, at x1 = nu + 40, from the
     WKB ratio w_s / w = -sqrt(x^2 - nu^2) - x^2 / (2 (x^2 - nu^2)), and runs
     inward, where the decaying solution dominates and a start error dies
-    out.  A zero of w is theta = 0 mod pi with theta' = k > 0, so theta
-    falls through the multiples of pi on the way in.  The boundary
+    out, on the scalar Dormand-Prince kernel `_dopri45`.  A zero of w is
+    theta = 0 mod pi with theta' = k > 0, so theta falls through the
+    multiples of pi on the way in.  The boundary
     condition is theta_bc = 0 for Dirichlet and atan2(k, -1/2) for Neumann
     (u'(rho0) = 0 is w_s / w = -1/2), and the count is the number of
-    branches theta_bc - j pi, j >= 0, above theta(s0).
+    branches theta_bc - j pi, j >= 0, above theta(s0).  Once 40 is below
+    one ulp of nu there is no start point past the turning point, and a c
+    that large is a precondition error.
     """
     E_eff = np.asarray(E, dtype=float) / problem.scale
     depth = E_eff * (1.0 - spectral1d.TIE_SHIFT)
@@ -126,19 +227,19 @@ def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
                           return_inverse=True)
     x1 = nu + 40.0
     q1 = x1 * x1 - nu2
+    if x1 == nu or q1 <= 0.0:
+        raise PreconditionError(
+            f"c = {problem.c:g} too large for a WKB start past the turning "
+            f"point x = nu")
     theta1 = math.atan2(k, -math.sqrt(q1) - x1 * x1 / (2.0 * q1))
 
-    def rhs(s, y):
-        sn = math.sin(y[0])
-        cs = math.cos(y[0])
-        return (k * cs * cs + (nu2 - math.exp(2.0 * s)) * sn * sn / k,)
+    def rhs(s, theta):
+        sn = math.sin(theta)
+        cs = math.cos(theta)
+        return k * cs * cs + (nu2 - math.exp(2.0 * s)) * sn * sn / k
 
-    sol = solve_ivp(rhs, (math.log(x1), float(s0[0])), [theta1],
-                    method="RK45", t_eval=s0[::-1], rtol=1e-8, atol=1e-10)
-    if not sol.success:
-        raise ConvergenceError(
-            f"inward phase sweep to s = {s0[0]:.3f} failed: {sol.message}")
-    theta = sol.y[0, ::-1][inverse]
+    theta = np.array(_dopri45(rhs, math.log(x1), theta1,
+                              s0[::-1].tolist()))[::-1][inverse]
     theta_bc = 0.0 if problem.bc == "dirichlet" else math.atan2(k, -0.5)
     counts[live] = np.maximum(0, np.ceil((theta_bc - theta) / math.pi))
     return counts
@@ -152,7 +253,7 @@ def count_radial(problem: RadialProblem, E: float) -> tuple:
     always True.  An eigenvalue at exactly -E is included.
     """
     problem.validate()
-    if E <= 0:
+    if not E > 0:
         raise PreconditionError(f"need E > 0, got {E}")
     return int(_sweep_counts(problem, [E])[0]), True
 
@@ -168,7 +269,7 @@ def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     E = np.asarray([float(v) for v in E_grid])
     if E.size < 2:
         raise PreconditionError("energy grid needs at least 2 entries")
-    if np.any(E <= 0):
+    if not np.all(E > 0):
         raise PreconditionError("energy grid must be strictly positive")
     if np.any(np.diff(E) >= 0):
         raise PreconditionError("energy grid must be strictly decreasing")
@@ -331,7 +432,7 @@ def assemble_model(curve: SampledCurve, potential: threshold.PotentialSpec,
 
     def shifts_at(E):
         R = R_fixed if R_fixed is not None else K_delta * abs(math.log(E))
-        if R <= 0.0:
+        if not R > 0.0:
             raise PreconditionError(f"matching radius R = {R} must be positive")
         levels = _transverse_levels(potential, delta * R, n_channels)
         # (level - eps0) first: for the ground channel of a closed-form

@@ -194,6 +194,37 @@ def test_oversized_k_is_a_precondition_error(tmp_path, capsys):
     assert "basis size" in capsys.readouterr().err
 
 
+_ASSEMBLE = ["assemble", "--preset", "latitude", "--theta", "0.7854",
+             "--family", "hard_wall", "--a", "1"]
+
+
+# each of these used to exit 0 with slope 0 or die in a traceback
+BAD_COUNTING_INPUTS = [
+    (["counting", "--c", "nan"], "finite c"),
+    (["counting", "--c", "inf"], "finite c"),
+    (["counting", "--rho0", "nan"], "rho0"),
+    (["counting", "--rho0", "inf"], "rho0"),
+    (["counting", "--scale", "nan"], "scale"),
+    (["counting", "--scale", "inf"], "scale"),
+    (["counting", "--c", "1e300"], "c = 1e+300"),
+    (["counting", "--E-top", "0"], "strictly positive"),
+    (["counting", "--E-top", "nan"], "strictly positive"),
+    (["counting", "--E-bottom", "-0.5"], "strictly positive"),
+    (_ASSEMBLE + ["--E-top", "-0.001"], "strictly positive"),
+    (_ASSEMBLE + ["--E-bottom", "0"], "strictly positive"),
+    (_ASSEMBLE + ["--K-delta", "nan"], "matching radius"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", BAD_COUNTING_INPUTS,
+                         ids=[f"{a[0]} {a[-2]} {a[-1]}"
+                              for a, _ in BAD_COUNTING_INPUTS])
+def test_bad_counting_inputs_are_precondition_errors(tmp_path, capsys, argv,
+                                                     needle):
+    assert run(argv + ["--out-dir", tmp_path]) == 4
+    assert needle in capsys.readouterr().err
+
+
 def test_uncertifiable_gap_is_a_convergence_error(tmp_path, capsys):
     x = np.linspace(-12.0, 12.0, 4001)
     v = -8.0 * (np.exp(-2.0 * (x - 5.0) ** 2) + np.exp(-2.0 * (x + 5.0) ** 2))

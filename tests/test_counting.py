@@ -1,11 +1,13 @@
 """Half-line eigenvalue counting, slope fits, and the assembled model."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import k0, k1
 
@@ -14,6 +16,7 @@ from conebound import (ConvergenceError, CountingCurve, CurveSpec,
                        assemble_model, build_curve, count_radial,
                        counting_curve, fit_log_slope, kirsch_simon_slope,
                        model_slope_bounds)
+from conebound import counting
 from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
 
@@ -149,6 +152,58 @@ def test_count_radial_matches_forward_shooting(c, rho0, scale, bc, log10_E):
     assert count_radial(problem, E) == (_forward_count(problem, E), True)
 
 
+def _evaluations(fun):
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+    return counted, calls
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(c=st.floats(0.25, 20.0, exclude_min=True),
+       bc=st.sampled_from(["dirichlet", "neumann"]))
+def test_dopri_kernel_matches_scipy_rk45(c, bc):
+    # the sweep's scalar Dormand-Prince kernel mirrors scipy's RK45 step for
+    # step: on the sweep's own right-hand side, start and read-off points it
+    # takes as many evaluations as solve_ivp and agrees with it far below
+    # the phase gap pi that a count resolves
+    kernel = counting._dopri45
+    runs = []
+
+    def both(fun, t0, y0, t_eval):
+        ours, ours_calls = _evaluations(fun)
+        theta = np.array(kernel(ours, t0, y0, t_eval))
+        sol = solve_ivp(lambda t, y: [fun(t, y[0])], (t0, t_eval[-1]), [y0],
+                        method="RK45", t_eval=t_eval, rtol=1e-8, atol=1e-10)
+        assert sol.success
+        runs.append((len(ours_calls), sol.nfev,
+                     np.max(np.abs(theta - sol.y[0]))))
+        return sol.y[0]
+
+    problem = RadialProblem(c=c, bc=bc)
+    with mock.patch.object(counting, "_dopri45", both):
+        reference = counting_curve(problem, DEEP_GRID).N
+    [(nfev, ref_nfev, gap)] = runs
+    assert nfev == ref_nfev and gap <= 1e-9
+    assert counting_curve(problem, DEEP_GRID).N.tolist() == reference.tolist()
+
+
+@pytest.mark.parametrize("nan_below", [math.inf, -0.5])
+def test_dopri_kernel_turns_a_nan_rhs_into_a_convergence_error(nan_below):
+    # a NaN step would never fall below the minimum step by comparison; the
+    # kernel must stop, not spin, whether the NaN is there from the start
+    # or appears part way
+    def rhs(t, y):
+        assert len(calls) < 2000, "the kernel keeps stepping on NaN"
+        return math.nan if t < nan_below else -y
+
+    rhs, calls = _evaluations(rhs)
+    with pytest.raises(ConvergenceError):
+        counting._dopri45(rhs, 0.0, 1.0, [-0.25, -1.0])
+
+
 def test_subcritical_coupling_binds_nothing():
     # c <= 1/4 is the Hardy-critical regime: no bound states at all
     for c in (0.25, 0.1, -1.0):
@@ -191,6 +246,8 @@ def test_count_radial_validation():
         count_radial(RadialProblem(c=2.0, rho0=0.0), 1e-3)
     with pytest.raises(PreconditionError):
         count_radial(RadialProblem(c=2.0, bc="robin"), 1e-3)
+    with pytest.raises(PreconditionError):
+        count_radial(RadialProblem(c=2.0), math.nan)
 
 
 def test_strong_coupling_count_certifies_and_scales():
@@ -223,6 +280,8 @@ def test_counting_curve_grid_validation():
         counting_curve(problem, np.logspace(-9, -2, 15))
     with pytest.raises(PreconditionError):
         counting_curve(problem, [1e-3, -1e-5])
+    with pytest.raises(PreconditionError):
+        counting_curve(problem, [1e-3, math.nan])
     with pytest.raises(PreconditionError):
         counting_curve(problem, [1e-3])
 
