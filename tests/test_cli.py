@@ -126,6 +126,146 @@ def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+SUMMARY = {"curve": "curve_summary.json", "ks": "ks_report.json",
+           "threshold": "threshold_summary.json", "counting": "slope.json",
+           "assemble": "assemble_summary.json"}
+
+_LAT = "0.7853981633974483"
+_SEED0_GRID = ["--E-top", "0.001", "--E-bottom", "1e-08", "--n-points", "41"]
+
+# config_sha256 of the resolved config, as conebound 0.1.0 resolves it, for
+# the README examples, every seed-0 op and probe of perfbench/run.py and
+# config-file cases; a change to config handling may not move any of them
+FROZEN_CONFIGS = {
+    "readme-curve": (
+        ["curve", "--preset", "latitude", "--theta", _LAT], None,
+        "8dd9aac9e9a88a80a5d1f490a6805c92d7116c8cf14160fab164871e11c517be"),
+    "readme-ks": (
+        ["ks", "--preset", "latitude", "--theta", _LAT], None,
+        "91ae9ea576cae1760f266e13c04a1cee9a913f7428918829de0bbc065b085919"),
+    "readme-threshold": (
+        ["threshold", "--family", "hard_wall", "--a", "1.0", "--sweep"], None,
+        "918fcb75fd681ac1f88333974baa5bf391722321709eb3eed100b2d7ca93c061"),
+    "readme-counting": (
+        ["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
+        None,
+        "0798385b4579f284b372410d77078fc006387562fa880c83920f7a2cb66e4287"),
+    "readme-assemble": (
+        ["assemble", "--preset", "latitude", "--theta", _LAT, "--family",
+         "hard_wall", "--a", "1.0"], None,
+        "0d4be7dc40538af427a65cd36e54a969c2857468abf91046225091a18f6dc9b8"),
+    "readme-ks-config": (
+        ["ks"], {"ks": {"curve": {"preset": "latitude",
+                                  "theta": 0.7853981633974483,
+                                  "n_samples": 1024}}},
+        "91ae9ea576cae1760f266e13c04a1cee9a913f7428918829de0bbc065b085919"),
+    "bench-assemble-latitude": (
+        ["assemble", "--preset", "latitude", "--theta", _LAT, "--family",
+         "hard_wall", "--a", "1.0", "--E-top", "0.001", "--E-bottom", "1e-22",
+         "--n-points", "43"], None,
+        "0d4be7dc40538af427a65cd36e54a969c2857468abf91046225091a18f6dc9b8"),
+    "bench-assemble-equator": (
+        ["assemble", "--preset", "latitude", "--theta", "1.5707963267948966",
+         "--family", "hard_wall", "--a", "1.0", "--E-top", "0.001",
+         "--E-bottom", "1e-22", "--n-points", "43"], None,
+        "b319abc4734e4d7b9dbc60d3ef02ed6192d0a37e77cc9ee510750b82dc265a99"),
+    "bench-counting-c0.25": (
+        ["counting", "--c", "0.25"] + _SEED0_GRID, None,
+        "033fd3f905a6bf0d3861dc3a4b8305b02e7d64a3d423bd37119ce5b6626fdc92"),
+    "bench-counting-c0.5": (
+        ["counting", "--c", "0.5"] + _SEED0_GRID, None,
+        "55f879ed3c53ee934e6c6d9d36996d1556cef6b03ae6f82ef5b41a230bbf9c66"),
+    "bench-counting-c1.25": (
+        ["counting", "--c", "1.25"] + _SEED0_GRID, None,
+        "0798385b4579f284b372410d77078fc006387562fa880c83920f7a2cb66e4287"),
+    "bench-counting-c2": (
+        ["counting", "--c", "2.0"] + _SEED0_GRID, None,
+        "6efde95592d9e80310fe9acea496618160ad51e24f4b742a4abdd1174a484419"),
+    "bench-counting-neumann": (
+        ["counting", "--c", "2.0"] + _SEED0_GRID + ["--bc", "neumann"], None,
+        "ed1c13515fdc192d8ddef3505c610ecaa7e0e7d807a50caa3cfe1cef91d45b8f"),
+    "bench-probe-c2": (
+        ["counting", "--c", "2.0", "--E-top", "0.001", "--E-bottom", "1e-16",
+         "--n-points", "40"], None,
+        "c9d16469fc1ec8402d4b07a0f2d17b2c0ef752c64b685559ad248faa451a1c6a"),
+    "bench-probe-c1.25": (
+        ["counting", "--c", "1.25", "--E-top", "0.001", "--E-bottom", "1e-16",
+         "--n-points", "40"], None,
+        "efd3bb18f4ea2fc13683e5b28e00b9fe6e9621745e6ad58fc2da48a313f1f5aa"),
+    "bench-curve-perturbed": (
+        ["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
+         "--n-samples", "4096"], None,
+        "f168b445b8a9957b5731fa5244e74fba13bd74c65fe2d4e73c73d3a2c1851bf8"),
+    "bench-ks-latitude": (
+        ["ks", "--preset", "latitude", "--theta", "0.5", "--n-samples", "2048",
+         "--n-fd", "2048", "--n-fourier", "1024"], None,
+        "9b989642af8d4556cc3f9cf8c38af4dd8777cb563787dff038fb4216856b3cbc"),
+    "bench-ks-perturbed": (
+        ["ks", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3"],
+        None,
+        "9cfc1a73a1477b5a7a41472767bbb7574894cf4b16a226e83867d47f2a6f93bc"),
+    "bench-threshold-square-well": (
+        ["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
+         "--sweep", "--agmon"], None,
+        "679e04490a84166ab9efced579e9b3697b4d45125d013e981cff9ad18ebaa06e"),
+    "bench-threshold-confining": (
+        ["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
+         "--sweep", "--agmon"], None,
+        "04b037435b9ec1dc52c5dfa8525bd8b81ef8ed84fa5cb3cee7995a9a8712ca32"),
+    "bench-threshold-hard-wall": (
+        ["threshold", "--family", "hard_wall", "--a", "1", "--sweep"], None,
+        "918fcb75fd681ac1f88333974baa5bf391722321709eb3eed100b2d7ca93c061"),
+    # the family switch drops the file's square_well parameters
+    "config-family-switch": (
+        ["threshold", "--family", "hard_wall"],
+        {"threshold": {"potential": {"family": "square_well", "depth": 3.0,
+                                     "half_width": 0.5}}},
+        "b855d0056a4dc59041e19a18b6d2b6d75b32ef68aa45dec4c20947b3ace31bb7"),
+    "config-a-over-half-width": (
+        ["threshold", "--a", "1.5"],
+        {"threshold": {"potential": {"family": "hard_wall",
+                                     "half_width": 2.0}}},
+        "3fbdbaa029ce43016a1e449ed4af3c0b6d8b2a2f1c6cf14c84b9f02f507921b6"),
+    # the potential block is kept as written, so 4 and 4.0 hash differently
+    "config-integer-depth": (
+        ["threshold"],
+        {"threshold": {"potential": {"family": "square_well", "depth": 4,
+                                     "half_width": 1}}},
+        "dfef84d7bd987ecfddfded5c1c0f581a07363df091198f8a7c7573760a998135"),
+    "config-tabulated-curve": (
+        ["curve"],
+        {"curve": {"preset": "tabulated", "input": "points.csv",
+                   "n_samples": 256}},
+        "3d263c80672a2660b6e5663e634cbf4fef5353e28df56eda8879d2be608ea1f3"),
+    "config-sweep-agmon": (
+        ["threshold"],
+        {"threshold": {"potential": {"family": "square_well", "depth": 2.5,
+                                     "half_width": 1},
+                       "L": 10, "n": 2048,
+                       "sweep": {"L_min": 4, "L_max": 8, "num": 5},
+                       "agmon": {"theta": 0.4, "eta": 0.5}}},
+        "c1cf98a5128c883d45a215c13c04b0a82024dcfaec99a69ab96fc6caf7957b6a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CONFIGS))
+def test_resolved_configs_are_frozen(tmp_path, monkeypatch, case):
+    argv, config, digest = FROZEN_CONFIGS[case]
+    monkeypatch.chdir(tmp_path)  # tabulated inputs are named relative
+    t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    np.savetxt("points.csv", np.column_stack(
+        [math.sin(1.0) * np.cos(t), math.sin(1.0) * np.sin(t),
+         np.full(t.size, math.cos(1.0))]), delimiter=",", header="x,y,z",
+        comments="")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    assert run(argv + ["--out-dir", "out"]) == 0
+    doc = load(tmp_path / "out" / SUMMARY[argv[0]])
+    assert doc["config_sha256"] == sha256_hex(canonical_json(doc["config"]))
+    assert doc["config_sha256"] == digest
+
+
 def test_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
