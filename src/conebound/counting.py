@@ -73,7 +73,6 @@ class CountingCurve:
     E: np.ndarray
     lnE_abs: np.ndarray
     N: np.ndarray
-    stable: np.ndarray
     problem: RadialProblem
 
 
@@ -245,17 +244,17 @@ def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
     return counts
 
 
-def count_radial(problem: RadialProblem, E: float) -> tuple:
+def count_radial(problem: RadialProblem, E: float) -> int:
     """Number of eigenvalues of the radial operator below -E.
 
-    Returns (count, stable); the count is read off one inward phase sweep
-    (see `_sweep_counts`), which has no truncation radius, so stable is
-    always True.  An eigenvalue at exactly -E is included.
+    The count is read off one inward phase sweep (see `_sweep_counts`),
+    which has no truncation radius.  An eigenvalue at exactly -E is
+    included.
     """
     problem.validate()
     if not E > 0:
         raise PreconditionError(f"need E > 0, got {E}")
-    return int(_sweep_counts(problem, [E])[0]), True
+    return int(_sweep_counts(problem, [E])[0])
 
 
 def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
@@ -274,17 +273,15 @@ def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     if np.any(np.diff(E) >= 0):
         raise PreconditionError("energy grid must be strictly decreasing")
     counts = _sweep_counts(problem, E)
-    return CountingCurve(E, np.abs(np.log(E)), counts,
-                         np.ones(E.size, dtype=bool), problem)
+    return CountingCurve(E, np.abs(np.log(E)), counts, problem)
 
 
 def fit_log_slope(curve: CountingCurve) -> SlopeFit:
     """Least-squares slope of N against |ln E|.
 
-    The largest decade of E is excluded (transient regime) along with any
-    entries whose counts did not stabilize.  Requires at least 10 grid
-    points spanning at least 4 decades before exclusions.  A staircase that
-    never moves fits slope 0 and is flagged degenerate.
+    The largest decade of E is excluded (transient regime).  Requires at
+    least 10 grid points spanning at least 4 decades before the exclusion.
+    A staircase that never moves fits slope 0 and is flagged degenerate.
     """
     E, N = curve.E, curve.N
     if E.size < 10:
@@ -293,7 +290,7 @@ def fit_log_slope(curve: CountingCurve) -> SlopeFit:
     if decades < 4.0 - 1e-9:
         raise PreconditionError(
             f"energy grid spans {decades:.2f} decades, need at least 4")
-    keep = (E <= float(E[0]) / 10.0 * (1.0 + 1e-12)) & curve.stable
+    keep = E <= float(E[0]) / 10.0 * (1.0 + 1e-12)
     x = curve.lnE_abs[keep]
     y = N[keep].astype(float)
     if x.size < 3:
@@ -333,6 +330,8 @@ class AssembledModel:
 
 def default_energy_grid(top: float = 1e-3, bottom: float = 1e-22,
                         n: int = 43) -> np.ndarray:
+    if not (top > 0.0 and bottom > 0.0):
+        raise PreconditionError("energy grid must be strictly positive")
     return np.logspace(math.log10(top), math.log10(bottom), n)
 
 
@@ -453,7 +452,6 @@ def assemble_model(curve: SampledCurve, potential: threshold.PotentialSpec,
     counts = sum(per_mode.values())
 
     ccurve = CountingCurve(E_grid, np.abs(np.log(E_grid)), counts,
-                           np.ones_like(counts, dtype=bool),
                            RadialProblem(c=retained[0][2]))
     fit = fit_log_slope(ccurve)
     predicted = report.k_S

@@ -144,19 +144,22 @@ def potential_spec_from_dict(doc: dict) -> PotentialSpec:
         "tabulated": {"x", "v"},
     }
     family = doc["family"]
-    if family not in allowed:
+    if not isinstance(family, str) or family not in allowed:
         raise ConfigError(f"unknown potential family {family!r}")
     extra = set(doc) - {"family"} - allowed[family]
     if extra:
         raise ConfigError(
             f"unknown potential key(s) for {family}: {sorted(extra)}")
     kwargs = {}
-    for key in allowed[family]:
-        if key in doc:
+    for key in sorted(allowed[family] & set(doc)):
+        try:
             if key in ("x", "v"):
                 kwargs["table_" + key] = np.asarray(doc[key], dtype=float)
             else:
                 kwargs[key] = float(doc[key])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{key} must be numeric, got {doc[key]!r}") from None
     spec = PotentialSpec(family=family, **kwargs)
     spec.validate()
     return spec

@@ -276,19 +276,43 @@ def test_reproducible_bytes(tmp_path):
         (b / "ks_report.json").read_bytes()
 
 
-def test_embedded_config_reruns_identically(tmp_path):
-    first = tmp_path / "first"
-    assert run(["ks", "--preset", "latitude", "--theta", "1.0472",
-                "--out-dir", first]) == 0
-    doc = load(first / "ks_report.json")
-    # the embedded config names the fully resolved inputs; feeding it back
-    # must reproduce the run byte for byte
-    cfg_path = tmp_path / "replay.json"
-    cfg_path.write_text(json.dumps({"ks": doc["config"]["ks"]}))
-    second = tmp_path / "second"
-    assert run(["ks", "--config", cfg_path, "--out-dir", second]) == 0
-    assert (first / "ks_report.json").read_bytes() == \
-        (second / "ks_report.json").read_bytes()
+# one run per command; its summary, fed back as --config, must replay it
+REPLAYS = {
+    "curve": ["curve", "--preset", "perturbed", "--amplitude", "0.05",
+              "--n-samples", "512"],
+    "ks": ["ks", "--preset", "latitude", "--theta", "1.0472"],
+    "threshold": ["threshold", "--family", "square_well", "--depth", "3",
+                  "--a", "1", "--n", "1024", "--sweep", "--agmon",
+                  "--L-min", "4", "--L-max", "8", "--L-num", "5"],
+    "counting": ["counting", "--c", "2", "--E-bottom", "1e-7",
+                 "--n-points", "11", "--bc", "neumann"],
+    "assemble": ["assemble", "--preset", "latitude", "--theta", "0.7854",
+                 "--family", "hard_wall", "--a", "1", "--E-bottom", "1e-10",
+                 "--n-points", "15", "--R-fixed", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYS))
+def test_embedded_config_reruns_identically(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(REPLAYS[command] + ["--out-dir", first]) == 0
+    # the summary embeds the fully resolved inputs; passing the summary file
+    # itself back must reproduce every data file byte for byte
+    assert run([command, "--config", first / SUMMARY[command],
+                "--out-dir", second]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "run_meta.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_summary_of_another_command_is_a_config_error(tmp_path, capsys):
+    assert run(REPLAYS["curve"] + ["--out-dir", tmp_path]) == 0
+    code = run(["ks", "--config", tmp_path / "curve_summary.json",
+                "--out-dir", tmp_path / "ks"])
+    assert code == 2
+    assert "not a summary of a 'ks' run" in capsys.readouterr().err
 
 
 def test_threads_do_not_change_results(tmp_path):
@@ -318,6 +342,50 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     code = run(["curve", "--config", cfg, "--out-dir", tmp_path])
     assert code == 2
     assert "curve.bogus_knob" in capsys.readouterr().err
+
+
+# values of the wrong type; each used to die in a traceback (exit 1) or, for
+# n_samples 1.9, to be truncated to 1
+BAD_CONFIGS = {
+    "theta-string": ({"curve": {"theta": "abc"}}, "curve.theta"),
+    "c-list": ({"counting": {"c": [1]}}, "counting.c"),
+    "preset-list": ({"curve": {"preset": ["latitude"]}}, "curve.preset"),
+    "depth-string": ({"threshold": {"potential": {
+        "family": "square_well", "depth": "deep"}}},
+        "threshold.potential: depth"),
+    "n-samples-fraction": ({"curve": {"n_samples": 1.9}}, "curve.n_samples"),
+    "ks-curve-mode": ({"ks": {"curve": {"mode": "three"}}}, "ks.curve.mode"),
+    "sweep-num-fraction": ({"threshold": {"sweep": {"num": 5.5}}},
+                           "threshold.sweep.num"),
+    "potential-string": ({"assemble": {"potential": "hard_wall"}},
+                         "assemble.potential"),
+    "table-string": ({"threshold": {"potential": {
+        "family": "tabulated", "x": "abc", "v": [1.0]}}},
+        "threshold.potential: x"),
+    "threads-fraction": ({"threads": 1.5, "counting": {}}, "config.threads"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_mistyped_config_values_are_config_errors(tmp_path, capsys, case):
+    config, key = BAD_CONFIGS[case]
+    command = next(name for name in SUMMARY if name in config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg, "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    # 1024.0 is the integer 1024: same resolved config, same hash
+    for d, n in ((tmp_path / "a", 1024), (tmp_path / "b", 1024.0)):
+        d.mkdir()
+        (d / "cfg.json").write_text(json.dumps({"curve": {"n_samples": n}}))
+        assert run(["curve", "--config", d / "cfg.json", "--out-dir", d]) == 0
+    assert (tmp_path / "a" / "curve_summary.json").read_bytes() == \
+        (tmp_path / "b" / "curve_summary.json").read_bytes()
 
 
 def test_invalid_theta_is_a_precondition_error(tmp_path, capsys):

@@ -49,17 +49,15 @@ def test_counts_match_bessel_zeros(c):
         probes.append(math.sqrt(float(a) * float(b)))
     problem = RadialProblem(c=c)
     for E in probes:
-        n, stable = count_radial(problem, E)
-        assert stable
-        assert n == bessel_count(c, E)
+        assert count_radial(problem, E) == bessel_count(c, E)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.25, 2.0])
 def test_counts_flip_across_first_zero(c):
     e1 = float(BESSEL_ENERGIES[c][0])
     problem = RadialProblem(c=c)
-    assert count_radial(problem, 1.02 * e1)[0] == 0
-    assert count_radial(problem, 0.98 * e1)[0] == 1
+    assert count_radial(problem, 1.02 * e1) == 0
+    assert count_radial(problem, 0.98 * e1) == 1
 
 
 def test_frozen_zeros_against_live_bessel():
@@ -100,7 +98,6 @@ def test_deep_counts_match_dlmf_zeros(c):
     # monotonicity retry.  Energies near an oracle zero are skipped
     zeros = dlmf_zero_energies(c, 0.5 * float(DEEP_GRID[-1]))
     curve = counting_curve(RadialProblem(c=c), DEEP_GRID)
-    assert np.all(curve.stable)
     checked = 0
     for E, n in zip(DEEP_GRID, curve.N):
         want = _dlmf_count_or_none(zeros, float(E))
@@ -149,7 +146,7 @@ def test_count_radial_matches_forward_shooting(c, rho0, scale, bc, log10_E):
     # variable, start point or truncation; on shallow levels both are exact
     problem = RadialProblem(c=c, rho0=rho0, bc=bc, scale=scale)
     E = 10.0 ** log10_E
-    assert count_radial(problem, E) == (_forward_count(problem, E), True)
+    assert count_radial(problem, E) == _forward_count(problem, E)
 
 
 def _evaluations(fun):
@@ -209,8 +206,7 @@ def test_subcritical_coupling_binds_nothing():
     for c in (0.25, 0.1, -1.0):
         problem = RadialProblem(c=c)
         for E in (1e-4, 1e-8, 1e-12):
-            n, stable = count_radial(problem, E)
-            assert stable and n == 0
+            assert count_radial(problem, E) == 0
 
 
 def test_neumann_ground_state_at_the_hardy_constant():
@@ -220,22 +216,22 @@ def test_neumann_ground_state_at_the_hardy_constant():
     kappa = brentq(lambda k: k0(k) - 2.0 * k * k1(k), 1e-3, 1.0)
     for c in (0.25, 0.25 + 1e-12, math.nextafter(0.25, 1.0)):
         problem = RadialProblem(c=c, bc="neumann")
-        assert count_radial(problem, 1.02 * kappa * kappa)[0] == 0
-        assert count_radial(problem, 0.98 * kappa * kappa)[0] == 1
+        assert count_radial(problem, 1.02 * kappa * kappa) == 0
+        assert count_radial(problem, 0.98 * kappa * kappa) == 1
 
 
 def test_neumann_dominates_dirichlet():
     # one boundary condition differs at rho0: counts differ by at most 1
     for E in (1e-3, 1e-5, 1e-7):
-        nd = count_radial(RadialProblem(c=2.0, bc="dirichlet"), E)[0]
-        nn = count_radial(RadialProblem(c=2.0, bc="neumann"), E)[0]
+        nd = count_radial(RadialProblem(c=2.0, bc="dirichlet"), E)
+        nn = count_radial(RadialProblem(c=2.0, bc="neumann"), E)
         assert nd <= nn <= nd + 1
 
 
 def test_scale_moves_the_energy():
     for E in (1e-4, 3e-6):
-        a = count_radial(RadialProblem(c=2.0, scale=7.5), E)[0]
-        b = count_radial(RadialProblem(c=2.0), E / 7.5)[0]
+        a = count_radial(RadialProblem(c=2.0, scale=7.5), E)
+        b = count_radial(RadialProblem(c=2.0), E / 7.5)
         assert a == b
 
 
@@ -254,9 +250,9 @@ def test_strong_coupling_count_certifies_and_scales():
     # nu ~ 100: the count is large but still certifiable, because no phase
     # accumulates beyond the turning radius; successive decades of E add
     # nu ln(10) / (2 pi) ~ 36.6 states
-    n3, ok3 = count_radial(RadialProblem(c=1e4), 1e-3)
-    n4, ok4 = count_radial(RadialProblem(c=1e4), 1e-4)
-    assert ok3 and ok4
+    n3 = count_radial(RadialProblem(c=1e4), 1e-3)
+    n4 = count_radial(RadialProblem(c=1e4), 1e-4)
+    assert type(n3) is int and type(n4) is int
     assert n3 > 200
     assert 35 <= n4 - n3 <= 38
     assert n3 == STRONG_COUPLING_COUNTS[1e-3]
@@ -270,7 +266,6 @@ def test_counting_curve_monotone_and_stable():
     grid = np.logspace(-2, -9, 15)
     curve = counting_curve(RadialProblem(c=2.0), grid)
     assert np.all(np.diff(curve.N) >= 0)
-    assert np.all(curve.stable)
     assert np.allclose(curve.lnE_abs, np.abs(np.log(grid)))
 
 
@@ -296,12 +291,9 @@ def test_counting_csv_header(tmp_path):
 # ------------------------------------------------------------- slope fits
 
 
-def _staircase(E, N, stable=None):
+def _staircase(E, N):
     E = np.asarray(E, dtype=float)
-    N = np.asarray(N, dtype=int)
-    if stable is None:
-        stable = np.ones_like(N, dtype=bool)
-    return CountingCurve(E, np.abs(np.log(E)), N, np.asarray(stable),
+    return CountingCurve(E, np.abs(np.log(E)), np.asarray(N, dtype=int),
                          RadialProblem(c=2.0))
 
 
@@ -328,16 +320,6 @@ def test_fit_ignores_the_first_decade():
     assert poisoned.window == clean.window
 
 
-def test_fit_drops_unstable_entries():
-    E = np.logspace(-2, -10, 33)
-    x = np.abs(np.log(E))
-    N = np.floor(0.25 * x)
-    stable = np.ones(33, dtype=bool)
-    stable[20] = False
-    fit = fit_log_slope(_staircase(E, N, stable))
-    assert fit.n_used == int(np.sum(E <= 1e-3 * (1 + 1e-12))) - 1
-
-
 def test_fit_degenerate_staircase():
     E = np.logspace(-2, -8, 13)
     fit = fit_log_slope(_staircase(E, np.full(13, 5)))
@@ -351,11 +333,10 @@ def test_fit_preconditions():
         fit_log_slope(_staircase(np.logspace(-2, -8, 8), np.zeros(8)))
     with pytest.raises(PreconditionError):
         fit_log_slope(_staircase(np.logspace(-2, -4.5, 12), np.zeros(12)))
-    E = np.logspace(-2, -8, 13)
-    stable = np.zeros(13, dtype=bool)
-    stable[:4] = True  # survivors all sit in the dropped decade
-    with pytest.raises(PreconditionError):
-        fit_log_slope(_staircase(E, np.zeros(13), stable))
+    # 10 points over 4 decades, but 8 of them sit in the dropped first decade
+    E = np.concatenate([np.logspace(-2, -2.9, 8), [1e-5, 1e-6]])
+    with pytest.raises(PreconditionError, match="fewer than 3"):
+        fit_log_slope(_staircase(E, np.zeros(10)))
 
 
 def test_two_window_convergence_toward_limit_slope():
@@ -460,7 +441,7 @@ def test_model_per_mode_matches_independent_recount(small_model):
         E = float(small_model.E[i])
         R = p["K_delta"] * abs(math.log(E))
         mu = E * R * R * shrink  # ground channel: level - eps0 = 0 exactly
-        n, _ = count_radial(RadialProblem(c=c), mu)
+        n = count_radial(RadialProblem(c=c), mu)
         assert n == small_model.per_mode[0][i]
 
 
@@ -475,7 +456,7 @@ def test_model_higher_channels_count_nothing(small_model):
         R = p["K_delta"] * abs(math.log(E))
         lam2 = (2.0 * math.pi / 2.0) ** 2  # second hard-wall channel, w = 1
         mu2 = (lam2 - p["eps0"] + E) * R * R * shrink
-        assert count_radial(RadialProblem(c=c), mu2)[0] == 0
+        assert count_radial(RadialProblem(c=c), mu2) == 0
 
 
 def test_model_delta_validation():

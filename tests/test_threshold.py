@@ -175,6 +175,18 @@ def test_spec_from_dict_validation():
     assert spec.alpha == 3.0 and spec.w_reg == 0.1
 
 
+@pytest.mark.parametrize("doc, needle", [
+    ({"family": "square_well", "depth": "deep"}, "depth"),
+    ({"family": "hard_wall", "half_width": [1.0]}, "half_width"),
+    ({"family": "tabulated", "x": "abc", "v": [1.0]}, "x"),
+    ({"family": ["square_well"]}, "family"),
+], ids=["depth-string", "half-width-list", "table-string", "family-list"])
+def test_spec_from_dict_rejects_non_numeric_values(doc, needle):
+    # each of these used to escape as a ValueError or TypeError
+    with pytest.raises(ConfigError, match=needle):
+        potential_spec_from_dict(doc)
+
+
 # ------------------------------------------------------------------ sweeps
 
 
