@@ -5,38 +5,42 @@ cross-section curve, the transverse threshold eps0 of the associated 1D
 line operator, and eigenvalue-counting curves of the reduced half-line
 operators, so that the near-threshold law N(eps0 - E) ~ k_S |ln E| can be
 checked numerically end to end.
+
+`import conebound` is cheap: each public name loads its layer on first
+access (PEP 562), so only the layers that use scipy pay for it.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (ConeboundError, ConfigError, ConvergenceError,
-                     PreconditionError)
-from .geometry import (CurveSpec, SampledCurve, build_curve,
-                       geodesic_curvature, read_curve_samples, sup_curvature,
-                       write_curve_csv)
-from .spectral1d import (EigResult, Grid1D, Operator1D, assemble, count_below,
-                         lowest_eigenvalues, oscillation_count)
-from .curvature_operator import KsReport, ks_constant, ks_spectrum
-from .threshold import (AgmonReport, PotentialSpec, ThresholdReport,
-                        TruncationSweep, agmon_norms, agmon_weight,
-                        compute_threshold, potential_spec_from_dict,
-                        truncation_sweep)
-from .counting import (AssembledModel, CountingCurve, RadialProblem, SlopeFit,
-                       assemble_model, count_radial, counting_curve,
-                       fit_log_slope, kirsch_simon_slope, model_slope_bounds)
+_EXPORTS = {
+    "errors": ["ConeboundError", "ConfigError", "ConvergenceError",
+               "PreconditionError"],
+    "geometry": ["CurveSpec", "SampledCurve", "build_curve",
+                 "geodesic_curvature", "read_curve_samples", "sup_curvature",
+                 "write_curve_csv"],
+    "spectral1d": ["EigResult", "Grid1D", "Operator1D", "assemble",
+                   "count_below", "lowest_eigenvalues", "oscillation_count"],
+    "curvature_operator": ["KsReport", "ks_constant", "ks_spectrum"],
+    "threshold": ["AgmonReport", "PotentialSpec", "ThresholdReport",
+                  "TruncationSweep", "agmon_norms", "agmon_weight",
+                  "compute_threshold", "potential_spec_from_dict",
+                  "truncation_sweep"],
+    "counting": ["AssembledModel", "CountingCurve", "RadialProblem",
+                 "SlopeFit", "assemble_model", "count_radial",
+                 "counting_curve", "fit_log_slope", "kirsch_simon_slope",
+                 "model_slope_bounds"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "ConeboundError", "ConfigError", "ConvergenceError", "PreconditionError",
-    "CurveSpec", "SampledCurve", "build_curve", "geodesic_curvature",
-    "read_curve_samples", "sup_curvature", "write_curve_csv",
-    "EigResult", "Grid1D", "Operator1D", "assemble", "count_below",
-    "lowest_eigenvalues", "oscillation_count",
-    "KsReport", "ks_constant", "ks_spectrum",
-    "AgmonReport", "PotentialSpec", "ThresholdReport", "TruncationSweep",
-    "agmon_norms", "agmon_weight", "compute_threshold",
-    "potential_spec_from_dict", "truncation_sweep",
-    "AssembledModel", "CountingCurve", "RadialProblem", "SlopeFit",
-    "assemble_model", "count_radial", "counting_curve", "fit_log_slope",
-    "kirsch_simon_slope", "model_slope_bounds",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

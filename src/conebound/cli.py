@@ -8,7 +8,8 @@ flag, else config, else default.  An unknown key or a value not of its type
 follows the file; `threshold.potential_spec_from_dict` checks its values.
 A summary JSON embeds the resolved config and its hash and replays the run
 when passed back as --config.  Exit codes: 0 ok, 2 config error, 3
-numerical non-convergence, 4 precondition violation.
+numerical non-convergence, 4 precondition violation.  Each command imports
+the layers it runs when it runs, so `counting` starts without scipy.
 """
 import argparse
 import functools
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, counting, curvature_operator, geometry, threshold
+from . import __version__
 from ._serial import canonical_json, sha256_hex, write_json
 from .errors import ConeboundError, ConfigError
 
@@ -105,6 +106,8 @@ def _resolve(block, args, schema, path):
 def _load_config(path, command):
     try:
         doc = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at byte offset {exc.pos}: {exc.msg}")
@@ -118,6 +121,7 @@ def _load_config(path, command):
 
 def _curve(block, args, path):
     """(resolved curve block, a function that builds the curve)."""
+    from . import geometry
     cfg = _resolve(block, args, CURVE, path)
     kind, pts = _PRESETS.get(cfg["preset"]), None
     if kind is None:
@@ -137,6 +141,7 @@ def _curve(block, args, path):
 
 def _potential(parent, args, path):
     """(spec, raw dict) of a command's potential block, flags merged in."""
+    from . import threshold
     block, path = parent.get("potential", {}), f"{path}.potential"
     if not isinstance(block, dict):
         raise ConfigError(f"'{path}' must be a JSON object")
@@ -159,6 +164,7 @@ def _pick(fields, *names):
 
 def cmd_curve(block, args, out_dir, threads):
     """sample a cross-section curve"""
+    from . import geometry
     cfg, build = _curve(block, args, "curve")
     curve = build()
     geometry.write_curve_csv(curve, out_dir / "curve.csv")
@@ -172,6 +178,7 @@ def cmd_curve(block, args, out_dir, threads):
 
 def cmd_ks(block, args, out_dir, threads):
     """curvature operator spectrum and k_S"""
+    from . import curvature_operator
     cfg = _resolve(block, args, SCHEMAS["ks"], "ks")
     cfg["curve"], build = _curve(block.get("curve", {}), args, "ks.curve")
     report = curvature_operator.ks_constant(
@@ -181,6 +188,7 @@ def cmd_ks(block, args, out_dir, threads):
 
 def cmd_threshold(block, args, out_dir, threads):
     """transverse threshold and sweeps"""
+    from . import threshold
     cfg = _resolve(block, args, SCHEMAS["threshold"], "threshold")
     spec, cfg["potential"] = _potential(block, args, "threshold")
     report = threshold.compute_threshold(spec, L=cfg["L"], n=cfg["n"])
@@ -208,6 +216,7 @@ def cmd_threshold(block, args, out_dir, threads):
 
 def cmd_counting(block, args, out_dir, threads):
     """half-line eigenvalue counting curve"""
+    from . import counting
     cfg = _resolve(block, args, SCHEMAS["counting"], "counting")
     problem = counting.RadialProblem(**_pick(cfg, "c", "rho0", "bc", "scale"))
     curve = counting.counting_curve(problem, counting.default_energy_grid(
@@ -224,6 +233,7 @@ def cmd_counting(block, args, out_dir, threads):
 
 def cmd_assemble(block, args, out_dir, threads):
     """assembled surface counting model"""
+    from . import counting
     cfg = _resolve(block, args, SCHEMAS["assemble"], "assemble")
     cfg["curve"], build = _curve(block.get("curve", {}), args,
                                  "assemble.curve")

@@ -19,20 +19,26 @@ without any integration.
 `assemble_model` stacks these half-line counters into the surface model: the
 cross-section modes come from the curvature operator spectrum, the shrinking
 transverse wells contribute channel shifts, and the resulting staircase is
-compared against the predicted log slope.
+compared against the predicted log slope.  Counting itself needs only numpy
+and math: `assemble_model` imports the scipy-backed layers (curvature
+operator, threshold, spectral1d) when it is called, not at import.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import curvature_operator, spectral1d, threshold
 from ._serial import parallel_map, write_csv
 from .errors import ConvergenceError, PreconditionError
 from .geometry import SampledCurve, sup_curvature
+
+if TYPE_CHECKING:
+    from .threshold import PotentialSpec
+
+TIE_SHIFT = 1e-12  # relative level shift that makes "<= level" count ties
 
 
 def kirsch_simon_slope(c: float) -> float:
@@ -209,7 +215,7 @@ def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
     that large is a precondition error.
     """
     E_eff = np.asarray(E, dtype=float) / problem.scale
-    depth = E_eff * (1.0 - spectral1d.TIE_SHIFT)
+    depth = E_eff * (1.0 - TIE_SHIFT)
     counts = np.zeros(depth.shape, dtype=int)
     nu2 = problem.c - 0.25
     # a level at or below -c / rho0^2, the bottom of the potential, has no
@@ -335,7 +341,7 @@ def default_energy_grid(top: float = 1e-3, bottom: float = 1e-22,
     return np.logspace(math.log10(top), math.log10(bottom), n)
 
 
-def _transverse_levels(potential: threshold.PotentialSpec, half_width: float,
+def _transverse_levels(potential: PotentialSpec, half_width: float,
                        n_max: int, h: float = 1.0 / 512.0) -> np.ndarray:
     """Dirichlet levels of the transverse well on (-w, w).
 
@@ -348,6 +354,8 @@ def _transverse_levels(potential: threshold.PotentialSpec, half_width: float,
         w = min(half_width, potential.half_width)
         return np.array([(k * math.pi / (2.0 * w)) ** 2
                          for k in range(1, n_max + 1)])
+    from . import spectral1d
+
     n = max(1024, int(round(2.0 * half_width / h)))
     grid = spectral1d.Grid1D.make(-half_width, half_width, n - 1, "dirichlet")
     op = spectral1d.assemble(potential(grid.nodes("dirichlet")), grid,
@@ -377,7 +385,7 @@ def model_slope_bounds(lambdas: Sequence[float], delta: float, eps: float,
             hi / (2.0 * math.pi * (1.0 + 2.0 * dk)))
 
 
-def assemble_model(curve: SampledCurve, potential: threshold.PotentialSpec,
+def assemble_model(curve: SampledCurve, potential: PotentialSpec,
                    delta: float = 0.05, C_knob: float = 0.0,
                    eps_knob: float = 0.0, K_delta: float = 5.0,
                    R_fixed: Optional[float] = None,
@@ -400,6 +408,7 @@ def assemble_model(curve: SampledCurve, potential: threshold.PotentialSpec,
     slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
     spectrum.
     """
+    from . import curvature_operator, threshold
     if not 0.0 < delta < 0.5:
         raise PreconditionError(f"need delta in (0, 0.5), got {delta}")
     potential.validate()

@@ -17,6 +17,9 @@ Orientation convention: latitude presets are traversed so that the geodesic
 curvature of a latitude circle at polar angle theta comes out +cot(theta)
 with the normal n = Gamma x Gamma' pointing toward the south pole side.
 Tabulated curves keep their given orientation.
+
+scipy is imported inside the functions that use it, so that `counting`,
+which needs only `SampledCurve` and `sup_curvature`, stays scipy-free.
 """
 from __future__ import annotations
 
@@ -27,10 +30,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.spatial import cKDTree
 
-from .errors import PreconditionError
+from ._serial import write_csv
+from .errors import ConfigError, PreconditionError
 
 _FINE_FACTOR = 8  # dense samples per output sample in the resampling pipeline
 
@@ -105,15 +107,13 @@ def _polar_direction(theta: float, u: np.ndarray) -> np.ndarray:
                      np.full_like(u, -st)], axis=1)
 
 
-def _dense_samples(spec: CurveSpec, n_dense: int) -> np.ndarray:
-    u = np.linspace(0.0, 2.0 * math.pi, n_dense, endpoint=False)
+def _preset_points(spec: CurveSpec, u: np.ndarray) -> np.ndarray:
+    # the latitude or perturbed-latitude map at curve parameters u
     if spec.kind == "latitude_circle":
         return _latitude_point(spec.theta, u)
-    if spec.kind == "perturbed_latitude":
-        bump = spec.amplitude * np.sin(spec.mode * u)
-        p = _latitude_point(spec.theta, u) + bump[:, None] * _polar_direction(spec.theta, u)
-        return p / np.linalg.norm(p, axis=1, keepdims=True)
-    return np.asarray(spec.samples, dtype=float)
+    bump = spec.amplitude * np.sin(spec.mode * u)
+    p = _latitude_point(spec.theta, u) + bump[:, None] * _polar_direction(spec.theta, u)
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
 
 
 def _chord_table(points: np.ndarray):
@@ -126,6 +126,7 @@ def _chord_table(points: np.ndarray):
 
 
 def _resample_uniform(points: np.ndarray, n_samples: int) -> np.ndarray:
+    from scipy.interpolate import PchipInterpolator
     closed, sigma = _chord_table(points)
     targets = sigma[-1] * np.arange(n_samples) / n_samples
     interp = PchipInterpolator(sigma, closed, axis=0)
@@ -140,17 +141,12 @@ def _resample_parametric(spec: CurveSpec, n_dense: int,
     # true curve, so the only resampling error is the smooth O(h^2)
     # parametrization drift of the table, and curvature residuals refine
     # cleanly at 2nd order
+    from scipy.interpolate import PchipInterpolator
     u = np.linspace(0.0, 2.0 * math.pi, n_dense, endpoint=False)
-    _, sigma = _chord_table(_dense_samples(spec, n_dense))
+    _, sigma = _chord_table(_preset_points(spec, u))
     u_of_sigma = PchipInterpolator(sigma, np.append(u, 2.0 * math.pi))
     targets = sigma[-1] * np.arange(n_samples) / n_samples
-    u_new = np.asarray(u_of_sigma(targets))
-    if spec.kind == "latitude_circle":
-        return _latitude_point(spec.theta, u_new)
-    bump = spec.amplitude * np.sin(spec.mode * u_new)
-    p = _latitude_point(spec.theta, u_new) \
-        + bump[:, None] * _polar_direction(spec.theta, u_new)
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
+    return _preset_points(spec, np.asarray(u_of_sigma(targets)))
 
 
 def _periodic_diff4(values: np.ndarray, h: float, order: int) -> np.ndarray:
@@ -175,6 +171,7 @@ def _self_intersection_check(gamma: np.ndarray, h: float) -> None:
     # >= 3) must stay above 2h; adjacent chords sit near h by construction.
     # Only pairs closer than 3h can decide the test, and a KD-tree lists
     # exactly those in O(n) memory; with none left the minimum is infinite.
+    from scipy.spatial import cKDTree
     n = gamma.shape[0]
     pairs = cKDTree(gamma).query_pairs(3.0 * h, output_type="ndarray")
     gap = np.abs(pairs[:, 0] - pairs[:, 1])
@@ -218,8 +215,8 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
         raise PreconditionError(f"need n_samples >= 64, got {n_samples}")
 
     if spec.kind == "tabulated":
-        dense = _dense_samples(spec, _FINE_FACTOR * n_samples)
-        gamma = _resample_uniform(dense, n_samples)
+        gamma = _resample_uniform(np.asarray(spec.samples, dtype=float),
+                                  n_samples)
     else:
         gamma = _resample_parametric(spec, _FINE_FACTOR * n_samples, n_samples)
 
@@ -254,13 +251,7 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:
-    from ._serial import write_csv
-
-    rows = [
-        (curve.s[i], curve.gamma[i, 0], curve.gamma[i, 1], curve.gamma[i, 2],
-         curve.kappa[i])
-        for i in range(curve.n_samples)
-    ]
+    rows = zip(curve.s, *curve.gamma.T, curve.kappa)
     write_csv(path, ["s", "x", "y", "z", "kappa"], rows)
 
 
@@ -268,24 +259,26 @@ def read_curve_samples(path) -> np.ndarray:
     """Read tabulated curve samples from CSV.
 
     Accepts headers "x,y,z", "s,x,y,z" or "s,x,y,z,kappa"; the s and kappa
-    columns are ignored since the curve is resampled anyway.
+    columns are ignored since the curve is resampled anyway.  A file that
+    cannot be read is a ConfigError; a short row or a non-numeric cell is a
+    PreconditionError naming its line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PreconditionError(f"{path}: empty curve file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:3] == ["x", "y", "z"]:
-            sel = (0, 1, 2)
-        elif cols[:4] == ["s", "x", "y", "z"]:
-            sel = (1, 2, 3)
-        else:
-            raise PreconditionError(
-                f"{path}: expected header x,y,z or s,x,y,z, got {','.join(cols)}")
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            rows.append([float(line[j]) for j in sel])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read curve file {path}: {exc}") from None
+    cols = [c.strip().lower() for c in lines[0]] if lines else []
+    first = 1 if cols[:1] == ["s"] else 0
+    if cols[first:first + 3] != ["x", "y", "z"]:
+        raise PreconditionError(f"{path}: expected header x,y,z or s,x,y,z, "
+                                f"got {','.join(cols) or 'an empty file'}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            if line:
+                rows.append([float(line[first + j]) for j in range(3)])
+        except (IndexError, ValueError):
+            raise PreconditionError(f"{path}: line {number} needs numeric "
+                                    f"x,y,z, got {line}") from None
     return np.asarray(rows, dtype=float)

@@ -29,11 +29,8 @@ from scipy.linalg import eig_banded, eigh_tridiagonal
 # not called here: perfbench/tracing.py patches spectral1d.eigh by name
 from scipy.linalg import eigh  # noqa: F401
 
+from .counting import TIE_SHIFT  # the scipy-free home of the constant
 from .errors import ConvergenceError, PreconditionError
-
-# relative shift applied when counting "eigenvalues <= level", so a level that
-# hits an eigenvalue to machine precision is counted deterministically
-TIE_SHIFT = 1e-12
 
 # pivot guard for the inertia recurrences (LAPACK-style: a vanishing pivot is
 # treated as an infinitesimally negative one)

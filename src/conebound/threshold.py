@@ -67,8 +67,13 @@ class PotentialSpec:
         if self.family == "delta_approx" and (self.alpha <= 0 or self.w_reg <= 0):
             raise PreconditionError("delta_approx needs alpha > 0 and w_reg > 0")
         if self.family == "tabulated":
-            if self.table_x is None or self.table_v is None:
-                raise PreconditionError("tabulated potential needs x and v arrays")
+            x = np.asarray(self.table_x, dtype=float)
+            v = np.asarray(self.table_v, dtype=float)
+            if x.ndim != 1 or x.shape != v.shape or x.size < 2 \
+                    or not np.isfinite([x, v]).all():
+                raise PreconditionError(
+                    f"tabulated potential needs finite 1-D x and v arrays of "
+                    f"equal length >= 2, got shapes {x.shape} and {v.shape}")
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate v(x); symmetric in x by construction."""

@@ -433,6 +433,54 @@ def test_bad_counting_inputs_are_precondition_errors(tmp_path, capsys, argv,
     assert needle in capsys.readouterr().err
 
 
+# missing or unreadable files; each used to die in a traceback (exit 1)
+UNREADABLE_FILES = [
+    (["curve", "--config", "nope.json"], "nope.json"),
+    (["curve", "--config", "."], "Is a directory"),
+    (["curve", "--preset", "tabulated", "--input", "nope.csv"], "nope.csv"),
+    (["curve", "--preset", "tabulated", "--input", "."], "Is a directory"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", UNREADABLE_FILES,
+                         ids=[" ".join(a[1:]) for a, _ in UNREADABLE_FILES])
+def test_unreadable_files_are_config_errors(tmp_path, monkeypatch, capsys,
+                                            argv, needle):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out-dir", "out"]) == 2
+    assert needle in capsys.readouterr().err
+
+
+_CSV = ["curve", "--preset", "tabulated", "--input"]
+_POT = ["threshold", "--config"]
+
+
+def _table(**arrays):
+    return json.dumps({"threshold": {"potential": {
+        "family": "tabulated", "x": [-1.0, 0.0, 1.0], "v": [0.0, -1.0, 0.0],
+        **arrays}}})
+
+
+# a curve CSV with a bad row or a tabulated potential of the wrong shape;
+# the short row, the length mismatch and the 2-D table used to die in
+# IndexError or ValueError tracebacks (exit 1)
+BAD_INPUT_FILES = {
+    "curve-short-row": (_CSV, "x,y,z\n1,0,0\n1,2\n", "line 3"),
+    "curve-non-numeric": (_CSV, "s,x,y,z\n0,1,0,0\n1,0,1,zero\n", "line 3"),
+    "table-lengths": (_POT, _table(v=[1.0, 2.0]), "equal length"),
+    "table-2d": (_POT, _table(x=[[0.0, 1.0]], v=[[1.0, 2.0]]), "1-D"),
+    "table-one-point": (_POT, _table(x=[0.0], v=[-1.0]), ">= 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_bad_input_files_are_precondition_errors(tmp_path, capsys, case):
+    argv, text, needle = BAD_INPUT_FILES[case]
+    (tmp_path / "input").write_text(text)
+    assert run(argv + [tmp_path / "input", "--out-dir", tmp_path]) == 4
+    assert needle in capsys.readouterr().err
+
+
 def test_uncertifiable_gap_is_a_convergence_error(tmp_path, capsys):
     x = np.linspace(-12.0, 12.0, 4001)
     v = -8.0 * (np.exp(-2.0 * (x - 5.0) ** 2) + np.exp(-2.0 * (x + 5.0) ** 2))

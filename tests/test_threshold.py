@@ -187,6 +187,24 @@ def test_spec_from_dict_rejects_non_numeric_values(doc, needle):
         potential_spec_from_dict(doc)
 
 
+@pytest.mark.parametrize("x, v", [
+    ([0.0, 1.0, 2.0], [1.0, 2.0]),
+    ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]]),
+    ([0.0], [-1.0]),
+    ([0.0, math.inf], [-1.0, -1.0]),
+    ([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0]),
+    ([0.0, 1.0], None),
+], ids=["lengths", "2-d", "one-point", "inf-x", "nan-v", "missing-v"])
+def test_tabulated_potential_shape_is_checked(x, v):
+    # the first two used to escape as IndexError and ValueError; the next
+    # three failed only later, in the solve, with no word about the table
+    with pytest.raises(PreconditionError, match="tabulated potential"):
+        potential_spec_from_dict({"family": "tabulated", "x": x, "v": v})
+    with pytest.raises(PreconditionError, match="tabulated potential"):
+        PotentialSpec(family="tabulated", table_x=np.asarray(x),
+                      table_v=np.asarray(v)).validate()
+
+
 # ------------------------------------------------------------------ sweeps
 
 
