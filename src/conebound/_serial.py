@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,21 +65,10 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt_number(v) for v in row) + "\n")
 
 
-def resolve_threads(requested=None) -> int:
-    """Explicit argument, then CONEBOUND_THREADS, then machine parallelism."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("CONEBOUND_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def parallel_map(fn, items):
+    """[fn(x) for x in items], in order, in the calling thread.
 
-
-def parallel_map(fn, items, threads=None):
-    """Order-preserving map over independent work items."""
-    items = list(items)
-    nthreads = resolve_threads(threads)
-    if nthreads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(nthreads, len(items))) as pool:
-        return list(pool.map(fn, items))
+    Kept as a named function only because perfbench/tracing.py wraps
+    `counting.parallel_map` and `threshold.parallel_map` to time sweeps.
+    """
+    return [fn(x) for x in items]

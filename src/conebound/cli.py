@@ -68,8 +68,7 @@ SCHEMAS = {
         "n_points": (int, 43, "--n-points")},
 }
 RUN = {"out_dir": (str, ".", "--out-dir"),
-       "verbose": (bool, False, "--verbose"),
-       "threads": (int, None, "--threads")}
+       "verbose": (bool, False, "--verbose")}
 
 
 def _coerce(value, typ, key):
@@ -162,7 +161,7 @@ def _pick(fields, *names):
     return {name: fields[name] for name in names}
 
 
-def cmd_curve(block, args, out_dir, threads):
+def cmd_curve(block, args, out_dir):
     """sample a cross-section curve"""
     from . import geometry
     cfg, build = _curve(block, args, "curve")
@@ -176,7 +175,7 @@ def cmd_curve(block, args, out_dir, threads):
         f"ell = {curve.length:.6g}, kappa_inf = {summary['kappa_inf']:.6g}"
 
 
-def cmd_ks(block, args, out_dir, threads):
+def cmd_ks(block, args, out_dir):
     """curvature operator spectrum and k_S"""
     from . import curvature_operator
     cfg = _resolve(block, args, SCHEMAS["ks"], "ks")
@@ -186,7 +185,7 @@ def cmd_ks(block, args, out_dir, threads):
     return cfg, report.to_dict(), ["ks_report.json"], f"k_S = {report.k_S:.6g}"
 
 
-def cmd_threshold(block, args, out_dir, threads):
+def cmd_threshold(block, args, out_dir):
     """transverse threshold and sweeps"""
     from . import threshold
     cfg = _resolve(block, args, SCHEMAS["threshold"], "threshold")
@@ -199,22 +198,21 @@ def cmd_threshold(block, args, out_dir, threads):
     sw = cfg["sweep"] = _resolve(block.get("sweep", {}), args, SWEEP,
                                  "threshold.sweep")
     grid = np.linspace(sw["L_min"], sw["L_max"], sw["num"])
-    sweep = threshold.truncation_sweep(spec, grid, h=sw["h"], threads=threads)
+    sweep = threshold.truncation_sweep(spec, grid, h=sw["h"])
     summary["sweep"] = _pick(vars(sweep), "eps0", "rates", "gap_delta",
                              "L_min", "h")
     agmon = None
     if want_agmon:
         ag = cfg["agmon"] = _resolve(block.get("agmon", {}), args, AGMON,
                                      "threshold.agmon")
-        agmon = threshold.agmon_norms(spec, L_grid=grid, h=sw["h"],
-                                      threads=threads, **ag)
+        agmon = threshold.agmon_norms(spec, L_grid=grid, h=sw["h"], **ag)
         summary["agmon"] = _pick(vars(agmon), "theta", "R", "eta",
                                  "bound_estimate", "tail_fit")
     threshold.write_sweep_csv(sweep, agmon, out_dir / "sweep.csv")
     return cfg, summary, ["sweep.csv", "threshold_summary.json"], headline
 
 
-def cmd_counting(block, args, out_dir, threads):
+def cmd_counting(block, args, out_dir):
     """half-line eigenvalue counting curve"""
     from . import counting
     cfg = _resolve(block, args, SCHEMAS["counting"], "counting")
@@ -231,7 +229,7 @@ def cmd_counting(block, args, out_dir, threads):
         f"slope = {fit.slope:.6g} (predicted {predicted:.6g})"
 
 
-def cmd_assemble(block, args, out_dir, threads):
+def cmd_assemble(block, args, out_dir):
     """assembled surface counting model"""
     from . import counting
     cfg = _resolve(block, args, SCHEMAS["assemble"], "assemble")
@@ -241,10 +239,10 @@ def cmd_assemble(block, args, out_dir, threads):
     E_grid = counting.default_energy_grid(cfg["E_top"], cfg["E_bottom"],
                                           cfg["n_points"])
     model = counting.assemble_model(
-        build(), spec, E_grid=E_grid, threads=threads, **_pick(
+        build(), spec, E_grid=E_grid, **_pick(
             cfg, "delta", "C_knob", "eps_knob", "K_delta", "R_fixed",
             "n_modes"))
-    counting.write_assembled_csv(model, out_dir / "assemble_counts.csv")
+    counting.write_counting_csv(model, out_dir / "assemble_counts.csv")
     fit = asdict(model.fit)
     summary = {"fitted_slope": fit.pop("slope"), "fit": fit, **_pick(
         vars(model), "predicted_slope", "relative_error", "modes", "params")}
@@ -260,7 +258,7 @@ def _report(command, resolved, summary, files, headline, out_dir, run):
     write_json(out_dir / files[-1],
                {"config": cfg, "config_sha256": sha, **summary})
     write_json(out_dir / "run_meta.json", {
-        "command": command, "config_sha256": sha, "threads": run["threads"],
+        "command": command, "config_sha256": sha,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "versions": {"conebound": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]}})
@@ -308,7 +306,7 @@ def main(argv=None):
         out_dir = Path(run["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         result = globals()[f"cmd_{args.command}"](
-            config.get(args.command, {}), args, out_dir, run["threads"])
+            config.get(args.command, {}), args, out_dir)
         return _report(args.command, *result, out_dir, run)
     except ConeboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

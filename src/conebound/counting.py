@@ -312,7 +312,8 @@ def fit_log_slope(curve: CountingCurve) -> SlopeFit:
                     (float(x.min()), float(x.max())), int(x.size))
 
 
-def write_counting_csv(curve: CountingCurve, path) -> None:
+def write_counting_csv(curve: CountingCurve | AssembledModel, path) -> None:
+    """The E, |ln E|, N staircase of a counting curve or assembled model."""
     rows = list(zip(curve.E, curve.lnE_abs, curve.N))
     write_csv(path, ["E", "lnE_abs", "N"], rows)
 
@@ -391,7 +392,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
                    R_fixed: Optional[float] = None,
                    E_grid: Optional[np.ndarray] = None,
                    eps0: Optional[float] = None, n_modes: int = 12,
-                   n_channels: int = 8, threads=None) -> AssembledModel:
+                   n_channels: int = 8) -> AssembledModel:
     """Assembled eigenvalue count of the conical surface model.
 
     For each energy E on the grid the matching radius is R(E) = K_delta
@@ -411,6 +412,9 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     from . import curvature_operator, threshold
     if not 0.0 < delta < 0.5:
         raise PreconditionError(f"need delta in (0, 0.5), got {delta}")
+    if not (n_modes >= 1 and n_channels >= 1):
+        raise PreconditionError(f"need n_modes >= 1 and n_channels >= 1, got "
+                                f"{n_modes} and {n_channels}")
     potential.validate()
     if E_grid is None:
         E_grid = default_energy_grid()
@@ -453,7 +457,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
                 f"E = {E:.3e}; model outside its near-threshold regime")
         return mu
 
-    mu = np.array(parallel_map(shifts_at, list(E_grid), threads))
+    mu = np.array(parallel_map(shifts_at, E_grid))
     # one sweep per mode covers every (E, channel) shift; mu_n rises with n,
     # so channels past the first empty one add nothing to the sum
     per_mode = {m: _sweep_counts(RadialProblem(c=c), mu).sum(axis=1)
@@ -477,8 +481,3 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     return AssembledModel(E_grid, ccurve.lnE_abs, counts, per_mode,
                           [list(t) for t in retained], predicted, fit, rel,
                           params)
-
-
-def write_assembled_csv(model: AssembledModel, path) -> None:
-    rows = list(zip(model.E, model.lnE_abs, model.N))
-    write_csv(path, ["E", "lnE_abs", "N"], rows)

@@ -305,8 +305,8 @@ def _fit_semilog(L: np.ndarray, g: np.ndarray):
     return float(math.exp(coef[1])), float(-coef[0]), r2
 
 
-def truncation_sweep(spec: PotentialSpec, L_grid, h: float = 1.0 / 32.0,
-                     threads=None) -> TruncationSweep:
+def truncation_sweep(spec: PotentialSpec, L_grid,
+                     h: float = 1.0 / 32.0) -> TruncationSweep:
     """Eigenvalues of H_{L,N} and H_{L,D} over an L-grid at fixed spacing h.
 
     Records lambda_1 and lambda_2 for both closures, the sweep's own eps0
@@ -318,6 +318,8 @@ def truncation_sweep(spec: PotentialSpec, L_grid, h: float = 1.0 / 32.0,
     operator scale, where truncation error is unmeasurable.
     """
     spec.validate()
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"need finite spacing h > 0, got {h}")
     L_grid = np.asarray(sorted(float(L) for L in L_grid))
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
@@ -331,7 +333,7 @@ def truncation_sweep(spec: PotentialSpec, L_grid, h: float = 1.0 / 32.0,
         return res.values[:2]
 
     work = [(L, kind) for L in L_grid for kind in ("neumann", "dirichlet")]
-    out = parallel_map(solve, work, threads)
+    out = parallel_map(solve, work)
     lam1_n = np.array([out[2 * i][0] for i in range(L_grid.size)])
     lam2_n = np.array([out[2 * i][1] for i in range(L_grid.size)])
     lam1_d = np.array([out[2 * i + 1][0] for i in range(L_grid.size)])
@@ -390,8 +392,7 @@ def agmon_weight(spec: PotentialSpec, eps0: float, R: float,
 
 
 def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
-                h: float = 1.0 / 32.0, eta: float = 1.0,
-                threads=None) -> AgmonReport:
+                h: float = 1.0 / 32.0, eta: float = 1.0) -> AgmonReport:
     """Agmon-weighted norms of the Neumann ground states over an L-sweep.
 
     For each L the ground state phi_{L,N} is solved at fixed spacing h and
@@ -400,6 +401,8 @@ def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
     fitted to a decaying exponential in L.
     """
     spec.validate()
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"need finite spacing h > 0, got {h}")
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
     L_grid = np.asarray(sorted(float(L) for L in L_grid))
@@ -417,7 +420,7 @@ def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
         tail = float(math.sqrt(res.grid.h * np.sum(phi[mask] ** 2)))
         return weighted, tail, x, w
 
-    out = parallel_map(solve, list(L_grid), threads)
+    out = parallel_map(solve, L_grid)
     weighted = np.array([o[0] for o in out])
     tails = np.array([o[1] for o in out])
     A, b, r2 = _fit_semilog(L_grid, tails)

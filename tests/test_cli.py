@@ -30,8 +30,8 @@ def test_curve_latitude_example(tmp_path):
     header = (tmp_path / "curve.csv").read_text().splitlines()[0]
     assert header == "s,x,y,z,kappa"
     meta = load(tmp_path / "run_meta.json")
-    assert set(meta) == {"command", "config_sha256", "threads",
-                         "timestamp_utc", "versions"}
+    assert set(meta) == {"command", "config_sha256", "timestamp_utc",
+                         "versions"}
     assert meta["command"] == "curve"
 
 
@@ -315,14 +315,12 @@ def test_summary_of_another_command_is_a_config_error(tmp_path, capsys):
     assert "not a summary of a 'ks' run" in capsys.readouterr().err
 
 
-def test_threads_do_not_change_results(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for d, threads in ((a, "1"), (b, "4")):
-        assert run(["counting", "--c", "2", "--E-top", "1e-3",
-                    "--E-bottom", "1e-7", "--n-points", "11",
-                    "--threads", threads, "--out-dir", d]) == 0
-    assert (a / "counting.csv").read_bytes() == (b / "counting.csv").read_bytes()
-    assert (a / "slope.json").read_bytes() == (b / "slope.json").read_bytes()
+def test_threads_flag_is_gone(tmp_path, capsys):
+    # sweeps run serially; the old thread-count flag is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        run(["counting", "--threads", "2", "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_malformed_config_names_byte_offset(tmp_path, capsys):
@@ -362,7 +360,8 @@ BAD_CONFIGS = {
     "table-string": ({"threshold": {"potential": {
         "family": "tabulated", "x": "abc", "v": [1.0]}}},
         "threshold.potential: x"),
-    "threads-fraction": ({"threads": 1.5, "counting": {}}, "config.threads"),
+    # the removed thread-count key is now an unknown key
+    "threads-key": ({"threads": 2, "counting": {}}, "config.threads"),
 }
 
 
@@ -421,6 +420,8 @@ BAD_COUNTING_INPUTS = [
     (_ASSEMBLE + ["--E-top", "-0.001"], "strictly positive"),
     (_ASSEMBLE + ["--E-bottom", "0"], "strictly positive"),
     (_ASSEMBLE + ["--K-delta", "nan"], "matching radius"),
+    (_ASSEMBLE + ["--n-modes", "-11"], "n_modes >= 1"),
+    (_ASSEMBLE + ["--n-modes", "0"], "n_modes >= 1"),
 ]
 
 
@@ -431,6 +432,13 @@ def test_bad_counting_inputs_are_precondition_errors(tmp_path, capsys, argv,
                                                      needle):
     assert run(argv + ["--out-dir", tmp_path]) == 4
     assert needle in capsys.readouterr().err
+
+
+# these used to die in OverflowError (h = 0) or ValueError (h = nan)
+@pytest.mark.parametrize("h", ["0", "-0.03125", "nan", "inf"])
+def test_bad_sweep_spacing_is_a_precondition_error(tmp_path, capsys, h):
+    assert run(["threshold", "--sweep", "--h", h, "--out-dir", tmp_path]) == 4
+    assert "spacing h" in capsys.readouterr().err
 
 
 # missing or unreadable files; each used to die in a traceback (exit 1)

@@ -469,6 +469,16 @@ def test_model_delta_validation():
         assemble_model(curve, pot, delta=0.0)
 
 
+@pytest.mark.parametrize("n_modes, n_channels", [(0, 8), (-11, 8), (12, 0)])
+def test_model_mode_and_channel_validation(n_modes, n_channels):
+    # n_modes = -11 used to slice lambdas[:-11] and silently drop modes
+    curve = build_curve(CurveSpec(kind="latitude_circle", theta=math.pi / 4),
+                        256)
+    pot = PotentialSpec(family="hard_wall", half_width=1.0)
+    with pytest.raises(PreconditionError, match="n_modes >= 1"):
+        assemble_model(curve, pot, n_modes=n_modes, n_channels=n_channels)
+
+
 def test_default_energy_grid_shape():
     grid = default_energy_grid()
     assert grid.shape == (43,)

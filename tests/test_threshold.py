@@ -251,6 +251,15 @@ def test_sweep_needs_enough_lengths():
         truncation_sweep(SQUARE, [4.0, 8.0, 12.0])
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0 / 32.0, math.nan, math.inf])
+def test_sweeps_reject_bad_spacing(h):
+    # h = 0 used to overflow and h = nan to fail in int(round(nan))
+    with pytest.raises(PreconditionError, match="spacing h"):
+        truncation_sweep(SQUARE, L_GRID, h=h)
+    with pytest.raises(PreconditionError, match="spacing h"):
+        agmon_norms(SQUARE, 0.5, 2.0, L_GRID, h=h)
+
+
 def test_sweep_csv_layout(tmp_path, square_sweep):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(square_sweep, None, path)
