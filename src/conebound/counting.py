@@ -39,6 +39,7 @@ if TYPE_CHECKING:
     from .threshold import PotentialSpec
 
 TIE_SHIFT = 1e-12  # relative level shift that makes "<= level" count ties
+_TRANSVERSE_H = 1.0 / 512.0  # largest grid spacing of the transverse levels
 
 
 def kirsch_simon_slope(c: float) -> float:
@@ -343,27 +344,26 @@ def default_energy_grid(top: float = 1e-3, bottom: float = 1e-22,
 
 
 def _transverse_levels(potential: PotentialSpec, half_width: float,
-                       n_max: int, h: float = 1.0 / 512.0) -> np.ndarray:
+                       n_max: int) -> np.ndarray:
     """Dirichlet levels of the transverse well on (-w, w).
 
     hard_wall is a free box and the levels are taken in closed form; that
     keeps the shifts E - eps0 + lambda_n exact at energies far below the
-    discretization error of any grid.  Other families are solved on a grid
-    and are only meaningful while the shifts stay above that error.
+    discretization error of any grid.  Other families go through the
+    threshold layer's interval solve, the one that gives eps0: cell-averaged
+    samples on a Dirichlet grid of spacing at most _TRANSVERSE_H,
+    Richardson-extrapolated on the half grid's own cell averages.  They are
+    only meaningful while the shifts stay above that solve's error.
     """
     if potential.family == "hard_wall":
         w = min(half_width, potential.half_width)
         return np.array([(k * math.pi / (2.0 * w)) ** 2
                          for k in range(1, n_max + 1)])
-    from . import spectral1d
+    from .threshold import _interval_solve
 
-    n = max(1024, int(round(2.0 * half_width / h)))
-    grid = spectral1d.Grid1D.make(-half_width, half_width, n - 1, "dirichlet")
-    op = spectral1d.assemble(potential(grid.nodes("dirichlet")), grid,
-                             "dirichlet")
-    res = spectral1d.lowest_eigenvalues(op, n_max, want_vectors=False,
-                                        potential=potential)
-    return res.extrapolated
+    n = max(1024, int(round(2.0 * half_width / _TRANSVERSE_H)))
+    return _interval_solve(potential, half_width, n - 1, "dirichlet", n_max,
+                           richardson=True).extrapolated
 
 
 def model_slope_bounds(lambdas: Sequence[float], delta: float, eps: float,

@@ -62,8 +62,10 @@ class CurveSpec:
             if int(self.mode) != self.mode or self.mode < 2:
                 raise PreconditionError(
                     f"perturbation mode must be an integer >= 2, got {self.mode}")
-            if self.amplitude < 0:
-                raise PreconditionError("perturbation amplitude must be >= 0")
+            if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+                raise PreconditionError(
+                    f"perturbation amplitude must be finite and >= 0, "
+                    f"got {self.amplitude}")
         if self.kind == "tabulated":
             pts = np.asarray(self.samples, dtype=float) if self.samples is not None else None
             if pts is None or pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:

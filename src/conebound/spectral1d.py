@@ -6,7 +6,9 @@ and circles (periodic), with three independent spectral probes:
 * low eigenvalues and eigenvectors via bisection plus inverse iteration
   (LAPACK stebz/stein on the tridiagonal matrix; the periodic matrix, whose
   corner entries close the circle, is reordered into a symmetric band of
-  half-bandwidth 2 and solved with LAPACK sbevx),
+  half-bandwidth 2 and solved with LAPACK sbevx), with a Richardson error
+  estimate from a half-grid solve only when the caller passes a sampler of
+  the potential for that grid,
 * an O(n) eigenvalue counter from the LDL^T inertia of A - sigma I,
 * a Prufer-phase shooting counter that never touches the matrix at all.
 
@@ -79,7 +81,6 @@ class Operator1D:
     diag: np.ndarray
     offdiag: np.ndarray
     corner: float
-    potential_samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class EigResult:
 
     richardson_error is the signed estimate (lam_n - lam_{n/2}) / 3 of the
     leading h^2 error, so values + richardson_error is the extrapolated
-    eigenvalue.
+    eigenvalue; it is all zeros when no half-grid solve was run.
     """
 
     values: np.ndarray
@@ -122,7 +123,7 @@ def assemble(potential_samples, grid: Grid1D, kind: str) -> Operator1D:
         diag[-1] -= 1.0 / h2
     elif kind == "periodic":
         corner = -1.0 / h2
-    return Operator1D(kind, grid, diag, offdiag, corner, v)
+    return Operator1D(kind, grid, diag, offdiag, corner)
 
 
 def _cyclic_entries(op: Operator1D, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -153,24 +154,6 @@ def _periodic_band(op: Operator1D):
     return band, order
 
 
-def _coarse_samples(op: Operator1D, coarse_grid: Grid1D,
-                    potential: Optional[Callable]) -> np.ndarray:
-    if potential is not None:
-        return np.asarray(potential(coarse_grid.nodes(op.kind)), dtype=float)
-    fine_x = op.grid.nodes(op.kind)
-    coarse_x = coarse_grid.nodes(op.kind)
-    v = op.potential_samples
-    if op.kind == "dirichlet" and op.grid.n % 2 == 1 \
-            and coarse_grid.n == (op.grid.n - 1) // 2:
-        return v[1::2]
-    if op.kind == "periodic" and op.grid.n % 2 == 0 \
-            and coarse_grid.n == op.grid.n // 2:
-        return v[::2]
-    # cell-centered coarse nodes do not nest; linear interpolation is enough
-    # for an error estimate
-    return np.interp(coarse_x, fine_x, v)
-
-
 def _solve_sorted(op: Operator1D, k: int, want_vectors: bool):
     try:
         if op.kind == "periodic":
@@ -199,10 +182,10 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
     op : Operator1D
     k : number of eigenvalues requested, k <= n.
     want_vectors : also compute eigenvectors (normalized so h * sum phi^2 = 1).
-    potential : optional callable used to sample the potential exactly on the
-        half-resolution grid for the Richardson error estimate; without it the
-        coarse samples are taken by subsampling (interpolating when the grids
-        do not nest).
+    potential : optional callable that samples the potential on the nodes of
+        the half-resolution grid.  Only when it is given is that grid solved
+        for the Richardson error estimate; without it richardson_error is
+        all zeros and extrapolated equals values.
     """
     n = op.grid.n
     if not 1 <= k <= n:
@@ -212,10 +195,9 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
 
     n_c = n // 2
     rich = np.zeros(k)
-    if n_c >= 16:
+    if potential is not None and n_c >= 16:
         grid_c = Grid1D.make(op.grid.a, op.grid.b, n_c, op.kind)
-        v_c = _coarse_samples(op, grid_c, potential)
-        op_c = assemble(v_c, grid_c, op.kind)
+        op_c = assemble(potential(grid_c.nodes(op.kind)), grid_c, op.kind)
         k_c = min(k, n_c)
         vals_c, _ = _solve_sorted(op_c, k_c, False)
         rich[:k_c] = (vals[:k_c] - np.asarray(vals_c, dtype=float)) / 3.0

@@ -1,14 +1,15 @@
 """The transverse line operator Q = -d^2/dx^2 + v and its ground state.
 
 The ground energy eps0 is computed operationally as the Richardson-
-extrapolated first Dirichlet eigenvalue on a truncated interval (-L, L); the
-matching Neumann value is a certified lower bound, so the pair forms a
-two-sided enclosure.  The truncation study fixes the grid spacing h across
-the whole L-sweep: the discretization bias of lambda_1(L) is then the same
-for every L and cancels in differences, which is what makes the
-exponentially small truncation gaps measurable in double precision.  Gap
-rates are therefore fitted against each family's own largest-L value rather
-than against an external eps0.
+extrapolated first Dirichlet eigenvalue on a truncated interval (-L, L).  In
+the continuum the matching Neumann value bounds it from below; at practical
+L that enclosure is narrower than the grid resolves, so compute_threshold
+records the pair without ordering it.  The truncation study fixes the grid
+spacing h across the whole L-sweep: the discretization bias of lambda_1(L)
+is then the same for every L and cancels in differences, which is what
+makes the exponentially small truncation gaps measurable in double
+precision.  Gap rates are therefore fitted against each family's own
+largest-L value rather than against an external eps0.
 
 Potential families (all even in x):
 
@@ -33,8 +34,11 @@ from . import spectral1d
 from ._serial import parallel_map, write_csv
 from .errors import ConfigError, ConvergenceError, PreconditionError
 
-_FAMILIES = ("square_well", "gaussian_well", "confining", "hard_wall",
-             "delta_approx", "tabulated")
+# each family's parameters, named as in a potential document
+_PARAMS = {"square_well": ("depth", "half_width"),
+           "gaussian_well": ("depth", "width"), "confining": ("p",),
+           "hard_wall": ("half_width",), "delta_approx": ("alpha", "w_reg"),
+           "tabulated": ("x", "v")}
 
 # numerical floor of a fixed-h eigenvalue difference: a few ulp of the
 # operator scale 4/h^2 + |v|; gaps below ~10x this are unmeasurable
@@ -54,18 +58,8 @@ class PotentialSpec:
     table_v: Optional[np.ndarray] = None
 
     def validate(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _PARAMS:
             raise PreconditionError(f"unknown potential family {self.family!r}")
-        if self.family == "square_well" and (self.depth <= 0 or self.half_width <= 0):
-            raise PreconditionError("square_well needs depth > 0 and half_width > 0")
-        if self.family == "gaussian_well" and (self.depth <= 0 or self.width <= 0):
-            raise PreconditionError("gaussian_well needs depth > 0 and width > 0")
-        if self.family == "confining" and self.p < 1:
-            raise PreconditionError("confining exponent must satisfy p >= 1")
-        if self.family == "hard_wall" and self.half_width <= 0:
-            raise PreconditionError("hard_wall needs half_width > 0")
-        if self.family == "delta_approx" and (self.alpha <= 0 or self.w_reg <= 0):
-            raise PreconditionError("delta_approx needs alpha > 0 and w_reg > 0")
         if self.family == "tabulated":
             x = np.asarray(self.table_x, dtype=float)
             v = np.asarray(self.table_v, dtype=float)
@@ -74,6 +68,16 @@ class PotentialSpec:
                 raise PreconditionError(
                     f"tabulated potential needs finite 1-D x and v arrays of "
                     f"equal length >= 2, got shapes {x.shape} and {v.shape}")
+            return
+        names = _PARAMS[self.family]
+        vals = [float(getattr(self, key)) for key in names]
+        if self.family == "confining":
+            ok, need = vals[0] >= 1.0, "p >= 1"
+        else:
+            ok, need = min(vals) > 0.0, " and ".join(f"{k} > 0" for k in names)
+        if not (ok and all(map(math.isfinite, vals))):
+            raise PreconditionError(f"{self.family} needs finite {need}, got "
+                                    f"{dict(zip(names, vals))}")
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate v(x); symmetric in x by construction."""
@@ -140,23 +144,15 @@ def potential_spec_from_dict(doc: dict) -> PotentialSpec:
     """Build a PotentialSpec from a JSON-style {family, params...} document."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise ConfigError("potential document must be an object with a 'family' key")
-    allowed = {
-        "square_well": {"depth", "half_width"},
-        "gaussian_well": {"depth", "width"},
-        "confining": {"p"},
-        "hard_wall": {"half_width"},
-        "delta_approx": {"alpha", "w_reg"},
-        "tabulated": {"x", "v"},
-    }
     family = doc["family"]
-    if not isinstance(family, str) or family not in allowed:
+    if not isinstance(family, str) or family not in _PARAMS:
         raise ConfigError(f"unknown potential family {family!r}")
-    extra = set(doc) - {"family"} - allowed[family]
+    extra = set(doc) - {"family"} - set(_PARAMS[family])
     if extra:
         raise ConfigError(
             f"unknown potential key(s) for {family}: {sorted(extra)}")
     kwargs = {}
-    for key in sorted(allowed[family] & set(doc)):
+    for key in sorted(set(_PARAMS[family]) & set(doc)):
         try:
             if key in ("x", "v"):
                 kwargs["table_" + key] = np.asarray(doc[key], dtype=float)
@@ -230,13 +226,17 @@ def _cell_sampler(spec: PotentialSpec):
 
 
 def _interval_solve(spec: PotentialSpec, L: float, n: int, kind: str, k: int,
-                    want_vectors: bool = False) -> spectral1d.EigResult:
+                    want_vectors: bool = False,
+                    richardson: bool = False) -> spectral1d.EigResult:
+    """k lowest levels on n cell-averaged nodes of (-L, L); only with
+    richardson is the half grid solved for the extrapolated values."""
     half = spec.domain_half_width(L)
     grid = spectral1d.Grid1D.make(-half, half, n, kind)
     v = spec.grid_samples(grid.nodes(kind), grid.h)
     op = spectral1d.assemble(v, grid, kind)
-    return spectral1d.lowest_eigenvalues(op, k, want_vectors=want_vectors,
-                                         potential=_cell_sampler(spec))
+    return spectral1d.lowest_eigenvalues(
+        op, k, want_vectors=want_vectors,
+        potential=_cell_sampler(spec) if richardson else None)
 
 
 def compute_threshold(spec: PotentialSpec, L: float = 12.0,
@@ -264,9 +264,9 @@ def compute_threshold(spec: PotentialSpec, L: float = 12.0,
     spec.validate()
     if n < 512:
         raise PreconditionError(f"need n >= 512, got {n}")
-    dir_res = _interval_solve(spec, L, n, "dirichlet", 2)
+    dir_res = _interval_solve(spec, L, n, "dirichlet", 2, richardson=True)
     lam1_d, lam2_d = dir_res.extrapolated[:2]
-    neu_res = _interval_solve(spec, L, n, "neumann", 1)
+    neu_res = _interval_solve(spec, L, n, "neumann", 1, richardson=True)
     lam1_n = neu_res.extrapolated[0]
     eps0 = float(lam1_d)
     gap = float(lam2_d - lam1_d)
@@ -305,9 +305,21 @@ def _fit_semilog(L: np.ndarray, g: np.ndarray):
     return float(math.exp(coef[1])), float(-coef[0]), r2
 
 
+def _sweep_lengths(spec: PotentialSpec, L_grid, h: float) -> np.ndarray:
+    """Validated spec and spacing; the lengths sorted, each one finite."""
+    spec.validate()
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"need finite spacing h > 0, got {h}")
+    L_grid = np.asarray(sorted(float(L) for L in L_grid))
+    if not np.isfinite(L_grid).all():
+        raise PreconditionError(
+            f"need finite sweep lengths L, got {L_grid.tolist()}")
+    return L_grid
+
+
 def truncation_sweep(spec: PotentialSpec, L_grid,
                      h: float = 1.0 / 32.0) -> TruncationSweep:
-    """Eigenvalues of H_{L,N} and H_{L,D} over an L-grid at fixed spacing h.
+    """Raw eigenvalues of H_{L,N} and H_{L,D} over an L-grid at fixed h.
 
     Records lambda_1 and lambda_2 for both closures, the sweep's own eps0
     (midpoint of the largest-L enclosure), exponential rate fits of both
@@ -317,10 +329,7 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     L values whose gap sits within 10x the double-precision floor of the
     operator scale, where truncation error is unmeasurable.
     """
-    spec.validate()
-    if not (math.isfinite(h) and h > 0.0):
-        raise PreconditionError(f"need finite spacing h > 0, got {h}")
-    L_grid = np.asarray(sorted(float(L) for L in L_grid))
+    L_grid = _sweep_lengths(spec, L_grid, h)
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
 
@@ -400,12 +409,13 @@ def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
     norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside and
     fitted to a decaying exponential in L.
     """
-    spec.validate()
-    if not (math.isfinite(h) and h > 0.0):
-        raise PreconditionError(f"need finite spacing h > 0, got {h}")
+    L_grid = _sweep_lengths(spec, L_grid, h)
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
-    L_grid = np.asarray(sorted(float(L) for L in L_grid))
+    if math.isnan(R):
+        raise PreconditionError("need a number for the Agmon radius R, got nan")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise PreconditionError(f"need finite tail width eta > 0, got {eta}")
     eps0_ref = compute_threshold(spec, L=float(L_grid[-1]),
                                  n=max(512, int(round(2 * L_grid[-1] / h)))).eps0
 

@@ -100,8 +100,9 @@ def test_counting_supercritical_slope(tmp_path):
 
 
 # sha256 of the data files that conebound 0.1.0 writes for the README
-# counting and assemble examples and for Neumann c = 2 on the README grid;
-# a counting method may change, these bytes may not
+# counting and assemble examples and for Neumann c = 2 on the README grid,
+# and of the two sweeps with Agmon columns that perfbench's spectra workload
+# runs; a counting or eigensolver method may change, these bytes may not
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -114,12 +115,21 @@ FROZEN_OUTPUTS = [
       "--n-points", "41", "--bc", "neumann"],
      "counting.csv",
      "644dd1b41d3f9c35c1a5d761c1ca96c7e144afbb8d608b8486ef9f49fc2dd5cf"),
+    (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
+      "--sweep", "--agmon"],
+     "sweep.csv",
+     "5a0e15fadef47907627a1feb908556cd6f11edfbbb5421f49e1c1d1e985c48bf"),
+    (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
+      "--sweep", "--agmon"],
+     "sweep.csv",
+     "d9dde3d6408c187946b690845f7adfb6eb6f1f03f36b296103e2b624e7baacf9"),
 ]
 
 
 @pytest.mark.parametrize("argv, name, digest", FROZEN_OUTPUTS,
                          ids=["readme-counting", "readme-assemble",
-                              "neumann-c2"])
+                              "neumann-c2", "square-well-sweep",
+                              "confining-sweep"])
 def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
@@ -439,6 +449,30 @@ def test_bad_counting_inputs_are_precondition_errors(tmp_path, capsys, argv,
 def test_bad_sweep_spacing_is_a_precondition_error(tmp_path, capsys, h):
     assert run(["threshold", "--sweep", "--h", h, "--out-dir", tmp_path]) == 4
     assert "spacing h" in capsys.readouterr().err
+
+
+# non-finite sweep lengths, curve amplitudes and family parameters, and
+# Agmon inputs that are NaN or, for eta, not positive; each used to die in
+# a ValueError traceback (exit 1) or to exit 0 with NaN or wrong numbers
+BAD_REAL_INPUTS = [
+    (["threshold", "--sweep", "--L-min", "nan"], "sweep lengths"),
+    (["threshold", "--sweep", "--L-max", "inf"], "sweep lengths"),
+    (["threshold", "--agmon", "--agmon-R", "nan"], "Agmon radius"),
+    (["threshold", "--agmon", "--eta", "0"], "eta"),
+    (["threshold", "--agmon", "--eta", "-1"], "eta"),
+    (["threshold", "--agmon", "--eta", "nan"], "eta"),
+    (["threshold", "--family", "hard_wall", "--a", "inf"], "finite"),
+    (["curve", "--preset", "perturbed", "--amplitude", "nan"], "amplitude"),
+    (["curve", "--preset", "perturbed", "--amplitude", "inf"], "amplitude"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", BAD_REAL_INPUTS,
+                         ids=[" ".join(a[-2:]) for a, _ in BAD_REAL_INPUTS])
+def test_bad_real_inputs_are_precondition_errors(tmp_path, capsys, argv,
+                                                 needle):
+    assert run(argv + ["--out-dir", tmp_path]) == 4
+    assert needle in capsys.readouterr().err
 
 
 # missing or unreadable files; each used to die in a traceback (exit 1)

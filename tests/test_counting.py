@@ -21,7 +21,8 @@ from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
 
 from _oracles import (BESSEL_ENERGIES, STRONG_COUPLING_COUNTS, bessel_count,
-                      bessel_first_zero_energy, dlmf_zero_energies)
+                      bessel_first_zero_energy, dlmf_zero_energies,
+                      square_well_even_level)
 
 # the criterion-6 grid: 8 points per decade down to the default floor 1e-22
 DEEP_GRID = np.logspace(-3, -22, 153)
@@ -385,6 +386,14 @@ def small_model():
     return assemble_model(curve, PotentialSpec(family="hard_wall",
                                                half_width=1.0),
                           E_grid=np.logspace(-3, -10, 15))
+
+
+def test_transverse_levels_match_the_square_well_oracle():
+    # the threshold layer's cell-averaged, extrapolated solve; the old point
+    # samples on a grid of their own were off by 8.7e-4 here
+    sq = PotentialSpec(family="square_well", depth=4.0, half_width=1.0)
+    lam = counting._transverse_levels(sq, 12.0, 2)
+    assert abs(lam[0] - square_well_even_level(4.0, 1.0)) < 1e-8
 
 
 def test_model_uses_closed_form_threshold(small_model):

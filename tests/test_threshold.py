@@ -10,6 +10,7 @@ from conebound import (ConfigError, Grid1D, PotentialSpec, PreconditionError,
                        agmon_norms, agmon_weight, assemble, compute_threshold,
                        lowest_eigenvalues, potential_spec_from_dict,
                        truncation_sweep)
+from conebound import spectral1d
 from conebound.threshold import write_sweep_csv
 
 from _oracles import square_well_even_level, square_well_odd_level
@@ -175,6 +176,21 @@ def test_spec_from_dict_validation():
     assert spec.alpha == 3.0 and spec.w_reg == 0.1
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "hard_wall", "half_width": math.inf},
+    {"family": "square_well", "depth": math.nan},
+    {"family": "gaussian_well", "width": math.inf},
+    {"family": "confining", "p": math.inf},
+    {"family": "delta_approx", "w_reg": math.nan},
+], ids=["hard-wall-inf", "square-nan", "gaussian-inf", "confining-inf",
+        "delta-nan"])
+def test_family_parameters_must_be_finite(doc):
+    # hard_wall with half_width = inf used to report the threshold of the
+    # L = 12 truncation box, (pi / 24)^2, as the family's eps0
+    with pytest.raises(PreconditionError, match="finite"):
+        potential_spec_from_dict(doc)
+
+
 @pytest.mark.parametrize("doc, needle", [
     ({"family": "square_well", "depth": "deep"}, "depth"),
     ({"family": "hard_wall", "half_width": [1.0]}, "half_width"),
@@ -260,6 +276,33 @@ def test_sweeps_reject_bad_spacing(h):
         agmon_norms(SQUARE, 0.5, 2.0, L_GRID, h=h)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+def test_sweeps_reject_nonfinite_lengths(L):
+    # nan used to fail in int(round(nan)) with a ValueError
+    with pytest.raises(PreconditionError, match="sweep lengths"):
+        truncation_sweep(SQUARE, L_GRID[:-1] + [L])
+    with pytest.raises(PreconditionError, match="sweep lengths"):
+        agmon_norms(SQUARE, 0.5, 2.0, L_GRID[:-1] + [L])
+
+
+def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
+    # the sweeps read raw values and vectors, so each length costs one solve
+    # per closure; compute_threshold's extrapolation adds the half grids
+    calls = []
+    solve = spectral1d.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral1d, "eigh_tridiagonal", counted)
+    truncation_sweep(SQUARE, L_GRID[:5])
+    assert len(calls) == 10
+    calls.clear()
+    compute_threshold(SQUARE)
+    assert calls == [4096, 2048, 4096, 2048]
+
+
 def test_sweep_csv_layout(tmp_path, square_sweep):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(square_sweep, None, path)
@@ -313,3 +356,16 @@ def test_agmon_tail_decay(square_agmon):
 def test_agmon_theta_range():
     with pytest.raises(PreconditionError):
         agmon_norms(SQUARE, 1.0, 2.0, L_GRID)
+
+
+@pytest.mark.parametrize("R, eta, needle", [
+    (math.nan, 1.0, "Agmon radius"),
+    (2.0, 0.0, "eta"),
+    (2.0, -1.0, "eta"),
+    (2.0, math.nan, "eta"),
+    (2.0, math.inf, "eta"),
+], ids=["R-nan", "eta-0", "eta-negative", "eta-nan", "eta-inf"])
+def test_agmon_rejects_bad_radius_and_tail_width(R, eta, needle):
+    # R = nan used to give NaN norms, a bad eta a NaN tail fit
+    with pytest.raises(PreconditionError, match=needle):
+        agmon_norms(SQUARE, 0.5, R, L_GRID, eta=eta)
