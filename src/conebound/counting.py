@@ -407,11 +407,16 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     mode counts all its (E, n) shifts from one inward phase sweep.  The
     staircase is then fitted against |ln E| and compared with the predicted
     slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
-    spectrum.
+    spectrum.  The levels lambda_m and that slope are `ks_fd`'s (n = 1024,
+    k = 12), the same numbers `ks_constant` reports; the Fourier cross-check
+    it adds is not run here, since nothing assembled reads it.
     """
     from . import curvature_operator, threshold
     if not 0.0 < delta < 0.5:
         raise PreconditionError(f"need delta in (0, 0.5), got {delta}")
+    for name, knob in (("C_knob", C_knob), ("eps_knob", eps_knob)):
+        if not math.isfinite(knob):
+            raise PreconditionError(f"need finite {name}, got {knob}")
     if not (n_modes >= 1 and n_channels >= 1):
         raise PreconditionError(f"need n_modes >= 1 and n_channels >= 1, got "
                                 f"{n_modes} and {n_channels}")
@@ -420,7 +425,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         E_grid = default_energy_grid()
     E_grid = np.asarray([float(v) for v in E_grid])
 
-    report = curvature_operator.ks_constant(curve)
+    report = curvature_operator.ks_fd(curve)
     lambdas = np.asarray(report.eigenvalues)
     kappa_inf = sup_curvature(curve)
 
@@ -444,8 +449,9 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
 
     def shifts_at(E):
         R = R_fixed if R_fixed is not None else K_delta * abs(math.log(E))
-        if not R > 0.0:
-            raise PreconditionError(f"matching radius R = {R} must be positive")
+        if not (math.isfinite(R) and R > 0.0):
+            raise PreconditionError(
+                f"matching radius R = {R} must be finite and positive")
         levels = _transverse_levels(potential, delta * R, n_channels)
         # (level - eps0) first: for the ground channel of a closed-form
         # family the pair cancels exactly, keeping mu = E R^2 alive at
@@ -475,7 +481,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     params = {
         "delta": delta, "C_knob": C_knob, "eps_knob": eps_knob,
         "K_delta": K_delta, "R_fixed": R_fixed, "eps0": eps0,
-        "kappa_inf": kappa_inf, "ell": report.ell,
+        "kappa_inf": kappa_inf, "ell": curve.length,
         "retained_modes": [[m, lam, c] for m, lam, c in retained],
     }
     return AssembledModel(E_grid, ccurve.lnE_abs, counts, per_mode,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
@@ -144,19 +144,25 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
     raise PreconditionError(f"unknown method {method!r}")
 
 
-def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
-                k: int = 12) -> KsReport:
-    """k_S from the certainly negative eigenvalues, with a two-method check.
+class FdKs(NamedTuple):
+    """k_S from the finite-difference levels alone, with its zero band."""
 
-    The finite-difference values are Richardson-extrapolated; the Fourier
-    values are spectrally accurate for smooth curvature.  The report is
-    flagged verified when the two k_S values agree to 1e-4 relative.
+    eigenvalues: np.ndarray
+    ambiguous: np.ndarray
+    negative_part: np.ndarray
+    k_S: float
+    k_S_uncertainty: tuple
+
+
+def ks_fd(curve: SampledCurve, n: int = 1024, k: int = 12) -> FdKs:
+    """k_S from the certainly negative Richardson-extrapolated fd levels.
+
     An eigenvalue within 10x its error estimate of 0 cannot be told apart
     from a zero mode: it is left out of the point estimate (zero modes
     contribute nothing) and the high end of k_S_uncertainty shows what
     including it would add.
     """
-    fd = ks_spectrum(curve, n_fd, "fd", k=k)
+    fd = ks_spectrum(curve, n, "fd", k=k)
     vals = fd.extrapolated
     errs = np.abs(fd.richardson_error) + 1e-12 * np.maximum(1.0, np.abs(vals))
 
@@ -166,30 +172,40 @@ def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
     ambiguous = np.abs(vals) < _ZERO_BAND * errs
     neg_certain = vals[(vals < 0.0) & ~ambiguous]
     ks_point = float(np.sum(np.sqrt(-neg_certain))) / (2.0 * math.pi)
-    ks_lo = ks_point
     ks_hi = float(np.sum(np.sqrt(np.abs(vals[(vals < 0.0) | ambiguous])))) \
         / (2.0 * math.pi)
+    return FdKs(vals[:k], ambiguous, neg_certain, ks_point, (ks_point, ks_hi))
 
+
+def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
+                k: int = 12) -> KsReport:
+    """`ks_fd`'s k_S, cross-checked against the Fourier levels.
+
+    The finite-difference values are Richardson-extrapolated; the Fourier
+    values are spectrally accurate for smooth curvature.  The report is
+    flagged verified when the two k_S values agree to 1e-4 relative.
+    """
+    fd = ks_fd(curve, n_fd, k)
     fourier = ks_spectrum(curve, n_fourier, "fourier", k=k)
     fvals = fourier.values
     # same zero band; the fd error estimates set the noise scale for both
-    kf = min(fvals.shape[0], ambiguous.shape[0])
-    f_certain = fvals[:kf][(fvals[:kf] < 0.0) & ~ambiguous[:kf]]
+    kf = min(fvals.shape[0], fd.ambiguous.shape[0])
+    f_certain = fvals[:kf][(fvals[:kf] < 0.0) & ~fd.ambiguous[:kf]]
     ks_fourier = float(np.sum(np.sqrt(-f_certain))) / (2.0 * math.pi)
-    denom = max(abs(ks_point), abs(ks_fourier), 1e-30)
-    diff = abs(ks_point - ks_fourier) / denom
-    if ks_point == 0.0 and ks_fourier == 0.0:
+    denom = max(abs(fd.k_S), abs(ks_fourier), 1e-30)
+    diff = abs(fd.k_S - ks_fourier) / denom
+    if fd.k_S == 0.0 and ks_fourier == 0.0:
         diff = 0.0
 
     return KsReport(
         ell=curve.length,
-        eigenvalues=vals[:k],
-        negative_part=neg_certain,
-        k_S=ks_point,
-        k_S_uncertainty=(ks_lo, ks_hi),
+        eigenvalues=fd.eigenvalues,
+        negative_part=fd.negative_part,
+        k_S=fd.k_S,
+        k_S_uncertainty=fd.k_S_uncertainty,
         discretization={"method": "fd", "n": n_fd, "n_fourier": n_fourier,
                         "extrapolated": True},
         cross_check={"k_S_fourier": ks_fourier, "method_diff": diff,
                      "verified": bool(diff < 1e-4),
-                     "ambiguous_modes": int(np.sum(ambiguous))},
+                     "ambiguous_modes": int(np.sum(fd.ambiguous))},
     )

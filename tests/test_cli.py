@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,12 @@ BAD_COUNTING_INPUTS = [
     (_ASSEMBLE + ["--E-top", "-0.001"], "strictly positive"),
     (_ASSEMBLE + ["--E-bottom", "0"], "strictly positive"),
     (_ASSEMBLE + ["--K-delta", "nan"], "matching radius"),
+    (_ASSEMBLE + ["--K-delta", "inf"], "matching radius"),
+    (_ASSEMBLE + ["--R-fixed", "inf"], "matching radius"),
+    (_ASSEMBLE + ["--C-knob", "nan"], "finite C_knob"),
+    (_ASSEMBLE + ["--C-knob", "inf"], "finite C_knob"),
+    (_ASSEMBLE + ["--eps-knob", "nan"], "finite eps_knob"),
+    (_ASSEMBLE + ["--eps-knob", "inf"], "finite eps_knob"),
     (_ASSEMBLE + ["--n-modes", "-11"], "n_modes >= 1"),
     (_ASSEMBLE + ["--n-modes", "0"], "n_modes >= 1"),
 ]
@@ -471,7 +478,10 @@ BAD_REAL_INPUTS = [
                          ids=[" ".join(a[-2:]) for a, _ in BAD_REAL_INPUTS])
 def test_bad_real_inputs_are_precondition_errors(tmp_path, capsys, argv,
                                                  needle):
-    assert run(argv + ["--out-dir", tmp_path]) == 4
+    # the input is rejected before any arithmetic warns about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv + ["--out-dir", tmp_path]) == 4
     assert needle in capsys.readouterr().err
 
 

@@ -16,7 +16,7 @@ from conebound import (ConvergenceError, CountingCurve, CurveSpec,
                        assemble_model, build_curve, count_radial,
                        counting_curve, fit_log_slope, kirsch_simon_slope,
                        model_slope_bounds)
-from conebound import counting
+from conebound import counting, curvature_operator
 from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
 
@@ -486,6 +486,38 @@ def test_model_mode_and_channel_validation(n_modes, n_channels):
     pot = PotentialSpec(family="hard_wall", half_width=1.0)
     with pytest.raises(PreconditionError, match="n_modes >= 1"):
         assemble_model(curve, pot, n_modes=n_modes, n_channels=n_channels)
+
+
+@pytest.mark.parametrize("spec", [
+    CurveSpec(kind="latitude_circle", theta=math.pi / 4),
+    # the great circle: the ground level is an ambiguous zero mode
+    CurveSpec(kind="latitude_circle", theta=math.pi / 2),
+    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.05,
+              mode=3),
+], ids=["latitude", "great-circle", "perturbed"])
+def test_model_reads_the_fd_levels_of_ks_constant(monkeypatch, spec):
+    # assemble needs only the fd half of ks_constant, and must get the same
+    # levels and k_S from it, bit for bit
+    curve = build_curve(spec, 1024)
+    methods = []
+    ks_spectrum = curvature_operator.ks_spectrum
+
+    def spy(curve, n, method="fd", k=16):
+        methods.append(method)
+        return ks_spectrum(curve, n, method, k)
+
+    monkeypatch.setattr(curvature_operator, "ks_spectrum", spy)
+    model = assemble_model(curve, PotentialSpec(family="hard_wall",
+                                                half_width=1.0),
+                           E_grid=np.logspace(-3, -8, 10))
+    assert methods == ["fd"]
+    report = curvature_operator.ks_constant(curve)
+    assert methods == ["fd", "fd", "fourier"]
+    assert model.predicted_slope == report.k_S
+    assert model.params["ell"] == report.ell
+    assert model.modes
+    for m, lam, _ in model.modes:
+        assert lam == report.eigenvalues[m]
 
 
 def test_default_energy_grid_shape():
