@@ -102,8 +102,11 @@ def test_counting_supercritical_slope(tmp_path):
 
 # sha256 of the data files that conebound 0.1.0 writes for the README
 # counting and assemble examples and for Neumann c = 2 on the README grid,
-# and of the two sweeps with Agmon columns that perfbench's spectra workload
-# runs; a counting or eigensolver method may change, these bytes may not
+# of the two sweeps with Agmon columns that perfbench's spectra workload
+# runs, and of the summaries of that workload's threshold and ks ops and of
+# the README assemble example (they carry eps0, bracket, k_S, method_diff
+# and predicted_slope); a counting or eigensolver method may change, these
+# bytes may not
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -124,13 +127,38 @@ FROZEN_OUTPUTS = [
       "--sweep", "--agmon"],
      "sweep.csv",
      "d9dde3d6408c187946b690845f7adfb6eb6f1f03f36b296103e2b624e7baacf9"),
+    (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
+      "--sweep", "--agmon"],
+     "threshold_summary.json",
+     "09e3d4b1891e52a13cf9dfab34a2495b86cd5e737053f61617c55520d3bc91aa"),
+    (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
+      "--sweep", "--agmon"],
+     "threshold_summary.json",
+     "393f35e310924679954c93da40e6b52f7bfc60de75c24b8f5a162270d4acabcc"),
+    (["threshold", "--family", "hard_wall", "--a", "1", "--sweep"],
+     "threshold_summary.json",
+     "878f6ae6a69b34daaf2f125c6e42082889197715d81ba38bf98925b7a1802c50"),
+    (["ks", "--preset", "latitude", "--theta", "0.5", "--n-samples", "2048",
+      "--n-fd", "2048", "--n-fourier", "1024"],
+     "ks_report.json",
+     "4169c53d86069c4c299b38c43de2f6c8a2615090dadbeac39cb10c12281699c8"),
+    (["ks", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3"],
+     "ks_report.json",
+     "8c1ed9344ebeabc02dadabd41b677936333335fefda06305ec08d7d2359df781"),
+    (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
+      "--family", "hard_wall", "--a", "1.0"],
+     "assemble_summary.json",
+     "4fe216b0dcfa2d0816aad0aa7f806c75412c895290c8a9944606ceb6432c804b"),
 ]
 
 
 @pytest.mark.parametrize("argv, name, digest", FROZEN_OUTPUTS,
                          ids=["readme-counting", "readme-assemble",
                               "neumann-c2", "square-well-sweep",
-                              "confining-sweep"])
+                              "confining-sweep", "square-well-summary",
+                              "confining-summary", "hard-wall-summary",
+                              "ks-latitude-report", "ks-perturbed-report",
+                              "readme-assemble-summary"])
 def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
