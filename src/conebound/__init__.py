@@ -28,8 +28,7 @@ _EXPORTS = {
                   "truncation_sweep"],
     "counting": ["AssembledModel", "CountingCurve", "RadialProblem",
                  "SlopeFit", "assemble_model", "count_radial",
-                 "counting_curve", "fit_log_slope", "kirsch_simon_slope",
-                 "model_slope_bounds"],
+                 "counting_curve", "fit_log_slope", "kirsch_simon_slope"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

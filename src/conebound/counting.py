@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -70,17 +70,12 @@ class RadialProblem:
         if not 0.0 < self.scale < math.inf:
             raise PreconditionError(f"need finite scale > 0, got {self.scale}")
 
-    def potential(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return -self.c / (rho * rho)
-
 
 @dataclass(frozen=True)
 class CountingCurve:
     E: np.ndarray
     lnE_abs: np.ndarray
     N: np.ndarray
-    problem: RadialProblem
 
 
 @dataclass(frozen=True)
@@ -280,7 +275,7 @@ def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     if np.any(np.diff(E) >= 0):
         raise PreconditionError("energy grid must be strictly decreasing")
     counts = _sweep_counts(problem, E)
-    return CountingCurve(E, np.abs(np.log(E)), counts, problem)
+    return CountingCurve(E, np.abs(np.log(E)), counts)
 
 
 def fit_log_slope(curve: CountingCurve) -> SlopeFit:
@@ -350,40 +345,21 @@ def _transverse_levels(potential: PotentialSpec, half_width: float,
     hard_wall is a free box and the levels are taken in closed form; that
     keeps the shifts E - eps0 + lambda_n exact at energies far below the
     discretization error of any grid.  Other families go through the
-    threshold layer's interval solve, the one that gives eps0: cell-averaged
-    samples on a Dirichlet grid of spacing at most _TRANSVERSE_H,
-    Richardson-extrapolated on the half grid's own cell averages.  They are
-    only meaningful while the shifts stay above that solve's error.
+    threshold layer's extrapolated solve, the one that gives eps0:
+    cell-averaged samples on a Dirichlet grid of spacing at most
+    _TRANSVERSE_H, Richardson-extrapolated on the half grid's own cell
+    averages.  They are only meaningful while the shifts stay above that
+    solve's error.
     """
     if potential.family == "hard_wall":
         w = min(half_width, potential.half_width)
         return np.array([(k * math.pi / (2.0 * w)) ** 2
                          for k in range(1, n_max + 1)])
-    from .threshold import _interval_solve
+    from .threshold import _extrapolated_levels
 
     n = max(1024, int(round(2.0 * half_width / _TRANSVERSE_H)))
-    return _interval_solve(potential, half_width, n - 1, "dirichlet", n_max,
-                           richardson=True).extrapolated
-
-
-def model_slope_bounds(lambdas: Sequence[float], delta: float, eps: float,
-                       kappa_inf: float, A_knob: float = 12.0,
-                       C_knob: float = 1.0) -> tuple:
-    """Closed-form two-sided slope bounds for the assembled model.
-
-    lower_m uses the attractive coefficient degraded by C (delta + eps) / 4;
-    upper_m inflates it by A (delta + eps) / 4 plus the curvature terms and
-    divides by (1 + 2 delta kappa_inf).  Both collapse onto
-    sum sqrt((-lambda_m)_+) / (2 pi) as delta, eps -> 0.
-    """
-    lo = hi = 0.0
-    dk = delta * kappa_inf
-    for lam in lambdas:
-        lo += math.sqrt(max(-lam - C_knob * (delta + eps) / 4.0, 0.0))
-        hi += math.sqrt(max(A_knob * (delta + eps) / 4.0 - dk - dk * dk - lam,
-                            0.0))
-    return (lo / (2.0 * math.pi),
-            hi / (2.0 * math.pi * (1.0 + 2.0 * dk)))
+    return _extrapolated_levels(potential, half_width, n - 1, "dirichlet",
+                                n_max).extrapolated
 
 
 def assemble_model(curve: SampledCurve, potential: PotentialSpec,
@@ -470,8 +446,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
                 for m, _, c in retained}
     counts = sum(per_mode.values())
 
-    ccurve = CountingCurve(E_grid, np.abs(np.log(E_grid)), counts,
-                           RadialProblem(c=retained[0][2]))
+    ccurve = CountingCurve(E_grid, np.abs(np.log(E_grid)), counts)
     fit = fit_log_slope(ccurve)
     predicted = report.k_S
     # against a vanishing prediction the absolute slope is the error

@@ -39,12 +39,11 @@ class KsReport:
     negative_part: np.ndarray
     k_S: float
     k_S_uncertainty: tuple
-    discretization: dict
-    cross_check: dict
+    method_diff: float  # relative fd / Fourier k_S difference
 
     @property
     def verified(self) -> bool:
-        return bool(self.cross_check.get("verified", False))
+        return self.method_diff < 1e-4
 
     def to_dict(self) -> dict:
         return {
@@ -53,7 +52,7 @@ class KsReport:
             "negative_part": list(self.negative_part),
             "k_S": self.k_S,
             "k_S_uncertainty": list(self.k_S_uncertainty),
-            "method_diff": self.cross_check.get("method_diff"),
+            "method_diff": self.method_diff,
         }
 
 
@@ -122,25 +121,23 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
             f"need 1 <= k <= {size}, the {method} basis size at n = {n}, "
             f"got k = {k}")
     ell = curve.length
-    kappa = _kappa_on_grid(curve, n)
-    q = -0.25 * kappa * kappa
+
+    def q_on(m):
+        kappa = _kappa_on_grid(curve, m)
+        return -0.25 * kappa * kappa
+
     if method == "fd":
-        grid = spectral1d.Grid1D.make(0.0, ell, n, "periodic")
-        op = spectral1d.assemble(q, grid, "periodic")
+        def periodic_op(m):
+            grid = spectral1d.Grid1D.make(0.0, ell, m, "periodic")
+            return spectral1d.assemble(q_on(m), grid, "periodic")
 
-        def q_callable(s):
-            kk = _kappa_on_grid(curve, len(s))
-            return -0.25 * kk * kk
-
-        return spectral1d.lowest_eigenvalues(op, k, want_vectors=False,
-                                             potential=q_callable)
+        return spectral1d.lowest_eigenvalues(periodic_op(n), k,
+                                             want_vectors=False,
+                                             coarse=periodic_op(n // 2))
     if method == "fourier":
-        m_max = n // 2
-        a = _real_fourier_matrix(q, ell, m_max)
+        a = _real_fourier_matrix(q_on(n), ell, n // 2)
         vals = eigh(a, eigvals_only=True, subset_by_index=[0, k - 1])
-        grid = spectral1d.Grid1D.make(0.0, ell, n, "periodic")
-        return spectral1d.EigResult(np.asarray(vals), None, "periodic", grid,
-                                    np.zeros(k))
+        return spectral1d.EigResult(np.asarray(vals), None, np.zeros(k))
     raise PreconditionError(f"unknown method {method!r}")
 
 
@@ -203,9 +200,5 @@ def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
         negative_part=fd.negative_part,
         k_S=fd.k_S,
         k_S_uncertainty=fd.k_S_uncertainty,
-        discretization={"method": "fd", "n": n_fd, "n_fourier": n_fourier,
-                        "extrapolated": True},
-        cross_check={"k_S_fourier": ks_fourier, "method_diff": diff,
-                     "verified": bool(diff < 1e-4),
-                     "ambiguous_modes": int(np.sum(fd.ambiguous))},
+        method_diff=diff,
     )

@@ -1,9 +1,9 @@
 """Smooth loops on the unit sphere: presets, arc-length resampling, curvature.
 
 A curve is handed around as a SampledCurve: positions Gamma(s_i) on a uniform
-arc-length grid, the normal field n = Gamma x Gamma', and the geodesic
-curvature kappa = <Gamma x Gamma'', Gamma'>.  All derivative fields come from
-4th-order periodic central differences on the uniform grid.
+arc-length grid and the geodesic curvature kappa = <Gamma x Gamma'', Gamma'>,
+its derivatives taken by 4th-order periodic central differences on the
+uniform grid.
 
 Resampling pipeline: a dense sample of the curve, a cumulative chord-length
 table, monotone cubic (PCHIP) interpolation against chord length, uniform
@@ -81,11 +81,10 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Arc-length-sampled loop with curvature and normal fields."""
+    """Arc-length-sampled loop with its curvature field."""
 
     s: np.ndarray
     gamma: np.ndarray
-    normal: np.ndarray
     kappa: np.ndarray
     length: float
     deriv_error: float  # estimated curvature error of the differencing stage
@@ -232,9 +231,6 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
     _self_intersection_check(gamma, h)
 
     kappa = _kappa_from_positions(gamma, h)
-    d1 = _periodic_diff4(gamma, h, 1)
-    normal = np.cross(gamma, d1)
-    normal = normal / np.linalg.norm(normal, axis=1, keepdims=True)
 
     # coarse-grid replay of the differencing stage gives an error estimate;
     # too-coarse grids are flagged, not rejected
@@ -249,7 +245,7 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
             f"curvature differencing error estimate {deriv_error:.3e} is "
             f"large; consider more samples", stacklevel=2)
 
-    return SampledCurve(s, gamma, normal, kappa, length, deriv_error)
+    return SampledCurve(s, gamma, kappa, length, deriv_error)
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

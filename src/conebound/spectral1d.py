@@ -7,8 +7,8 @@ and circles (periodic), with three independent spectral probes:
   (LAPACK stebz/stein on the tridiagonal matrix; the periodic matrix, whose
   corner entries close the circle, is reordered into a symmetric band of
   half-bandwidth 2 and solved with LAPACK sbevx), with a Richardson error
-  estimate from a half-grid solve only when the caller passes a sampler of
-  the potential for that grid,
+  estimate from a half-grid solve only when the caller passes the operator
+  on that grid,
 * an O(n) eigenvalue counter from the LDL^T inertia of A - sigma I,
 * a Prufer-phase shooting counter that never touches the matrix at all.
 
@@ -94,8 +94,6 @@ class EigResult:
 
     values: np.ndarray
     vectors: Optional[np.ndarray]
-    kind: str
-    grid: Grid1D
     richardson_error: np.ndarray
 
     @property
@@ -174,7 +172,7 @@ def _solve_sorted(op: Operator1D, k: int, want_vectors: bool):
 
 
 def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
-                       potential: Optional[Callable] = None) -> EigResult:
+                       coarse: Optional[Operator1D] = None) -> EigResult:
     """k smallest eigenvalues via Sturm-sequence bisection + inverse iteration.
 
     Parameters
@@ -182,24 +180,30 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
     op : Operator1D
     k : number of eigenvalues requested, k <= n.
     want_vectors : also compute eigenvectors (normalized so h * sum phi^2 = 1).
-    potential : optional callable that samples the potential on the nodes of
-        the half-resolution grid.  Only when it is given is that grid solved
-        for the Richardson error estimate; without it richardson_error is
-        all zeros and extrapolated equals values.
+    coarse : optional operator of the same closure on the same interval
+        with n // 2 nodes, discretized as op is.  Only when it is given is
+        it solved for the Richardson error estimate (its lowest min(k, n // 2)
+        levels); without it richardson_error is all zeros and extrapolated
+        equals values.  Any other coarse operator is a PreconditionError,
+        since it would extrapolate silently wrong.
     """
     n = op.grid.n
     if not 1 <= k <= n:
         raise PreconditionError(f"need 1 <= k <= n = {n}, got k = {k}")
+    if coarse is not None and (
+            coarse.kind != op.kind or coarse.grid.n != n // 2
+            or (coarse.grid.a, coarse.grid.b) != (op.grid.a, op.grid.b)):
+        raise PreconditionError(
+            f"coarse operator must be {op.kind} on ({op.grid.a}, {op.grid.b}) "
+            f"with {n // 2} nodes, got {coarse.kind} on ({coarse.grid.a}, "
+            f"{coarse.grid.b}) with {coarse.grid.n}")
     vals, vecs = _solve_sorted(op, k, want_vectors)
     vals = np.asarray(vals, dtype=float)
 
-    n_c = n // 2
     rich = np.zeros(k)
-    if potential is not None and n_c >= 16:
-        grid_c = Grid1D.make(op.grid.a, op.grid.b, n_c, op.kind)
-        op_c = assemble(potential(grid_c.nodes(op.kind)), grid_c, op.kind)
-        k_c = min(k, n_c)
-        vals_c, _ = _solve_sorted(op_c, k_c, False)
+    if coarse is not None:
+        k_c = min(k, coarse.grid.n)
+        vals_c, _ = _solve_sorted(coarse, k_c, False)
         rich[:k_c] = (vals[:k_c] - np.asarray(vals_c, dtype=float)) / 3.0
 
     if vecs is not None:
@@ -209,7 +213,7 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
         signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
         signs[signs == 0.0] = 1.0
         vecs = vecs * signs
-    return EigResult(vals, vecs, op.kind, op.grid, rich)
+    return EigResult(vals, vecs, rich)
 
 
 def _tridiag_negcount(d: np.ndarray, e: np.ndarray, sigma: float) -> int:

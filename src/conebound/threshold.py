@@ -1,8 +1,10 @@
 """The transverse line operator Q = -d^2/dx^2 + v and its ground state.
 
 The ground energy eps0 is computed operationally as the Richardson-
-extrapolated first Dirichlet eigenvalue on a truncated interval (-L, L).  In
-the continuum the matching Neumann value bounds it from below; at practical
+extrapolated first Dirichlet eigenvalue on a truncated interval (-L, L): the
+same discretization is built on n and on n // 2 nodes, each grid averaging
+the piecewise-constant wells over its own cells, and both operators go to
+spectral1d.lowest_eigenvalues.  In the continuum the matching Neumann value bounds it from below; at practical
 L that enclosure is narrower than the grid resolves, so compute_threshold
 records the pair without ordering it.  The truncation study fixes the grid
 spacing h across the whole L-sweep: the discretization bias of lambda_1(L)
@@ -215,28 +217,23 @@ class AgmonReport:
     eta: float
 
 
-def _cell_sampler(spec: PotentialSpec):
-    # spacing recovered from the nodes so the coarse Richardson grid gets
-    # its own cell averages
-    def sample(x):
-        x = np.asarray(x, dtype=float)
-        h = float(x[1] - x[0]) if x.size >= 2 else 0.0
-        return spec.grid_samples(x, h) if h > 0 else spec(x)
-    return sample
-
-
-def _interval_solve(spec: PotentialSpec, L: float, n: int, kind: str, k: int,
-                    want_vectors: bool = False,
-                    richardson: bool = False) -> spectral1d.EigResult:
-    """k lowest levels on n cell-averaged nodes of (-L, L); only with
-    richardson is the half grid solved for the extrapolated values."""
+def _interval_op(spec: PotentialSpec, L: float, n: int,
+                 kind: str) -> spectral1d.Operator1D:
+    """Q on n nodes of (-L, L), each sampled by `grid_samples` over its
+    own grid's cells."""
     half = spec.domain_half_width(L)
     grid = spectral1d.Grid1D.make(-half, half, n, kind)
     v = spec.grid_samples(grid.nodes(kind), grid.h)
-    op = spectral1d.assemble(v, grid, kind)
+    return spectral1d.assemble(v, grid, kind)
+
+
+def _extrapolated_levels(spec: PotentialSpec, L: float, n: int, kind: str,
+                         k: int) -> spectral1d.EigResult:
+    """k lowest levels on n nodes of (-L, L), Richardson-extrapolated
+    against the same discretization on n // 2 nodes."""
     return spectral1d.lowest_eigenvalues(
-        op, k, want_vectors=want_vectors,
-        potential=_cell_sampler(spec) if richardson else None)
+        _interval_op(spec, L, n, kind), k, want_vectors=False,
+        coarse=_interval_op(spec, L, n // 2, kind))
 
 
 def compute_threshold(spec: PotentialSpec, L: float = 12.0,
@@ -264,9 +261,9 @@ def compute_threshold(spec: PotentialSpec, L: float = 12.0,
     spec.validate()
     if n < 512:
         raise PreconditionError(f"need n >= 512, got {n}")
-    dir_res = _interval_solve(spec, L, n, "dirichlet", 2, richardson=True)
+    dir_res = _extrapolated_levels(spec, L, n, "dirichlet", 2)
     lam1_d, lam2_d = dir_res.extrapolated[:2]
-    neu_res = _interval_solve(spec, L, n, "neumann", 1, richardson=True)
+    neu_res = _extrapolated_levels(spec, L, n, "neumann", 1)
     lam1_n = neu_res.extrapolated[0]
     eps0 = float(lam1_d)
     gap = float(lam2_d - lam1_d)
@@ -338,7 +335,8 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
         n = int(round(2.0 * spec.domain_half_width(L) / h))
         if kind == "dirichlet":
             n -= 1
-        res = _interval_solve(spec, L, n, kind, 2)
+        res = spectral1d.lowest_eigenvalues(_interval_op(spec, L, n, kind), 2,
+                                            want_vectors=False)
         return res.values[:2]
 
     work = [(L, kind) for L in L_grid for kind in ("neumann", "dirichlet")]
@@ -421,13 +419,13 @@ def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
 
     def solve(L):
         n = int(round(2.0 * spec.domain_half_width(L) / h))
-        res = _interval_solve(spec, L, n, "neumann", 1, want_vectors=True)
-        x = res.grid.nodes("neumann")
-        phi = res.vectors[:, 0]
+        op = _interval_op(spec, L, n, "neumann")
+        phi = spectral1d.lowest_eigenvalues(op, 1).vectors[:, 0]
+        x = op.grid.nodes("neumann")
         w = agmon_weight(spec, eps0_ref, R, x) if theta > 0 else np.zeros_like(x)
-        weighted = float(res.grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
+        weighted = float(op.grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
         mask = np.abs(x) > L - eta
-        tail = float(math.sqrt(res.grid.h * np.sum(phi[mask] ** 2)))
+        tail = float(math.sqrt(op.grid.h * np.sum(phi[mask] ** 2)))
         return weighted, tail, x, w
 
     out = parallel_map(solve, L_grid)

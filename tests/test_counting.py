@@ -14,8 +14,7 @@ from scipy.special import k0, k1
 from conebound import (ConvergenceError, CountingCurve, CurveSpec,
                        PotentialSpec, PreconditionError, RadialProblem,
                        assemble_model, build_curve, count_radial,
-                       counting_curve, fit_log_slope, kirsch_simon_slope,
-                       model_slope_bounds)
+                       counting_curve, fit_log_slope, kirsch_simon_slope)
 from conebound import counting, curvature_operator
 from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
@@ -114,10 +113,14 @@ def _forward_count(problem, E):
     E_eff = E / problem.scale
     level = -E_eff * (1.0 - TIE_SHIFT)
     rmax = max(10.0 * math.sqrt(problem.c / E_eff), 2.0 * problem.rho0)
+
+    def potential(rho):
+        return -problem.c / (rho * rho)
+
     prev = None
     for _ in range(9):
-        n = oscillation_count(problem.potential, problem.rho0, rmax,
-                              problem.bc, level)
+        n = oscillation_count(potential, problem.rho0, rmax, problem.bc,
+                              level)
         if n == prev:
             return n
         prev = n
@@ -294,8 +297,7 @@ def test_counting_csv_header(tmp_path):
 
 def _staircase(E, N):
     E = np.asarray(E, dtype=float)
-    return CountingCurve(E, np.abs(np.log(E)), np.asarray(N, dtype=int),
-                         RadialProblem(c=2.0))
+    return CountingCurve(E, np.abs(np.log(E)), np.asarray(N, dtype=int))
 
 
 def test_fit_recovers_synthetic_slope():
@@ -351,30 +353,6 @@ def test_two_window_convergence_toward_limit_slope():
             coef = np.polyfit(curve.lnE_abs, curve.N.astype(float), 1)
             errs.append(abs(coef[0] - target) / target)
         assert errs[1] < errs[0], f"c = {c}: {errs}"
-
-
-# ------------------------------------------------------------ model bounds
-
-
-def test_model_slope_bounds_sandwich():
-    ks = 1.0 / (4.0 * math.pi)
-    lows, highs = [], []
-    for delta in (0.2, 0.1, 0.05):
-        lo, hi = model_slope_bounds([-0.25], delta, 0.0, 1.0)
-        assert lo < ks < hi
-        lows.append(lo)
-        highs.append(hi)
-    # tightening delta tightens both sides
-    assert lows == sorted(lows)
-    assert highs == sorted(highs, reverse=True)
-    lo, hi = model_slope_bounds([-0.25], 1e-9, 0.0, 1.0)
-    assert lo == pytest.approx(ks, rel=1e-6)
-    assert hi == pytest.approx(ks, rel=1e-6)
-
-
-def test_model_slope_bounds_drop_nonbinding_modes():
-    lo, hi = model_slope_bounds([0.3, 5.0], 0.05, 0.0, 1.0, A_knob=0.0)
-    assert lo == 0.0 and hi == 0.0
 
 
 # --------------------------------------------------------- assembled model

@@ -72,16 +72,21 @@ def test_arc_length_consistency():
 
 
 def test_frame_orthonormality():
-    # |Gamma| = |n| = 1, <Gamma, n> = 0, <Gamma', n> = 0, all within 1e-6
+    # |Gamma| = |n| = 1, <Gamma, n> = 0, <Gamma', n> = 0, all within 1e-6,
+    # for the normal n = Gamma x Gamma' / |Gamma x Gamma'| of the samples
     c = perturbed(math.pi / 4, 0.05, 3)
     h = c.length / c.n_samples
     d1 = (8.0 * (np.roll(c.gamma, -1, axis=0) - np.roll(c.gamma, 1, axis=0))
           - (np.roll(c.gamma, -2, axis=0) - np.roll(c.gamma, 2, axis=0))) \
         / (12.0 * h)
+    normal = np.cross(c.gamma, d1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
     assert np.max(np.abs(np.linalg.norm(c.gamma, axis=1) - 1.0)) < 1e-6
-    assert np.max(np.abs(np.linalg.norm(c.normal, axis=1) - 1.0)) < 1e-6
-    assert np.max(np.abs(np.einsum("ij,ij->i", c.gamma, c.normal))) < 1e-6
-    assert np.max(np.abs(np.einsum("ij,ij->i", d1, c.normal))) < 1e-6
+    assert np.max(np.abs(np.linalg.norm(normal, axis=1) - 1.0)) < 1e-6
+    assert np.max(np.abs(np.einsum("ij,ij->i", c.gamma, normal))) < 1e-6
+    assert np.max(np.abs(np.einsum("ij,ij->i", d1, normal))) < 1e-6
+    # the module's orientation convention: n points to the south pole side
+    assert np.all(normal[:, 2] < 0.0)
     # the tangent norm carries the O(h^2) chord-parameter bias only
     assert np.max(np.abs(np.linalg.norm(d1, axis=1) - 1.0)) < 1e-5
 

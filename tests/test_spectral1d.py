@@ -109,16 +109,51 @@ def test_periodic_corner_entry():
 
 def test_harmonic_oscillator_richardson():
     # v = x^2 on (-10, 10): levels 2k+1; extrapolation buys ~3 digits here
-    grid = Grid1D.make(-10.0, 10.0, 511, "dirichlet")
-    v = grid.nodes("dirichlet") ** 2
-    op = assemble(v, grid, "dirichlet")
-    res = lowest_eigenvalues(op, 5, want_vectors=False,
-                             potential=lambda x: x**2)
+    def op(n):
+        grid = Grid1D.make(-10.0, 10.0, n, "dirichlet")
+        return assemble(grid.nodes("dirichlet") ** 2, grid, "dirichlet")
+
+    res = lowest_eigenvalues(op(511), 5, want_vectors=False, coarse=op(255))
     exact = 2.0 * np.arange(5) + 1.0
     raw_err = np.abs(res.values - exact)
     ext_err = np.abs(res.extrapolated - exact)
     assert np.all(ext_err < 1e-5)
     assert np.all(ext_err < 0.1 * raw_err)
+
+
+def _well_op(a, b, n, kind):
+    grid = Grid1D.make(a, b, n, kind)
+    x = grid.nodes(kind)
+    return assemble(-4.0 * np.exp(-x * x) + 0.5 * np.sin(x), grid, kind)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+def test_richardson_error_is_the_coarse_solve(kind):
+    # the estimate is (fine - coarse) / 3 on the levels the coarse grid has,
+    # with the coarse operator exactly as the caller built it
+    fine, coarse = _well_op(-5.0, 5.0, 81, kind), _well_op(-5.0, 5.0, 40, kind)
+    for k in (3, 40, 60):
+        res = lowest_eigenvalues(fine, k, want_vectors=False, coarse=coarse)
+        k_c = min(k, 40)
+        want = (res.values[:k_c] - lowest_eigenvalues(coarse, k_c).values) / 3
+        assert np.array_equal(res.richardson_error[:k_c], want)
+        assert np.all(res.richardson_error[k_c:] == 0.0)
+    plain = lowest_eigenvalues(fine, 3, want_vectors=False)
+    assert np.all(plain.richardson_error == 0.0)
+    assert np.array_equal(plain.extrapolated, plain.values)
+
+
+@pytest.mark.parametrize("coarse", [
+    _well_op(-5.0, 5.0, 40, "neumann"),      # another closure
+    _well_op(-5.0, 4.0, 40, "dirichlet"),    # another interval
+    _well_op(-4.0, 5.0, 40, "dirichlet"),
+    _well_op(-5.0, 5.0, 41, "dirichlet"),    # not n // 2 nodes
+    _well_op(-5.0, 5.0, 81, "dirichlet"),
+], ids=["closure", "right-end", "left-end", "n-over-2-plus-1", "n"])
+def test_mismatched_coarse_operator_is_rejected(coarse):
+    fine = _well_op(-5.0, 5.0, 81, "dirichlet")
+    with pytest.raises(PreconditionError, match="coarse operator"):
+        lowest_eigenvalues(fine, 3, coarse=coarse)
 
 
 def test_grid_convergence_ratio(rng):
@@ -161,12 +196,15 @@ def test_neumann_below_dirichlet(rng):
         def v(x):
             return c0 + c1 * np.sin(x) + c2 * np.cos(2.0 * x)
 
+        def op(n, kind):
+            grid = Grid1D.make(a, b, n, kind)
+            return assemble(v(grid.nodes(kind)), grid, kind)
+
         lam = {}
         for kind in ("dirichlet", "neumann"):
-            grid = Grid1D.make(a, b, 400, kind)
-            op = assemble(v(grid.nodes(kind)), grid, kind)
-            lam[kind] = lowest_eigenvalues(op, 5, want_vectors=False,
-                                           potential=v).extrapolated
+            lam[kind] = lowest_eigenvalues(op(400, kind), 5,
+                                           want_vectors=False,
+                                           coarse=op(200, kind)).extrapolated
         # the two discretizations differ at O(h^2); allow that much slack
         assert np.all(lam["neumann"] <= lam["dirichlet"] + 1e-6)
 
