@@ -100,6 +100,12 @@ def test_counting_supercritical_slope(tmp_path):
     assert doc["relative_error"] < 0.25
 
 
+# the two ks ops of perfbench's spectra workload
+KS_LATITUDE = ["ks", "--preset", "latitude", "--theta", "0.5",
+               "--n-samples", "2048", "--n-fd", "2048", "--n-fourier", "1024"]
+KS_PERTURBED = ["ks", "--preset", "perturbed", "--amplitude", "0.1",
+                "--mode", "3"]
+
 # sha256 of the data files that conebound 0.1.0 writes for the README
 # counting and assemble examples and for Neumann c = 2 on the README grid,
 # of the two sweeps with Agmon columns that perfbench's spectra workload
@@ -138,12 +144,9 @@ FROZEN_OUTPUTS = [
     (["threshold", "--family", "hard_wall", "--a", "1", "--sweep"],
      "threshold_summary.json",
      "878f6ae6a69b34daaf2f125c6e42082889197715d81ba38bf98925b7a1802c50"),
-    (["ks", "--preset", "latitude", "--theta", "0.5", "--n-samples", "2048",
-      "--n-fd", "2048", "--n-fourier", "1024"],
-     "ks_report.json",
+    (KS_LATITUDE, "ks_report.json",
      "4169c53d86069c4c299b38c43de2f6c8a2615090dadbeac39cb10c12281699c8"),
-    (["ks", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3"],
-     "ks_report.json",
+    (KS_PERTURBED, "ks_report.json",
      "8c1ed9344ebeabc02dadabd41b677936333335fefda06305ec08d7d2359df781"),
     (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
       "--family", "hard_wall", "--a", "1.0"],
@@ -163,6 +166,26 @@ def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# sha256 of canonical_json of those ks reports without method_diff: every
+# other field comes from the finite-difference route alone, so a change to
+# the Fourier cross-check may move method_diff and nothing else
+FROZEN_FD_REPORTS = [
+    (KS_LATITUDE,
+     "e82a84c99e15abd66f0a4be2ae1e5e46a562c43cfd1eabf2e598914b7c89b454"),
+    (KS_PERTURBED,
+     "a75e4f30432e864789e5155bb75a0e6d6ee1d62e4a6b9cd75f0961b809c543a0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", FROZEN_FD_REPORTS,
+                         ids=["ks-latitude", "ks-perturbed"])
+def test_fd_fields_of_ks_report_are_frozen(tmp_path, argv, digest):
+    assert run(argv + ["--out-dir", tmp_path]) == 0
+    doc = load(tmp_path / "ks_report.json")
+    del doc["method_diff"]
+    assert sha256_hex(canonical_json(doc)) == digest
 
 
 SUMMARY = {"curve": "curve_summary.json", "ks": "ks_report.json",
