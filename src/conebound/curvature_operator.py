@@ -9,11 +9,14 @@ independent discretizations are kept deliberately separate: periodic finite
 differences (with Richardson extrapolation), solved as a symmetric band, and
 a truncated real Fourier basis {1, sqrt2 cos, sqrt2 sin} in which the
 kinetic part is diagonal and kappa^2/4 acts through the cosine and sine sums
-of its samples, assembled by direct summation rather than an FFT so the
-result is bitwise deterministic.
+of its samples, taken from one FFT.  The Fourier matrix is dense; its
+eigensolve runs on one OpenBLAS thread, so its levels, and every byte of the
+report, do not depend on the thread count OpenBLAS was started with.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,16 +78,12 @@ def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int) -> np.ndarray:
     The basis is {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, in that
     block order.  For real q it spans the same space as exp(2pi i m s/ell),
     |m| <= m_max, and gives the same eigenvalues.  q enters through its
-    discrete cosine and sine sums a_k, b_k, k <= 2 m_max, computed by direct
-    summation over the sample grid.
+    discrete cosine and sine sums a_k, b_k, k <= 2 m_max, read off one FFT
+    of its samples (k taken mod n).
     """
     n = q.shape[0]
-    # the phase index k j is reduced mod n exactly, so cos and sin are
-    # looked up from one period
-    idx = np.outer(np.arange(2 * m_max + 1), np.arange(n)) % n
-    angle = (2.0 * math.pi / n) * np.arange(n)
-    a = np.cos(angle)[idx] @ q / n
-    b = np.sin(angle)[idx] @ q / n
+    f = np.fft.fft(q)[np.arange(2 * m_max + 1) % n] / n
+    a, b = f.real, -f.imag
     m = np.arange(1, m_max + 1)
     kin = np.diag((2.0 * math.pi * m / ell) ** 2)
     diff = m[:, None] - m[None, :]
@@ -99,6 +98,68 @@ def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int) -> np.ndarray:
     out[1:m_max + 1, m_max + 1:] = cs
     out[m_max + 1:, 1:m_max + 1] = cs.T
     return out
+
+
+# thread-count entry points of OpenBLAS builds, 64-bit-integer ones first
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS scipy has loaded.
+
+    Only the copies bundled in scipy.libs are looked for, and only those
+    already loaded are opened; anything else gives an empty tuple.
+    """
+    import ctypes
+    import os
+    from pathlib import Path
+
+    import scipy
+
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
+    if noload is None or not libs.is_dir():
+        return ()
+    found = []
+    for path in sorted(libs.glob("*openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=noload | os.RTLD_NOW)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = (getattr(lib, get_name, None),
+                         getattr(lib, set_name, None))
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread; restore the old count after.
+
+    A dense eigensolve's rounding depends on how OpenBLAS splits its
+    products over threads, and at these sizes a second thread saves no time
+    but keeps spinning after the solve.
+    """
+    apis = _openblas_threads()
+    old = [get() for get, _ in apis]
+    try:
+        for _, set_ in apis:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(apis, old):
+            set_(count)
 
 
 def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
@@ -135,8 +196,16 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
                                              want_vectors=False,
                                              coarse=periodic_op(n // 2))
     if method == "fourier":
-        a = _real_fourier_matrix(q_on(n), ell, n // 2)
-        vals = eigh(a, eigvals_only=True, subset_by_index=[0, k - 1])
+        q = q_on(n)
+        try:
+            a = _real_fourier_matrix(q, ell, n // 2)
+            with _one_blas_thread():
+                vals = eigh(a, eigvals_only=True, subset_by_index=[0, k - 1])
+        except MemoryError as exc:
+            raise PreconditionError(
+                f"the Fourier basis at n = {n} needs a dense {size} x {size} "
+                f"matrix ({8.0 * size * size / 2.0**30:.3g} GiB), which could "
+                f"not be allocated; lower n_fourier") from exc
         return spectral1d.EigResult(np.asarray(vals), None, np.zeros(k))
     raise PreconditionError(f"unknown method {method!r}")
 

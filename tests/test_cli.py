@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +116,9 @@ KS_PERTURBED = ["ks", "--preset", "perturbed", "--amplitude", "0.1",
 # runs, and of the summaries of that workload's threshold and ks ops and of
 # the README assemble example (they carry eps0, bracket, k_S, method_diff
 # and predicted_slope); a counting or eigensolver method may change, these
-# bytes may not
+# bytes may not.  The two ks reports were re-frozen once, when the Fourier
+# cross-check moved to one OpenBLAS thread: that moved method_diff, the
+# rounding noise of its dense solve, and FROZEN_FD_REPORTS pins the rest
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -145,9 +151,9 @@ FROZEN_OUTPUTS = [
      "threshold_summary.json",
      "878f6ae6a69b34daaf2f125c6e42082889197715d81ba38bf98925b7a1802c50"),
     (KS_LATITUDE, "ks_report.json",
-     "4169c53d86069c4c299b38c43de2f6c8a2615090dadbeac39cb10c12281699c8"),
+     "4ce5c966bce4e6c12b8c4d4fb6aedbfd74d74254bc531612e737efc98f1dc123"),
     (KS_PERTURBED, "ks_report.json",
-     "8c1ed9344ebeabc02dadabd41b677936333335fefda06305ec08d7d2359df781"),
+     "4c92f1d36c8c6d38815af02b337156ef73e7e4decf7ae8024f39bdf094641960"),
     (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
       "--family", "hard_wall", "--a", "1.0"],
      "assemble_summary.json",
@@ -338,6 +344,23 @@ def test_reproducible_bytes(tmp_path):
         (b / "ks_report.json").read_bytes()
 
 
+def test_ks_report_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count once, when it loads: one fresh
+    # interpreter per count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads}
+        argv = [*KS_LATITUDE, "--out-dir", str(tmp_path / threads)]
+        out = subprocess.run([sys.executable, "-m", "conebound.cli", *argv],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+    assert (tmp_path / "1" / "ks_report.json").read_bytes() == \
+        (tmp_path / "2" / "ks_report.json").read_bytes()
+
+
 # one run per command; its summary, fed back as --config, must replay it
 REPLAYS = {
     "curve": ["curve", "--preset", "perturbed", "--amplitude", "0.05",
@@ -461,6 +484,21 @@ def test_oversized_k_is_a_precondition_error(tmp_path, capsys):
                 "--n-fourier", "128", "--k", "200", "--out-dir", tmp_path])
     assert code == 4
     assert "basis size" in capsys.readouterr().err
+
+
+def test_unallocatable_fourier_matrix_is_a_precondition_error(
+        tmp_path, monkeypatch, capsys):
+    # stands in for numpy's "Unable to allocate 74.5 GiB" at this size
+    from conebound import curvature_operator
+
+    def no_memory(q, ell, m_max):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(curvature_operator, "_real_fourier_matrix", no_memory)
+    code = run(["ks", "--preset", "latitude", "--theta", "0.7",
+                "--n-fourier", "100000", "--out-dir", tmp_path])
+    assert code == 4
+    assert "dense 100001 x 100001 matrix" in capsys.readouterr().err
 
 
 _ASSEMBLE = ["assemble", "--preset", "latitude", "--theta", "0.7854",

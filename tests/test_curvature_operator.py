@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conebound import (CurveSpec, PreconditionError, build_curve, ks_constant,
-                       ks_spectrum)
+from conebound import (CurveSpec, PreconditionError, SampledCurve,
+                       build_curve, ks_constant, ks_spectrum)
+from conebound import curvature_operator
 from conebound.curvature_operator import _real_fourier_matrix
 
 from _oracles import complex_fourier_matrix
@@ -162,3 +163,124 @@ def test_k_beyond_basis_size_is_a_precondition_error():
         ks_spectrum(c, 128, "fd", k=129)
     with pytest.raises(PreconditionError, match="basis size"):
         ks_spectrum(c, 128, "fd", k=0)
+
+
+def constant_curvature_loop(kappa, ell, n):
+    # only s, kappa and the length enter the curvature operator
+    return SampledCurve(s=ell * np.arange(n) / n, gamma=np.zeros((n, 3)),
+                        kappa=np.full(n, kappa), length=ell, deriv_error=0.0)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_fourier_route_closed_form_for_constant_curvature(n):
+    # q = -kappa^2/4 is constant: lambda = (2 pi m / ell)^2 - kappa^2/4,
+    # m = 0 once and every m >= 1 twice
+    kappa, ell = 1.3, 3.0
+    m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6])
+    exact = (2.0 * math.pi * m / ell) ** 2 - 0.25 * kappa * kappa
+    curve = constant_curvature_loop(kappa, ell, n)
+    got = ks_spectrum(curve, n, "fourier", k=12).values
+    assert np.max(np.abs(got - exact)) < 1e-9
+
+
+def direct_sum_fourier_matrix(q, ell, m_max):
+    """The real Fourier matrix with a_k, b_k summed directly over the grid."""
+    n = q.shape[0]
+    idx = np.outer(np.arange(2 * m_max + 1), np.arange(n)) % n
+    angle = (2.0 * math.pi / n) * np.arange(n)
+    a = np.cos(angle)[idx] @ q / n
+    b = np.sin(angle)[idx] @ q / n
+    m = np.arange(1, m_max + 1)
+    kin = np.diag((2.0 * math.pi * m / ell) ** 2)
+    diff = m[:, None] - m[None, :]
+    gap, total = np.abs(diff), m[:, None] + m[None, :]
+    cs = b[total] - np.sign(diff) * b[gap]
+    out = np.empty((2 * m_max + 1, 2 * m_max + 1))
+    out[0, 0] = a[0]
+    out[0, 1:m_max + 1] = out[1:m_max + 1, 0] = math.sqrt(2.0) * a[m]
+    out[0, m_max + 1:] = out[m_max + 1:, 0] = math.sqrt(2.0) * b[m]
+    out[1:m_max + 1, 1:m_max + 1] = a[gap] + a[total] + kin
+    out[m_max + 1:, m_max + 1:] = a[gap] - a[total] + kin
+    out[1:m_max + 1, m_max + 1:] = cs
+    out[m_max + 1:, 1:m_max + 1] = cs.T
+    return out
+
+
+# the curves of the two ks benchmark ops, and a rougher one
+FOURIER_CURVES = {
+    "latitude-0.5": (CurveSpec(kind="latitude_circle", theta=0.5), 2048, 1024),
+    "perturbed-0.1-3": (CurveSpec(kind="perturbed_latitude",
+                                  theta=math.pi / 4, amplitude=0.1, mode=3),
+                        1024, 512),
+    "perturbed-0.2-5": (CurveSpec(kind="perturbed_latitude",
+                                  theta=math.pi / 4, amplitude=0.2, mode=5),
+                        1024, 1024),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOURIER_CURVES))
+def test_fourier_route_matches_direct_summation(case):
+    spec, n_samples, n = FOURIER_CURVES[case]
+    curve = build_curve(spec, n_samples)
+    kappa = curvature_operator._kappa_on_grid(curve, n)
+    ref = np.linalg.eigvalsh(direct_sum_fourier_matrix(
+        -0.25 * kappa * kappa, curve.length, n // 2))[:12]
+    got = ks_spectrum(curve, n, "fourier", k=12).values
+    assert np.max(np.abs(got - ref)) < 1e-9
+
+
+def blas_threads():
+    return [get() for get, _ in curvature_operator._openblas_threads()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    # start from 2 threads, whatever an earlier solve left behind
+    apis = curvature_operator._openblas_threads()
+    old = blas_threads()
+    for _, set_ in apis:
+        set_(2)
+    yield [2] * len(apis)
+    for (_, set_), count in zip(apis, old):
+        set_(count)
+
+
+def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
+    before, during = two_blas_threads, []
+    real_eigh = curvature_operator.eigh
+
+    def eigh(*args, **kwargs):
+        during.append(blas_threads())
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(curvature_operator, "eigh", eigh)
+    ks_spectrum(latitude(math.pi / 4, 256), 256, "fourier", k=4)
+    assert during == [[1] * len(before)]
+    assert blas_threads() == before
+
+
+@pytest.mark.parametrize("error, raised", [(RuntimeError, RuntimeError),
+                                           (MemoryError, PreconditionError)])
+def test_blas_threads_restored_when_the_solve_raises(monkeypatch, error,
+                                                     raised, two_blas_threads):
+    before = two_blas_threads
+
+    def eigh(*args, **kwargs):
+        raise error("no solve")
+
+    monkeypatch.setattr(curvature_operator, "eigh", eigh)
+    with pytest.raises(raised):
+        ks_spectrum(latitude(math.pi / 4, 256), 256, "fourier", k=4)
+    assert blas_threads() == before
+
+
+def test_fourier_route_without_openblas(monkeypatch):
+    # no OpenBLAS found: the solve runs on whatever threads there are
+    c = latitude(math.pi / 4, 256)
+    found = ks_spectrum(c, 256, "fourier", k=8).values
+    lookups = []
+    monkeypatch.setattr(curvature_operator, "_openblas_threads",
+                        lambda: lookups.append(1) or ())
+    missing = ks_spectrum(c, 256, "fourier", k=8).values
+    assert lookups == [1]
+    assert np.max(np.abs(missing - found)) < 1e-10
