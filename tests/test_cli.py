@@ -115,8 +115,9 @@ KS_PERTURBED = ["ks", "--preset", "perturbed", "--amplitude", "0.1",
 # of the two sweeps with Agmon columns that perfbench's spectra workload
 # runs, and of the summaries of that workload's threshold and ks ops and of
 # the README assemble example (they carry eps0, bracket, k_S, method_diff
-# and predicted_slope); a counting or eigensolver method may change, these
-# bytes may not.  The two ks reports were re-frozen once, when the Fourier
+# and predicted_slope), of that workload's perturbed curve summary and of
+# the README counting example's slope.json; a counting or eigensolver
+# method may change, these bytes may not.  The two ks reports were re-frozen once, when the Fourier
 # cross-check moved to one OpenBLAS thread: that moved method_diff, the
 # rounding noise of its dense solve, and FROZEN_FD_REPORTS pins the rest
 FROZEN_OUTPUTS = [
@@ -158,6 +159,13 @@ FROZEN_OUTPUTS = [
       "--family", "hard_wall", "--a", "1.0"],
      "assemble_summary.json",
      "4fe216b0dcfa2d0816aad0aa7f806c75412c895290c8a9944606ceb6432c804b"),
+    (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
+      "--n-samples", "4096"],
+     "curve_summary.json",
+     "148760fb9ee92ffe6d1dce25bb063c5f137b9516ccd570d647045825a331632c"),
+    (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
+     "slope.json",
+     "da46a749f1ed7b4f641530c925bdf7f169ec4bc20b0ed440380cfcd1b7915b48"),
 ]
 
 
@@ -167,7 +175,9 @@ FROZEN_OUTPUTS = [
                               "confining-sweep", "square-well-summary",
                               "confining-summary", "hard-wall-summary",
                               "ks-latitude-report", "ks-perturbed-report",
-                              "readme-assemble-summary"])
+                              "readme-assemble-summary",
+                              "perturbed-curve-summary",
+                              "readme-counting-slope"])
 def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
