@@ -168,7 +168,7 @@ def cmd_curve(block, args, out_dir):
     curve = build()
     geometry.write_curve_csv(curve, out_dir / "curve.csv")
     summary = {"ell": curve.length,
-               "kappa_inf": float(np.max(np.abs(curve.kappa))),
+               "kappa_inf": geometry.sup_curvature(curve),
                "kappa_mean": float(np.mean(curve.kappa)),
                "n_samples": curve.n_samples, "deriv_error": curve.deriv_error}
     return cfg, summary, ["curve.csv", "curve_summary.json"], \
@@ -182,7 +182,7 @@ def cmd_ks(block, args, out_dir):
     cfg["curve"], build = _curve(block.get("curve", {}), args, "ks.curve")
     report = curvature_operator.ks_constant(
         build(), **_pick(cfg, "n_fd", "n_fourier", "k"))
-    return cfg, report.to_dict(), ["ks_report.json"], f"k_S = {report.k_S:.6g}"
+    return cfg, asdict(report), ["ks_report.json"], f"k_S = {report.k_S:.6g}"
 
 
 def cmd_threshold(block, args, out_dir):
@@ -191,7 +191,7 @@ def cmd_threshold(block, args, out_dir):
     cfg = _resolve(block, args, SCHEMAS["threshold"], "threshold")
     spec, cfg["potential"] = _potential(block, args, "threshold")
     report = threshold.compute_threshold(spec, L=cfg["L"], n=cfg["n"])
-    summary, headline = report.to_dict(), f"eps0 = {report.eps0:.8g}"
+    summary, headline = asdict(report), f"eps0 = {report.eps0:.8g}"
     want_agmon = args.agmon or "agmon" in block
     if not (args.sweep or "sweep" in block or want_agmon):
         return cfg, summary, ["threshold_summary.json"], headline

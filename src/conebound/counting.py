@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 TIE_SHIFT = 1e-12  # relative level shift that makes "<= level" count ties
 _TRANSVERSE_H = 1.0 / 512.0  # largest grid spacing of the transverse levels
+_N_CHANNELS = 8  # transverse channels counted per cross-section mode
 
 
 def kirsch_simon_slope(c: float) -> float:
@@ -367,8 +368,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
                    eps_knob: float = 0.0, K_delta: float = 5.0,
                    R_fixed: Optional[float] = None,
                    E_grid: Optional[np.ndarray] = None,
-                   eps0: Optional[float] = None, n_modes: int = 12,
-                   n_channels: int = 8) -> AssembledModel:
+                   n_modes: int = 12) -> AssembledModel:
     """Assembled eigenvalue count of the conical surface model.
 
     For each energy E on the grid the matching radius is R(E) = K_delta
@@ -393,9 +393,8 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     for name, knob in (("C_knob", C_knob), ("eps_knob", eps_knob)):
         if not math.isfinite(knob):
             raise PreconditionError(f"need finite {name}, got {knob}")
-    if not (n_modes >= 1 and n_channels >= 1):
-        raise PreconditionError(f"need n_modes >= 1 and n_channels >= 1, got "
-                                f"{n_modes} and {n_channels}")
+    if not n_modes >= 1:
+        raise PreconditionError(f"need n_modes >= 1, got {n_modes}")
     potential.validate()
     if E_grid is None:
         E_grid = default_energy_grid()
@@ -405,11 +404,10 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     lambdas = np.asarray(report.eigenvalues)
     kappa_inf = sup_curvature(curve)
 
-    if eps0 is None:
-        if potential.family == "hard_wall":
-            eps0 = (math.pi / (2.0 * potential.half_width)) ** 2
-        else:
-            eps0 = threshold.compute_threshold(potential).eps0
+    if potential.family == "hard_wall":
+        eps0 = (math.pi / (2.0 * potential.half_width)) ** 2
+    else:
+        eps0 = threshold.compute_threshold(potential).eps0
 
     c_knob = (1.0 - C_knob * (delta + eps_knob)) / 4.0
     modes = [(m, float(lam), c_knob - float(lam))
@@ -419,16 +417,16 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         raise PreconditionError("no cross-section mode can bind; "
                                 "nothing to assemble")
 
-    shrink = (1.0 - delta * kappa_inf) ** 2
-    if shrink <= 0.0:
+    if delta * kappa_inf >= 1.0:
         raise PreconditionError("delta kappa_inf >= 1; tube map degenerates")
+    shrink = (1.0 - delta * kappa_inf) ** 2
 
     def shifts_at(E):
         R = R_fixed if R_fixed is not None else K_delta * abs(math.log(E))
         if not (math.isfinite(R) and R > 0.0):
             raise PreconditionError(
                 f"matching radius R = {R} must be finite and positive")
-        levels = _transverse_levels(potential, delta * R, n_channels)
+        levels = _transverse_levels(potential, delta * R, _N_CHANNELS)
         # (level - eps0) first: for the ground channel of a closed-form
         # family the pair cancels exactly, keeping mu = E R^2 alive at
         # energies far below one ulp of eps0

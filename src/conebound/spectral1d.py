@@ -12,12 +12,12 @@ and circles (periodic), with three independent spectral probes:
 * an O(n) eigenvalue counter from the LDL^T inertia of A - sigma I,
 * a Prufer-phase shooting counter that never touches the matrix at all.
 
-Grids: Dirichlet operators store the n interior nodes a + i h with
-h = (b-a)/(n+1).  Neumann operators are cell-centered: n cells of width
-h = (b-a)/n, nodes at the midpoints, zero-flux closure obtained by mirroring
-the ghost node across the wall (u_ghost = u_first), which keeps the matrix
-exactly symmetric.  Periodic operators store n nodes a + i h, h = (b-a)/n,
-with b identified with a.
+Grids carry their closure.  Dirichlet grids hold the n interior nodes
+a + (i+1) h with h = (b-a)/(n+1).  Neumann grids are cell-centered: n cells
+of width h = (b-a)/n, nodes a + (i+1/2) h at the midpoints, zero-flux closure
+obtained by mirroring the ghost node across the wall (u_ghost = u_first),
+which keeps the matrix exactly symmetric.  Periodic grids hold n nodes
+a + i h, h = (b-a)/n, with b identified with a.
 """
 from __future__ import annotations
 
@@ -38,49 +38,52 @@ from .errors import ConvergenceError, PreconditionError
 # treated as an infinitesimally negative one)
 _TINY = 1e-300
 
-_KINDS = ("dirichlet", "neumann", "periodic")
+_OFFSETS = {"dirichlet": 1.0, "neumann": 0.5, "periodic": 0.0}
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on (a, b); the spacing convention depends on the closure."""
+    """Uniform grid on (a, b); its closure sets the spacing and the nodes."""
 
     a: float
     b: float
     n: int
+    kind: str
     h: float
 
     @staticmethod
     def make(a: float, b: float, n: int, kind: str) -> "Grid1D":
-        if kind not in _KINDS:
+        if kind not in _OFFSETS:
             raise PreconditionError(f"unknown boundary kind {kind!r}")
-        if not b > a:
-            raise PreconditionError(f"need b > a, got ({a}, {b})")
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            raise PreconditionError(f"need finite b > a, got ({a}, {b})")
         if n < 16:
             raise PreconditionError(f"need n >= 16, got {n}")
         h = (b - a) / (n + 1) if kind == "dirichlet" else (b - a) / n
-        return Grid1D(float(a), float(b), int(n), h)
+        return Grid1D(float(a), float(b), int(n), kind, h)
 
-    def nodes(self, kind: str) -> np.ndarray:
-        i = np.arange(self.n, dtype=float)
-        if kind == "dirichlet":
-            return self.a + (i + 1.0) * self.h
-        if kind == "neumann":
-            return self.a + (i + 0.5) * self.h
-        if kind == "periodic":
-            return self.a + i * self.h
-        raise PreconditionError(f"unknown boundary kind {kind!r}")
+    def nodes(self) -> np.ndarray:
+        try:
+            i = np.arange(self.n, dtype=float)
+        except (MemoryError, ValueError) as exc:
+            raise PreconditionError(
+                f"cannot allocate a grid of n = {self.n:.6g} nodes on "
+                f"({self.a:.6g}, {self.b:.6g})") from exc
+        return self.a + (i + _OFFSETS[self.kind]) * self.h
 
 
 @dataclass(frozen=True)
 class Operator1D:
     """Symmetric tridiagonal operator, plus corner entries when periodic."""
 
-    kind: str
     grid: Grid1D
     diag: np.ndarray
     offdiag: np.ndarray
     corner: float
+
+    @property
+    def kind(self) -> str:
+        return self.grid.kind
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,8 @@ class EigResult:
         return self.values + self.richardson_error
 
 
-def assemble(potential_samples, grid: Grid1D, kind: str) -> Operator1D:
+def assemble(potential_samples, grid: Grid1D) -> Operator1D:
     """Second-difference operator 2/h^2 + V on the diagonal, -1/h^2 off it."""
-    if kind not in _KINDS:
-        raise PreconditionError(f"unknown boundary kind {kind!r}")
     v = np.asarray(potential_samples, dtype=float)
     if v.shape != (grid.n,):
         raise PreconditionError(
@@ -115,13 +116,13 @@ def assemble(potential_samples, grid: Grid1D, kind: str) -> Operator1D:
     diag = 2.0 / h2 + v
     offdiag = np.full(grid.n - 1, -1.0 / h2)
     corner = 0.0
-    if kind == "neumann":
+    if grid.kind == "neumann":
         diag = diag.copy()
         diag[0] -= 1.0 / h2
         diag[-1] -= 1.0 / h2
-    elif kind == "periodic":
+    elif grid.kind == "periodic":
         corner = -1.0 / h2
-    return Operator1D(kind, grid, diag, offdiag, corner)
+    return Operator1D(grid, diag, offdiag, corner)
 
 
 def _cyclic_entries(op: Operator1D, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -187,16 +188,14 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
         equals values.  Any other coarse operator is a PreconditionError,
         since it would extrapolate silently wrong.
     """
-    n = op.grid.n
+    g, n = op.grid, op.grid.n
     if not 1 <= k <= n:
         raise PreconditionError(f"need 1 <= k <= n = {n}, got k = {k}")
-    if coarse is not None and (
-            coarse.kind != op.kind or coarse.grid.n != n // 2
-            or (coarse.grid.a, coarse.grid.b) != (op.grid.a, op.grid.b)):
+    c = coarse.grid if coarse is not None else None
+    if c is not None and (c.a, c.b, c.n, c.kind) != (g.a, g.b, n // 2, g.kind):
         raise PreconditionError(
-            f"coarse operator must be {op.kind} on ({op.grid.a}, {op.grid.b}) "
-            f"with {n // 2} nodes, got {coarse.kind} on ({coarse.grid.a}, "
-            f"{coarse.grid.b}) with {coarse.grid.n}")
+            f"coarse operator must be {g.kind} on ({g.a}, {g.b}) with "
+            f"{n // 2} nodes, got {c.kind} on ({c.a}, {c.b}) with {c.n}")
     vals, vecs = _solve_sorted(op, k, want_vectors)
     vals = np.asarray(vals, dtype=float)
 
@@ -273,8 +272,7 @@ def count_below(op: Operator1D, level: float) -> int:
 
 
 def oscillation_count(potential: Callable, a: float, b: float, bc: str,
-                      E: float, rtol: float = 1e-8,
-                      atol: float = 1e-10) -> int:
+                      E: float) -> int:
     """Prufer-phase zero counter for -u'' + V u = E u on (a, b).
 
     The solution is shot from the left with u(a) = 0 (bc = "dirichlet") or
@@ -303,8 +301,8 @@ def oscillation_count(potential: Callable, a: float, b: float, bc: str,
         c = math.cos(y[0])
         return (c * c + (E - potential(x)) * s * s,)
 
-    sol = solve_ivp(rhs, (a, b), [theta0], method="RK45",
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (a, b), [theta0], method="RK45", rtol=1e-8,
+                    atol=1e-10)
     if not sol.success:
         raise ConvergenceError(
             f"phase integration on ({a}, {b}) failed: {sol.message}")

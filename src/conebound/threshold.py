@@ -178,17 +178,6 @@ class ThresholdReport:
     satisfied_iii: bool
     bracket: tuple  # (lambda_1 Neumann, lambda_1 Dirichlet), extrapolated
 
-    def to_dict(self) -> dict:
-        return {
-            "eps0": self.eps0,
-            "v_inf": self.v_inf,
-            "gap": self.gap,
-            "L_used": self.L_used,
-            "n_used": self.n_used,
-            "satisfied_iii": self.satisfied_iii,
-            "bracket": list(self.bracket),
-        }
-
 
 @dataclass(frozen=True)
 class TruncationSweep:
@@ -208,7 +197,6 @@ class TruncationSweep:
 class AgmonReport:
     theta: float
     R: float
-    Phi_samples: np.ndarray
     weighted_norms: np.ndarray
     bound_estimate: float
     tail_norms: np.ndarray
@@ -223,8 +211,7 @@ def _interval_op(spec: PotentialSpec, L: float, n: int,
     own grid's cells."""
     half = spec.domain_half_width(L)
     grid = spectral1d.Grid1D.make(-half, half, n, kind)
-    v = spec.grid_samples(grid.nodes(kind), grid.h)
-    return spectral1d.assemble(v, grid, kind)
+    return spectral1d.assemble(spec.grid_samples(grid.nodes(), grid.h), grid)
 
 
 def _extrapolated_levels(spec: PotentialSpec, L: float, n: int, kind: str,
@@ -410,8 +397,8 @@ def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
     L_grid = _sweep_lengths(spec, L_grid, h)
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
-    if math.isnan(R):
-        raise PreconditionError("need a number for the Agmon radius R, got nan")
+    if not math.isfinite(R):
+        raise PreconditionError(f"need a finite Agmon radius R, got {R}")
     if not (math.isfinite(eta) and eta > 0.0):
         raise PreconditionError(f"need finite tail width eta > 0, got {eta}")
     eps0_ref = compute_threshold(spec, L=float(L_grid[-1]),
@@ -421,19 +408,18 @@ def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
         n = int(round(2.0 * spec.domain_half_width(L) / h))
         op = _interval_op(spec, L, n, "neumann")
         phi = spectral1d.lowest_eigenvalues(op, 1).vectors[:, 0]
-        x = op.grid.nodes("neumann")
+        x = op.grid.nodes()
         w = agmon_weight(spec, eps0_ref, R, x) if theta > 0 else np.zeros_like(x)
         weighted = float(op.grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
         mask = np.abs(x) > L - eta
         tail = float(math.sqrt(op.grid.h * np.sum(phi[mask] ** 2)))
-        return weighted, tail, x, w
+        return weighted, tail
 
     out = parallel_map(solve, L_grid)
     weighted = np.array([o[0] for o in out])
     tails = np.array([o[1] for o in out])
     A, b, r2 = _fit_semilog(L_grid, tails)
-    return AgmonReport(theta, R, out[-1][3], weighted,
-                       float(np.max(weighted)), tails,
+    return AgmonReport(theta, R, weighted, float(np.max(weighted)), tails,
                        {"B": A, "b": b, "r_squared": r2}, L_grid, eta)
 
 

@@ -178,7 +178,7 @@ def test_criterion_8_oracle_equivalence():
         shot = oscillation_count(lambda x: float(v(np.asarray(x))), a, b,
                                  "dirichlet", E)
         grid = Grid1D.make(a, b, 2000, "dirichlet")
-        op = assemble(v(grid.nodes("dirichlet")), grid, "dirichlet")
+        op = assemble(v(grid.nodes()), grid)
         matrix = count_below(op, E)
         assert abs(matrix - shot) <= 1, \
             f"interval ({a:.3f}, {b:.3f}), E = {E:.3f}: " \
@@ -188,7 +188,7 @@ def test_criterion_8_oracle_equivalence():
         kind = ("dirichlet", "neumann", "periodic")[int(rng.integers(3))]
         n = int(rng.integers(16, 401))
         grid = Grid1D.make(0.0, float(rng.uniform(0.5, 4.0)), n, kind)
-        op = assemble(rng.normal(0.0, 20.0, n), grid, kind)
+        op = assemble(rng.normal(0.0, 20.0, n), grid)
         dense = np.diag(op.diag)
         idx = np.arange(n - 1)
         dense[idx, idx + 1] = op.offdiag

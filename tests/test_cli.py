@@ -538,6 +538,12 @@ BAD_COUNTING_INPUTS = [
     (_ASSEMBLE + ["--eps-knob", "inf"], "finite eps_knob"),
     (_ASSEMBLE + ["--n-modes", "-11"], "n_modes >= 1"),
     (_ASSEMBLE + ["--n-modes", "0"], "n_modes >= 1"),
+    # delta kappa_inf = 1.29 >= 1
+    (["assemble", "--preset", "latitude", "--theta", "0.3", "--family",
+      "hard_wall", "--a", "1", "--delta", "0.4"], "tube map degenerates"),
+    # transverse grids numpy refuses to size, before allocating anything
+    (["assemble", "--K-delta", "1e300"], "cannot allocate a grid"),
+    (["assemble", "--R-fixed", "1e300"], "cannot allocate a grid"),
 ]
 
 
@@ -564,6 +570,8 @@ BAD_REAL_INPUTS = [
     (["threshold", "--sweep", "--L-min", "nan"], "sweep lengths"),
     (["threshold", "--sweep", "--L-max", "inf"], "sweep lengths"),
     (["threshold", "--agmon", "--agmon-R", "nan"], "Agmon radius"),
+    (["threshold", "--agmon", "--agmon-R", "inf"], "Agmon radius"),
+    (["threshold", "--L", "inf"], "finite b > a"),
     (["threshold", "--agmon", "--eta", "0"], "eta"),
     (["threshold", "--agmon", "--eta", "-1"], "eta"),
     (["threshold", "--agmon", "--eta", "nan"], "eta"),
@@ -582,6 +590,32 @@ def test_bad_real_inputs_are_precondition_errors(tmp_path, capsys, argv,
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv + ["--out-dir", tmp_path]) == 4
     assert needle in capsys.readouterr().err
+
+
+def test_tube_guard_allows_delta_kappa_just_below_one(tmp_path):
+    # theta = 0.05 at the default delta gives delta kappa_inf = 0.999
+    assert run(["assemble", "--preset", "latitude", "--theta", "0.05",
+                "--family", "hard_wall", "--a", "1", "--E-bottom", "1e-8",
+                "--n-points", "12", "--out-dir", tmp_path]) == 0
+    doc = load(tmp_path / "assemble_summary.json")
+    assert 0.99 < 0.05 * doc["params"]["kappa_inf"] < 1.0
+
+
+def test_grid_out_of_memory_is_a_precondition_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # a real attempt would ask for 745 GiB, so the allocation failure is
+    # faked for node arrays that large
+    arange = np.arange
+
+    def fake(n, *args, **kwargs):
+        if isinstance(n, int) and n >= 10**10:
+            raise MemoryError(f"Unable to allocate {8 * n} bytes")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", fake)
+    assert run(["threshold", "--n", "100000000000",
+                "--out-dir", tmp_path]) == 4
+    assert "grid of n = 1e+11 nodes" in capsys.readouterr().err
 
 
 # missing or unreadable files; each used to die in a traceback (exit 1)

@@ -1,6 +1,7 @@
 """Loop operator -d^2/ds^2 - kappa^2/4: spectra, k_S, two-method check."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_perturbation_continuity():
 
 
 def test_report_serialization_shape():
-    doc = ks_constant(latitude(math.pi / 3)).to_dict()
+    doc = asdict(ks_constant(latitude(math.pi / 3)))
     assert set(doc) == {"ell", "eigenvalues", "negative_part", "k_S",
                         "k_S_uncertainty", "method_diff"}
     assert len(doc["k_S_uncertainty"]) == 2

@@ -11,7 +11,7 @@ from conebound import (Grid1D, PreconditionError, assemble, count_below,
 
 def _free_op(a, b, n, kind):
     grid = Grid1D.make(a, b, n, kind)
-    return assemble(np.zeros(n), grid, kind), grid
+    return assemble(np.zeros(n), grid), grid
 
 
 def fd_dirichlet_eigs(n, h):
@@ -25,14 +25,14 @@ def fd_dirichlet_eigs(n, h):
 def test_grid_nodes_dirichlet():
     g = Grid1D.make(0.0, 1.0, 31, "dirichlet")
     assert g.h == pytest.approx(1.0 / 32.0, rel=1e-15)
-    x = g.nodes("dirichlet")
+    x = g.nodes()
     assert x[0] == pytest.approx(g.h)
     assert x[-1] == pytest.approx(1.0 - g.h)
 
 
 def test_grid_nodes_neumann_cell_centered():
     g = Grid1D.make(-2.0, 2.0, 16, "neumann")
-    x = g.nodes("neumann")
+    x = g.nodes()
     assert g.h == pytest.approx(0.25)
     assert x[0] == pytest.approx(-2.0 + 0.125)
     assert x[-1] == pytest.approx(2.0 - 0.125)
@@ -42,7 +42,7 @@ def test_grid_nodes_neumann_cell_centered():
 
 def test_grid_nodes_periodic():
     g = Grid1D.make(0.0, 2.0, 20, "periodic")
-    x = g.nodes("periodic")
+    x = g.nodes()
     assert x[0] == 0.0
     assert x[-1] == pytest.approx(2.0 - g.h)
 
@@ -59,11 +59,11 @@ def test_grid_validation():
 def test_assemble_rejects_bad_samples():
     grid = Grid1D.make(0.0, 1.0, 32, "dirichlet")
     with pytest.raises(PreconditionError):
-        assemble(np.zeros(31), grid, "dirichlet")
+        assemble(np.zeros(31), grid)
     bad = np.zeros(32)
     bad[7] = np.nan
     with pytest.raises(PreconditionError):
-        assemble(bad, grid, "dirichlet")
+        assemble(bad, grid)
 
 
 # ------------------------------------------------- closed-form spectra
@@ -111,7 +111,7 @@ def test_harmonic_oscillator_richardson():
     # v = x^2 on (-10, 10): levels 2k+1; extrapolation buys ~3 digits here
     def op(n):
         grid = Grid1D.make(-10.0, 10.0, n, "dirichlet")
-        return assemble(grid.nodes("dirichlet") ** 2, grid, "dirichlet")
+        return assemble(grid.nodes() ** 2, grid)
 
     res = lowest_eigenvalues(op(511), 5, want_vectors=False, coarse=op(255))
     exact = 2.0 * np.arange(5) + 1.0
@@ -123,8 +123,8 @@ def test_harmonic_oscillator_richardson():
 
 def _well_op(a, b, n, kind):
     grid = Grid1D.make(a, b, n, kind)
-    x = grid.nodes(kind)
-    return assemble(-4.0 * np.exp(-x * x) + 0.5 * np.sin(x), grid, kind)
+    x = grid.nodes()
+    return assemble(-4.0 * np.exp(-x * x) + 0.5 * np.sin(x), grid)
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
@@ -162,7 +162,7 @@ def test_grid_convergence_ratio(rng):
 
     def lam(n):
         grid = Grid1D.make(-10.0, 10.0, n, "dirichlet")
-        op = assemble(grid.nodes("dirichlet") ** 2, grid, "dirichlet")
+        op = assemble(grid.nodes() ** 2, grid)
         return lowest_eigenvalues(op, 1, want_vectors=False).values[0]
 
     drops = [lam(n) - exact for n in (128, 256, 512)]
@@ -172,8 +172,8 @@ def test_grid_convergence_ratio(rng):
 
 def test_eigenvector_normalization_and_sign():
     grid = Grid1D.make(-6.0, 6.0, 301, "dirichlet")
-    x = grid.nodes("dirichlet")
-    op = assemble(x**2, grid, "dirichlet")
+    x = grid.nodes()
+    op = assemble(x**2, grid)
     res = lowest_eigenvalues(op, 3)
     for j in range(3):
         phi = res.vectors[:, j]
@@ -198,7 +198,7 @@ def test_neumann_below_dirichlet(rng):
 
         def op(n, kind):
             grid = Grid1D.make(a, b, n, kind)
-            return assemble(v(grid.nodes(kind)), grid, kind)
+            return assemble(v(grid.nodes()), grid)
 
         lam = {}
         for kind in ("dirichlet", "neumann"):
@@ -218,7 +218,7 @@ def test_dirichlet_domain_monotonicity():
     for L in (4.0, 6.0, 8.0, 10.0):
         n = int(round(2 * L * 32)) - 1
         grid = Grid1D.make(-L, L, n, "dirichlet")
-        op = assemble(v(grid.nodes("dirichlet")), grid, "dirichlet")
+        op = assemble(v(grid.nodes()), grid)
         vals = lowest_eigenvalues(op, 3, want_vectors=False).values
         if prev is not None:
             assert np.all(vals <= prev + 1e-10)
@@ -253,7 +253,7 @@ def test_count_below_matches_dense_solve(rng):
         a, b = 0.0, float(rng.uniform(0.5, 4.0))
         grid = Grid1D.make(a, b, n, kind)
         v = rng.normal(0.0, 20.0, n)
-        op = assemble(v, grid, kind)
+        op = assemble(v, grid)
         dense = np.diag(op.diag)
         idx = np.arange(n - 1)
         dense[idx, idx + 1] = op.offdiag
@@ -275,7 +275,7 @@ def test_periodic_solve_matches_dense_solve(rng):
         k = int(rng.integers(1, n + 1))
         grid = Grid1D.make(0.0, float(rng.uniform(0.5, 4.0)), n, "periodic")
         v = rng.normal(0.0, 20.0, n)
-        op = assemble(v, grid, "periodic")
+        op = assemble(v, grid)
         h2 = grid.h * grid.h
         dense = np.diag(2.0 / h2 + v)
         idx = np.arange(n)
@@ -322,7 +322,7 @@ def test_oscillation_vs_matrix_random(rng):
         E = float(rng.uniform(0.0, 60.0))
         shot = oscillation_count(vf, a, b, "dirichlet", E)
         grid = Grid1D.make(a, b, 4000, "dirichlet")
-        op = assemble(v(grid.nodes("dirichlet")), grid, "dirichlet")
+        op = assemble(v(grid.nodes()), grid)
         assert abs(count_below(op, E) - shot) <= 1
 
 

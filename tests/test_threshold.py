@@ -144,12 +144,12 @@ def test_cell_averaged_samples_preserve_integral():
     # the averaged samples carry exactly the well's integral, any grid shift
     for n in (512, 613, 1024):
         grid = Grid1D.make(-12.0, 12.0, n, "neumann")
-        v = SQUARE.grid_samples(grid.nodes("neumann"), grid.h)
+        v = SQUARE.grid_samples(grid.nodes(), grid.h)
         assert grid.h * float(np.sum(v)) == pytest.approx(
             -2.0 * 4.0 * 1.0, rel=1e-12)
     d = PotentialSpec(family="delta_approx", alpha=2.0, w_reg=0.05)
     grid = Grid1D.make(-8.0, 8.0, 777, "neumann")
-    v = d.grid_samples(grid.nodes("neumann"), grid.h)
+    v = d.grid_samples(grid.nodes(), grid.h)
     assert grid.h * float(np.sum(v)) == pytest.approx(-2.0, rel=1e-12)
 
 
