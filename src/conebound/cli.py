@@ -200,6 +200,10 @@ def cmd_threshold(block, args, out_dir):
     ends = [sw["L_min"], sw["L_max"]]
     if not np.isfinite(ends).all():
         raise PreconditionError(f"need finite sweep lengths L, got {ends}")
+    if sw["num"] < 5:
+        raise PreconditionError(
+            f"truncation sweep needs at least 5 L values, got L_num = "
+            f"{sw['num']}")
     grid = np.linspace(*ends, sw["num"])
     sweep = threshold.truncation_sweep(spec, grid, h=sw["h"])
     summary["sweep"] = _pick(vars(sweep), "eps0", "rates", "gap_delta",
@@ -208,7 +212,7 @@ def cmd_threshold(block, args, out_dir):
     if want_agmon:
         ag = cfg["agmon"] = _resolve(block.get("agmon", {}), args, AGMON,
                                      "threshold.agmon")
-        agmon = threshold.agmon_norms(spec, L_grid=grid, h=sw["h"], **ag)
+        agmon = threshold.agmon_norms(spec, sweep, **ag)
         summary["agmon"] = _pick(vars(agmon), "theta", "R", "eta",
                                  "bound_estimate", "tail_fit")
     threshold.write_sweep_csv(sweep, agmon, out_dir / "sweep.csv")

@@ -260,6 +260,19 @@ def count_radial(problem: RadialProblem, E: float) -> int:
     return int(_sweep_counts(problem, [E])[0])
 
 
+def _energy_grid(E_grid) -> np.ndarray:
+    """E_grid as floats: at least 2, finite, positive, strictly decreasing."""
+    E = np.asarray([float(v) for v in E_grid])
+    if E.size < 2:
+        raise PreconditionError("energy grid needs at least 2 entries")
+    if not np.all((E > 0) & (E < math.inf)):
+        raise PreconditionError("energy grid must be finite and strictly "
+                                "positive")
+    if np.any(np.diff(E) >= 0):
+        raise PreconditionError("energy grid must be strictly decreasing")
+    return E
+
+
 def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     """Counting function N(E) over a descending positive energy grid.
 
@@ -268,13 +281,7 @@ def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     boundary branch in one direction only, so N is nonincreasing in E.
     """
     problem.validate()
-    E = np.asarray([float(v) for v in E_grid])
-    if E.size < 2:
-        raise PreconditionError("energy grid needs at least 2 entries")
-    if not np.all(E > 0):
-        raise PreconditionError("energy grid must be strictly positive")
-    if np.any(np.diff(E) >= 0):
-        raise PreconditionError("energy grid must be strictly decreasing")
+    E = _energy_grid(E_grid)
     counts = _sweep_counts(problem, E)
     return CountingCurve(E, np.abs(np.log(E)), counts)
 
@@ -334,8 +341,13 @@ class AssembledModel:
 
 def default_energy_grid(top: float = 1e-3, bottom: float = 1e-22,
                         n: int = 43) -> np.ndarray:
-    if not (top > 0.0 and bottom > 0.0):
-        raise PreconditionError("energy grid must be strictly positive")
+    if not (0.0 < top < math.inf and 0.0 < bottom < math.inf):
+        raise PreconditionError(
+            f"energy grid must be finite and strictly positive, got E_top = "
+            f"{top}, E_bottom = {bottom}")
+    if n < 2:
+        raise PreconditionError(
+            f"energy grid needs at least 2 entries, got n_points = {n}")
     return np.logspace(math.log10(top), math.log10(bottom), n)
 
 
@@ -354,8 +366,13 @@ def _transverse_levels(potential: PotentialSpec, half_width: float,
     """
     if potential.family == "hard_wall":
         w = min(half_width, potential.half_width)
-        return np.array([(k * math.pi / (2.0 * w)) ** 2
-                         for k in range(1, n_max + 1)])
+        try:
+            return np.array([(k * math.pi / (2.0 * w)) ** 2
+                             for k in range(1, n_max + 1)])
+        except (OverflowError, ZeroDivisionError):
+            raise PreconditionError(
+                f"hard_wall levels overflow on the half width {w:.3e}"
+            ) from None
     from .threshold import _extrapolated_levels
 
     n = max(1024, int(round(2.0 * half_width / _TRANSVERSE_H)))
@@ -396,9 +413,8 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     if not n_modes >= 1:
         raise PreconditionError(f"need n_modes >= 1, got {n_modes}")
     potential.validate()
-    if E_grid is None:
-        E_grid = default_energy_grid()
-    E_grid = np.asarray([float(v) for v in E_grid])
+    E_grid = _energy_grid(default_energy_grid() if E_grid is None
+                          else E_grid)
 
     report = curvature_operator.ks_fd(curve)
     lambdas = np.asarray(report.eigenvalues)
@@ -430,14 +446,22 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         # (level - eps0) first: for the ground channel of a closed-form
         # family the pair cancels exactly, keeping mu = E R^2 alive at
         # energies far below one ulp of eps0
-        mu = (levels - eps0 + E) * R * R * shrink
-        if mu.min() <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = (levels - eps0 + E) * R * R * shrink
+        if not (np.isfinite(mu).all() and mu.min() > 0.0):
             raise PreconditionError(
-                f"channel shift mu = {mu.min():.3e} not positive at "
-                f"E = {E:.3e}; model outside its near-threshold regime")
+                f"channel shifts mu in [{mu.min():.3e}, {mu.max():.3e}] at "
+                f"E = {E:.3e}, R = {R:.3e} are not all finite and positive; "
+                f"model outside its near-threshold regime")
         return mu
 
     mu = np.array(parallel_map(shifts_at, E_grid))
+    # _sweep_counts' live rule at rho0 = 1: a shift counts only below c
+    c_max = max(c for _, _, c in retained)
+    if not (mu * (1.0 - TIE_SHIFT) < c_max).any():
+        raise PreconditionError(
+            f"every channel shift mu (the least is {mu.min():.3e}) lies at or "
+            f"above the largest retained c = {c_max:.3g}, so no level counts")
     # one sweep per mode covers every (E, channel) shift; mu_n rises with n,
     # so channels past the first empty one add nothing to the sum
     per_mode = {m: _sweep_counts(RadialProblem(c=c), mu).sum(axis=1)

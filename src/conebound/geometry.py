@@ -73,7 +73,7 @@ class CurveSpec:
                     "tabulated curves need an (N, 3) sample array with N >= 8")
             norms = np.linalg.norm(pts, axis=1)
             off = float(np.max(np.abs(norms - 1.0)))
-            if off > 1e-10:
+            if not off <= 1e-10:  # a NaN coordinate is off the sphere too
                 raise PreconditionError(
                     f"tabulated samples must lie on the unit sphere: "
                     f"max |1 - |p|| = {off:.3e} exceeds 1e-10")
@@ -208,18 +208,24 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
     Raises
     ------
     PreconditionError
-        For invalid specs, off-sphere tabulated input, or a curve that is not
-        simple at the requested resolution.
+        For invalid specs, off-sphere tabulated input, a curve that is not
+        simple at the requested resolution, or an n_samples too large to
+        allocate.
     """
     spec.validate()
     if n_samples < 64:
         raise PreconditionError(f"need n_samples >= 64, got {n_samples}")
 
-    if spec.kind == "tabulated":
-        gamma = _resample_uniform(np.asarray(spec.samples, dtype=float),
-                                  n_samples)
-    else:
-        gamma = _resample_parametric(spec, _FINE_FACTOR * n_samples, n_samples)
+    try:
+        if spec.kind == "tabulated":
+            gamma = _resample_uniform(np.asarray(spec.samples, dtype=float),
+                                      n_samples)
+        else:
+            gamma = _resample_parametric(spec, _FINE_FACTOR * n_samples,
+                                         n_samples)
+    except (MemoryError, ValueError) as exc:
+        raise PreconditionError(
+            f"cannot allocate a curve of n_samples = {n_samples:.6g}") from exc
 
     # the declared length is the chord total of the output polygon, so the
     # stored s-grid and the grid actually traced agree to rounding

@@ -60,6 +60,10 @@ class Grid1D:
         if n < 16:
             raise PreconditionError(f"need n >= 16, got {n}")
         h = (b - a) / (n + 1) if kind == "dirichlet" else (b - a) / n
+        if not (h * h > 0.0 and 2.0 / (h * h) < math.inf):
+            raise PreconditionError(
+                f"spacing h = {h:.3g} on ({a:.6g}, {b:.6g}) is too fine for "
+                f"a finite 2/h^2")
         return Grid1D(float(a), float(b), int(n), kind, h)
 
     def nodes(self) -> np.ndarray:
@@ -125,16 +129,6 @@ def assemble(potential_samples, grid: Grid1D) -> Operator1D:
     return Operator1D(grid, diag, offdiag, corner)
 
 
-def _cyclic_entries(op: Operator1D, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # entries A[i, j] of the periodic matrix off its diagonal
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    out = np.zeros(i.shape[0])
-    adjacent = hi - lo == 1
-    out[adjacent] = op.offdiag[lo[adjacent]]
-    out[(lo == 0) & (hi == op.grid.n - 1)] += op.corner
-    return out
-
-
 def _periodic_band(op: Operator1D):
     """Upper band form of the periodic matrix in the order 0, n-1, 1, n-2, ...
 
@@ -148,8 +142,12 @@ def _periodic_band(op: Operator1D):
     order[1::2] = n - 1 - np.arange(n // 2)
     band = np.zeros((3, n))
     band[2] = op.diag[order]
-    band[1, 1:] = _cyclic_entries(op, order[:-1], order[1:])
-    band[0, 2:] = _cyclic_entries(op, order[:-2], order[2:])
+    # adjacent places hold circle neighbours only at the two ends of the
+    # order: 0 and n-1 through the corner, and the two middle nodes
+    band[1, 1] = op.corner
+    band[1, -1] = op.offdiag[min(order[-2], order[-1])]
+    # nodes two places apart are always circle neighbours
+    band[0, 2:] = op.offdiag[np.minimum(order[:-2], order[2:])]
     return band, order
 
 

@@ -11,7 +11,9 @@ spacing h across the whole L-sweep: the discretization bias of lambda_1(L)
 is then the same for every L and cancels in differences, which is what
 makes the exponentially small truncation gaps measurable in double
 precision.  Gap rates are therefore fitted against each family's own
-largest-L value rather than against an external eps0.
+largest-L value rather than against an external eps0.  The sweep's Neumann
+solves return their ground states too, and agmon_norms weighs those for
+the Agmon decay check (assumption (iii)) without solving anything again.
 
 Potential families (all even in x):
 
@@ -27,7 +29,7 @@ Potential families (all even in x):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -191,6 +193,7 @@ class TruncationSweep:
     gap_delta: float
     L_min: float
     h: float
+    ground_states: tuple  # (grid, phi_{L,N}) of each L, h-normalized
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,6 @@ class AgmonReport:
     bound_estimate: float
     tail_norms: np.ndarray
     tail_fit: dict
-    L_grid: np.ndarray
     eta: float
 
 
@@ -289,18 +291,6 @@ def _fit_semilog(L: np.ndarray, g: np.ndarray):
     return float(math.exp(coef[1])), float(-coef[0]), r2
 
 
-def _sweep_lengths(spec: PotentialSpec, L_grid, h: float) -> np.ndarray:
-    """Validated spec and spacing; the lengths sorted, each one finite."""
-    spec.validate()
-    if not (math.isfinite(h) and h > 0.0):
-        raise PreconditionError(f"need finite spacing h > 0, got {h}")
-    L_grid = np.asarray(sorted(float(L) for L in L_grid))
-    if not np.isfinite(L_grid).all():
-        raise PreconditionError(
-            f"need finite sweep lengths L, got {L_grid.tolist()}")
-    return L_grid
-
-
 def truncation_sweep(spec: PotentialSpec, L_grid,
                      h: float = 1.0 / 32.0) -> TruncationSweep:
     """Raw eigenvalues of H_{L,N} and H_{L,D} over an L-grid at fixed h.
@@ -308,12 +298,20 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     Records lambda_1 and lambda_2 for both closures, the sweep's own eps0
     (midpoint of the largest-L enclosure), exponential rate fits of both
     truncation gaps, and the persistent gap delta = min_L lambda_2 - eps0.
+    The Neumann solves return their vectors too, so each L keeps its grid
+    and ground state phi_{L,N} for agmon_norms to weigh.
 
     The rate fits use each family's largest-L value as the reference and drop
     L values whose gap sits within 10x the double-precision floor of the
     operator scale, where truncation error is unmeasurable.
     """
-    L_grid = _sweep_lengths(spec, L_grid, h)
+    spec.validate()
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"need finite spacing h > 0, got {h}")
+    L_grid = np.asarray(sorted(float(L) for L in L_grid))
+    if not np.isfinite(L_grid).all():
+        raise PreconditionError(
+            f"need finite sweep lengths L, got {L_grid.tolist()}")
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
 
@@ -322,16 +320,15 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
         n = int(round(2.0 * spec.domain_half_width(L) / h))
         if kind == "dirichlet":
             n -= 1
-        res = spectral1d.lowest_eigenvalues(_interval_op(spec, L, n, kind), 2,
-                                            want_vectors=False)
-        return res.values[:2]
+        op = _interval_op(spec, L, n, kind)
+        return op.grid, spectral1d.lowest_eigenvalues(
+            op, 2, want_vectors=kind == "neumann")
 
     work = [(L, kind) for L in L_grid for kind in ("neumann", "dirichlet")]
     out = parallel_map(solve, work)
-    lam1_n = np.array([out[2 * i][0] for i in range(L_grid.size)])
-    lam2_n = np.array([out[2 * i][1] for i in range(L_grid.size)])
-    lam1_d = np.array([out[2 * i + 1][0] for i in range(L_grid.size)])
-    lam2_d = np.array([out[2 * i + 1][1] for i in range(L_grid.size)])
+    neu = out[0::2]
+    lam1_n, lam2_n = np.array([res.values for _, res in neu]).T
+    lam1_d, lam2_d = np.array([res.values for _, res in out[1::2]]).T
 
     eps0 = 0.5 * (lam1_n[-1] + lam1_d[-1])
 
@@ -358,7 +355,8 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     L_min = float(L_grid[np.argmax(ok)]) if ok.any() else math.inf
 
     return TruncationSweep(L_grid, lam1_n, lam1_d, lam2_n, lam2_d,
-                           float(eps0), rates, gap_delta, L_min, h)
+                           float(eps0), rates, gap_delta, L_min, h,
+                           tuple((g, res.vectors[:, 0]) for g, res in neu))
 
 
 def agmon_weight(spec: PotentialSpec, eps0: float, R: float,
@@ -385,42 +383,39 @@ def agmon_weight(spec: PotentialSpec, eps0: float, R: float,
     return np.interp(np.abs(x), t, phi_t, left=0.0)
 
 
-def agmon_norms(spec: PotentialSpec, theta: float, R: float, L_grid,
-                h: float = 1.0 / 32.0, eta: float = 1.0) -> AgmonReport:
-    """Agmon-weighted norms of the Neumann ground states over an L-sweep.
+def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
+                R: float, eta: float = 1.0) -> AgmonReport:
+    """Agmon-weighted norms of a truncation sweep's Neumann ground states.
 
-    For each L the ground state phi_{L,N} is solved at fixed spacing h and
+    `sweep` is truncation_sweep(spec, ...); its ground state phi_{L,N} at
+    each L is weighed as it stands, with no further solve, and
     int e^{2 theta Phi} phi^2 dx is evaluated by the grid quadrature.  Tail
     norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside and
     fitted to a decaying exponential in L.
     """
-    L_grid = _sweep_lengths(spec, L_grid, h)
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
     if not math.isfinite(R):
         raise PreconditionError(f"need a finite Agmon radius R, got {R}")
     if not (math.isfinite(eta) and eta > 0.0):
         raise PreconditionError(f"need finite tail width eta > 0, got {eta}")
-    eps0_ref = compute_threshold(spec, L=float(L_grid[-1]),
-                                 n=max(512, int(round(2 * L_grid[-1] / h)))).eps0
+    L_grid = sweep.L_grid
+    eps0_ref = compute_threshold(
+        spec, L=float(L_grid[-1]),
+        n=max(512, int(round(2 * L_grid[-1] / sweep.h)))).eps0
 
-    def solve(L):
-        n = int(round(2.0 * spec.domain_half_width(L) / h))
-        op = _interval_op(spec, L, n, "neumann")
-        phi = spectral1d.lowest_eigenvalues(op, 1).vectors[:, 0]
-        x = op.grid.nodes()
+    weighted, tails = [], []
+    for L, (grid, phi) in zip(L_grid, sweep.ground_states):
+        x = grid.nodes()
         w = agmon_weight(spec, eps0_ref, R, x) if theta > 0 else np.zeros_like(x)
-        weighted = float(op.grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
+        weighted.append(float(grid.h * np.sum(np.exp(2.0 * theta * w)
+                                              * phi ** 2)))
         mask = np.abs(x) > L - eta
-        tail = float(math.sqrt(op.grid.h * np.sum(phi[mask] ** 2)))
-        return weighted, tail
-
-    out = parallel_map(solve, L_grid)
-    weighted = np.array([o[0] for o in out])
-    tails = np.array([o[1] for o in out])
+        tails.append(float(math.sqrt(grid.h * np.sum(phi[mask] ** 2))))
+    weighted, tails = np.array(weighted), np.array(tails)
     A, b, r2 = _fit_semilog(L_grid, tails)
     return AgmonReport(theta, R, weighted, float(np.max(weighted)), tails,
-                       {"B": A, "b": b, "r_squared": r2}, L_grid, eta)
+                       {"B": A, "b": b, "r_squared": r2}, eta)
 
 
 def write_sweep_csv(sweep: TruncationSweep, agmon: Optional[AgmonReport],

@@ -35,8 +35,8 @@ def shared_sweep():
 
 
 @pytest.fixture(scope="module")
-def shared_agmon():
-    return agmon_norms(SQUARE, 0.5, 2.0, L_GRID, h=1.0 / 32.0)
+def shared_agmon(shared_sweep):
+    return agmon_norms(SQUARE, shared_sweep, 0.5, 2.0)
 
 
 def test_criterion_1_ks_closed_form():

@@ -544,6 +544,21 @@ BAD_COUNTING_INPUTS = [
     # transverse grids numpy refuses to size, before allocating anything
     (["assemble", "--K-delta", "1e300"], "cannot allocate a grid"),
     (["assemble", "--R-fixed", "1e300"], "cannot allocate a grid"),
+    # energy grids that np.logspace refused (exit 1) or that ascend, which
+    # fit_log_slope or the channel shifts reported with misleading messages
+    (["counting", "--n-points", "-5"], "n_points = -5"),
+    (_ASSEMBLE + ["--n-points", "-5"], "n_points = -5"),
+    (_ASSEMBLE + ["--E-top", "1e-22", "--E-bottom", "1e-3"],
+     "strictly decreasing"),
+    (["assemble", "--E-bottom", "1e-3", "--E-top", "1e-22"],
+     "strictly decreasing"),
+    # every shift mu at or above every retained c: these exited 0 with
+    # "fitted slope = 0"
+    (_ASSEMBLE + ["--K-delta", "1e150"], "no level counts"),
+    (_ASSEMBLE + ["--R-fixed", "1e150"], "no level counts"),
+    (["assemble", "--R-fixed", "1e-20"], "no level counts"),
+    # a transverse spacing whose 2/h^2 is not finite (ZeroDivisionError)
+    (["assemble", "--R-fixed", "1e-300"], "too fine"),
 ]
 
 
@@ -578,6 +593,15 @@ BAD_REAL_INPUTS = [
     (["threshold", "--family", "hard_wall", "--a", "inf"], "finite"),
     (["curve", "--preset", "perturbed", "--amplitude", "nan"], "amplitude"),
     (["curve", "--preset", "perturbed", "--amplitude", "inf"], "amplitude"),
+    # bounds and sizes that np.logspace and np.linspace warned about or
+    # refused (exit 1)
+    (["counting", "--E-top", "inf"], "E_top = inf"),
+    (["assemble", "--E-bottom", "inf"], "E_bottom = inf"),
+    (["threshold", "--sweep", "--L-num", "-1"], "L_num = -1"),
+    # hard_wall levels and shifts that overflow: R * R warned and exited 0
+    # with slope 0, the levels of a 1e-302 wide box raised OverflowError
+    (_ASSEMBLE + ["--K-delta", "1e290"], "not all finite"),
+    (_ASSEMBLE + ["--R-fixed", "1e-300"], "levels overflow"),
 ]
 
 
@@ -618,6 +642,43 @@ def test_grid_out_of_memory_is_a_precondition_error(tmp_path, capsys,
     assert "grid of n = 1e+11 nodes" in capsys.readouterr().err
 
 
+def test_curve_out_of_memory_is_a_precondition_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # the dense resampling table would take 5.8 TiB; its allocation failure
+    # is faked, as in the grid test above
+    linspace = np.linspace
+
+    def fake(start, stop, num=50, *args, **kwargs):
+        if num >= 10**10:
+            raise MemoryError(f"Unable to allocate {8 * num} bytes")
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", fake)
+    assert run(["curve", "--n-samples", "100000000000",
+                "--out-dir", tmp_path]) == 4
+    assert "n_samples = 1e+11" in capsys.readouterr().err
+
+
+def test_agmon_sweep_solves_each_neumann_operator_once(tmp_path,
+                                                       monkeypatch):
+    # two compute_threshold calls (the summary's and the Agmon reference)
+    # of 2 solves each, and 2 solves per length of the 11-length sweep; the
+    # Agmon norms weigh the sweep's own Neumann ground states
+    from conebound import spectral1d
+    calls = []
+    solve = spectral1d.lowest_eigenvalues
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].grid.kind)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral1d, "lowest_eigenvalues", counted)
+    assert run(["threshold", "--family", "square_well", "--depth", "4",
+                "--a", "1", "--sweep", "--agmon", "--out-dir", tmp_path]) == 0
+    assert len(calls) == 26
+    assert calls.count("neumann") == 13
+
+
 # missing or unreadable files; each used to die in a traceback (exit 1)
 UNREADABLE_FILES = [
     (["curve", "--config", "nope.json"], "nope.json"),
@@ -652,6 +713,10 @@ def _table(**arrays):
 BAD_INPUT_FILES = {
     "curve-short-row": (_CSV, "x,y,z\n1,0,0\n1,2\n", "line 3"),
     "curve-non-numeric": (_CSV, "s,x,y,z\n0,1,0,0\n1,0,1,zero\n", "line 3"),
+    # a NaN coordinate passed the sphere check and died in the resampler
+    "curve-nan-point": (_CSV, "x,y,z\n1,0,0\nnan,1,0\n0,1,0\n-1,0,0\n"
+                        "0,-1,0\n0.6,-0.8,0\n0.8,0.6,0\n-0.6,0.8,0\n",
+                        "unit sphere"),
     "table-lengths": (_POT, _table(v=[1.0, 2.0]), "equal length"),
     "table-2d": (_POT, _table(x=[[0.0, 1.0]], v=[[1.0, 2.0]]), "1-D"),
     "table-one-point": (_POT, _table(x=[0.0], v=[-1.0]), ">= 2"),

@@ -501,6 +501,21 @@ def test_model_reads_the_fd_levels_of_ks_constant(monkeypatch, spec):
         assert lam == report.eigenvalues[m]
 
 
+@pytest.mark.parametrize("E_grid, needle", [
+    ([1e-8, 1e-3], "strictly decreasing"),
+    ([-1e-3, -1e-8], "strictly positive"),
+    ([1e-3], "at least 2 entries"),
+], ids=["ascending", "negative", "single"])
+def test_model_energy_grid_validation(E_grid, needle):
+    # the grid check of counting_curve; an ascending grid used to fail in
+    # the fit or the channel shifts, a negative one in math.log
+    curve = build_curve(CurveSpec(kind="latitude_circle", theta=math.pi / 4),
+                        256)
+    pot = PotentialSpec(family="hard_wall", half_width=1.0)
+    with pytest.raises(PreconditionError, match=needle):
+        assemble_model(curve, pot, E_grid=E_grid)
+
+
 def test_default_energy_grid_shape():
     grid = default_energy_grid()
     assert grid.shape == (43,)

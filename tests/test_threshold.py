@@ -272,8 +272,6 @@ def test_sweeps_reject_bad_spacing(h):
     # h = 0 used to overflow and h = nan to fail in int(round(nan))
     with pytest.raises(PreconditionError, match="spacing h"):
         truncation_sweep(SQUARE, L_GRID, h=h)
-    with pytest.raises(PreconditionError, match="spacing h"):
-        agmon_norms(SQUARE, 0.5, 2.0, L_GRID, h=h)
 
 
 @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
@@ -281,8 +279,6 @@ def test_sweeps_reject_nonfinite_lengths(L):
     # nan used to fail in int(round(nan)) with a ValueError
     with pytest.raises(PreconditionError, match="sweep lengths"):
         truncation_sweep(SQUARE, L_GRID[:-1] + [L])
-    with pytest.raises(PreconditionError, match="sweep lengths"):
-        agmon_norms(SQUARE, 0.5, 2.0, L_GRID[:-1] + [L])
 
 
 def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
@@ -333,8 +329,8 @@ def test_agmon_weight_rejects_nonpositive_integrand():
 
 
 @pytest.fixture(scope="module")
-def square_agmon():
-    return agmon_norms(SQUARE, 0.5, 2.0, L_GRID)
+def square_agmon(square_sweep):
+    return agmon_norms(SQUARE, square_sweep, 0.5, 2.0)
 
 
 def test_agmon_norms_uniformly_bounded(square_agmon):
@@ -342,7 +338,7 @@ def test_agmon_norms_uniformly_bounded(square_agmon):
     assert float(np.max(norms) / np.min(norms)) - 1.0 < 0.5
     assert square_agmon.bound_estimate == pytest.approx(float(np.max(norms)))
     # no growth trend with L
-    tau = kendalltau(square_agmon.L_grid, norms).statistic
+    tau = kendalltau(L_GRID, norms).statistic
     assert tau <= 0.1
 
 
@@ -353,9 +349,9 @@ def test_agmon_tail_decay(square_agmon):
     assert abs(fit["b"] - kap) / kap < 0.05
 
 
-def test_agmon_theta_range():
+def test_agmon_theta_range(square_sweep):
     with pytest.raises(PreconditionError):
-        agmon_norms(SQUARE, 1.0, 2.0, L_GRID)
+        agmon_norms(SQUARE, square_sweep, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("R, eta, needle", [
@@ -365,7 +361,8 @@ def test_agmon_theta_range():
     (2.0, math.nan, "eta"),
     (2.0, math.inf, "eta"),
 ], ids=["R-nan", "eta-0", "eta-negative", "eta-nan", "eta-inf"])
-def test_agmon_rejects_bad_radius_and_tail_width(R, eta, needle):
+def test_agmon_rejects_bad_radius_and_tail_width(square_sweep, R, eta,
+                                                  needle):
     # R = nan used to give NaN norms, a bad eta a NaN tail fit
     with pytest.raises(PreconditionError, match=needle):
-        agmon_norms(SQUARE, 0.5, R, L_GRID, eta=eta)
+        agmon_norms(SQUARE, square_sweep, 0.5, R, eta=eta)
