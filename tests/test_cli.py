@@ -166,6 +166,10 @@ FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "slope.json",
      "da46a749f1ed7b4f641530c925bdf7f169ec4bc20b0ed440380cfcd1b7915b48"),
+    (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
+      "--n-samples", "4096"],
+     "curve.csv",
+     "ef8da7259bb8687cf0f542f5b0615dd14b600e83216ae67a326f92c1ada3a939"),
 ]
 
 
@@ -177,7 +181,8 @@ FROZEN_OUTPUTS = [
                               "ks-latitude-report", "ks-perturbed-report",
                               "readme-assemble-summary",
                               "perturbed-curve-summary",
-                              "readme-counting-slope"])
+                              "readme-counting-slope",
+                              "perturbed-curve-csv"])
 def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
