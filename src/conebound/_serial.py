@@ -12,15 +12,6 @@ import json
 import numpy as np
 
 
-def fmt_number(x) -> str:
-    """Shortest decimal that round-trips; integers stay integral."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def jsonable(obj):
     """Recursively convert numpy containers/scalars to plain Python.
 
@@ -57,12 +48,22 @@ def write_json(path, obj) -> None:
         fh.write(canonical_json(obj))
 
 
-def write_csv(path, header, rows) -> None:
-    """Rows of mixed int/float values, formatted for exact round-trip."""
+def _format_column(values) -> list:
+    """Shortest round-trip decimals; integers stay integral, bools are
+    true/false."""
+    values = np.asarray(values)
+    if values.dtype == np.bool_:
+        return ["true" if v else "false" for v in values.tolist()]
+    fmt = str if np.issubdtype(values.dtype, np.integer) else repr
+    return list(map(fmt, values.tolist()))
+
+
+def write_csv(path, header, columns) -> None:
+    """Columns of int/float/bool values, formatted for exact round-trip."""
+    cells = [_format_column(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_number(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def parallel_map(fn, items):

@@ -318,8 +318,7 @@ def fit_log_slope(curve: CountingCurve) -> SlopeFit:
 
 def write_counting_csv(curve: CountingCurve | AssembledModel, path) -> None:
     """The E, |ln E|, N staircase of a counting curve or assembled model."""
-    rows = list(zip(curve.E, curve.lnE_abs, curve.N))
-    write_csv(path, ["E", "lnE_abs", "N"], rows)
+    write_csv(path, ["E", "lnE_abs", "N"], [curve.E, curve.lnE_abs, curve.N])
 
 
 # ---------------------------------------------------------------------------

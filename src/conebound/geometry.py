@@ -255,8 +255,8 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:
-    rows = zip(curve.s, *curve.gamma.T, curve.kappa)
-    write_csv(path, ["s", "x", "y", "z", "kappa"], rows)
+    write_csv(path, ["s", "x", "y", "z", "kappa"],
+              [curve.s, *curve.gamma.T, curve.kappa])
 
 
 def read_curve_samples(path) -> np.ndarray:

@@ -420,11 +420,11 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
 
 def write_sweep_csv(sweep: TruncationSweep, agmon: Optional[AgmonReport],
                     path) -> None:
-    rows = []
-    for i, L in enumerate(sweep.L_grid):
-        a_norm = agmon.weighted_norms[i] if agmon is not None else math.nan
-        t_norm = agmon.tail_norms[i] if agmon is not None else math.nan
-        rows.append((L, sweep.lam1_N[i], sweep.lam1_D[i], sweep.lam2_N[i],
-                     sweep.lam2_D[i], a_norm, t_norm))
+    if agmon is None:
+        norms = [np.full(len(sweep.L_grid), math.nan)] * 2
+    else:
+        norms = [agmon.weighted_norms, agmon.tail_norms]
     write_csv(path, ["L", "lam1_N", "lam1_D", "lam2_N", "lam2_D",
-                     "agmon_norm", "tail_norm"], rows)
+                     "agmon_norm", "tail_norm"],
+              [sweep.L_grid, sweep.lam1_N, sweep.lam1_D, sweep.lam2_N,
+               sweep.lam2_D, *norms])

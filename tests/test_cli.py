@@ -116,10 +116,12 @@ KS_PERTURBED = ["ks", "--preset", "perturbed", "--amplitude", "0.1",
 # runs, and of the summaries of that workload's threshold and ks ops and of
 # the README assemble example (they carry eps0, bracket, k_S, method_diff
 # and predicted_slope), of that workload's perturbed curve summary and of
-# the README counting example's slope.json; a counting or eigensolver
-# method may change, these bytes may not.  The two ks reports were re-frozen once, when the Fourier
-# cross-check moved to one OpenBLAS thread: that moved method_diff, the
-# rounding noise of its dense solve, and FROZEN_FD_REPORTS pins the rest
+# the README counting example's slope.json, and of that curve's curve.csv;
+# a counting or eigensolver method may change, these bytes may not.  The
+# two ks reports were re-frozen twice, when the Fourier cross-check moved to
+# one OpenBLAS thread and when it moved to a certified low-mode block: each
+# moved only method_diff, the rounding noise of the Fourier solve, and
+# FROZEN_FD_REPORTS pins the rest
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -152,9 +154,9 @@ FROZEN_OUTPUTS = [
      "threshold_summary.json",
      "878f6ae6a69b34daaf2f125c6e42082889197715d81ba38bf98925b7a1802c50"),
     (KS_LATITUDE, "ks_report.json",
-     "4ce5c966bce4e6c12b8c4d4fb6aedbfd74d74254bc531612e737efc98f1dc123"),
+     "e59706708a217cae2ddefe6a2009670a6129fa4cbff1d1ca33ff451ca4bcdb96"),
     (KS_PERTURBED, "ks_report.json",
-     "4c92f1d36c8c6d38815af02b337156ef73e7e4decf7ae8024f39bdf094641960"),
+     "136a248c9393cc925fad7d2f05f5443ef7ab8a6e16afdcb9c8429bad48d0d962"),
     (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
       "--family", "hard_wall", "--a", "1.0"],
      "assemble_summary.json",

@@ -219,15 +219,106 @@ FOURIER_CURVES = {
 }
 
 
+# rows of each matrix the route hands eigh: the benchmark curves certify on
+# the 64-mode block, the rougher curve falls back to the full matrix
+EIGH_ROWS = {"latitude-0.5": [129], "perturbed-0.1-3": [129],
+             "perturbed-0.2-5": [129, 1025]}
+
+
+def record_eigh_rows(monkeypatch):
+    rows, real_eigh = [], curvature_operator.eigh
+
+    def eigh(a, *args, **kwargs):
+        rows.append(len(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(curvature_operator, "eigh", eigh)
+    return rows
+
+
 @pytest.mark.parametrize("case", sorted(FOURIER_CURVES))
-def test_fourier_route_matches_direct_summation(case):
+def test_fourier_route_matches_direct_summation(case, monkeypatch):
     spec, n_samples, n = FOURIER_CURVES[case]
     curve = build_curve(spec, n_samples)
     kappa = curvature_operator._kappa_on_grid(curve, n)
     ref = np.linalg.eigvalsh(direct_sum_fourier_matrix(
         -0.25 * kappa * kappa, curve.length, n // 2))[:12]
+    rows = record_eigh_rows(monkeypatch)
     got = ks_spectrum(curve, n, "fourier", k=12).values
     assert np.max(np.abs(got - ref)) < 1e-9
+    assert rows == EIGH_ROWS[case]
+
+
+def bumped_loop(n):
+    # constant curvature plus a mode-70 ripple, which the 64-mode block
+    # leaves out and the constant mode couples to at first order
+    ell = 3.0
+    s = ell * np.arange(n) / n
+    kappa = 1.3 + 0.05 * np.cos(2.0 * math.pi * 70 * s / ell)
+    return SampledCurve(s=s, gamma=np.zeros((n, 3)), kappa=kappa, length=ell,
+                        deriv_error=0.0)
+
+
+def full_fourier_levels(curve, n, k):
+    kappa = curvature_operator._kappa_on_grid(curve, n)
+    a = _real_fourier_matrix(-0.25 * kappa * kappa, curve.length, n // 2)
+    with curvature_operator._one_blas_thread():
+        return curvature_operator.eigh(a, eigvals_only=True,
+                                       subset_by_index=[0, k - 1])
+
+
+@pytest.mark.parametrize("case", ["perturbed-0.2-5", "bumped-256"])
+def test_uncertified_block_falls_back_to_the_full_solve(case, monkeypatch):
+    if case == "bumped-256":
+        curve, n = bumped_loop(256), 256
+    else:
+        spec, n_samples, n = FOURIER_CURVES[case]
+        curve = build_curve(spec, n_samples)
+    ref = full_fourier_levels(curve, n, 12)
+    rows = record_eigh_rows(monkeypatch)
+    got = ks_spectrum(curve, n, "fourier", k=12).values
+    assert rows == [129, n + 1]
+    assert np.array_equal(got, ref)
+
+
+def q_part(q, ell, m_max):
+    """`_real_fourier_matrix` without its diagonal kinetic part."""
+    m = np.arange(1, m_max + 1)
+    kin = (2.0 * math.pi * m / ell) ** 2
+    return _real_fourier_matrix(q, ell, m_max) - np.diag(np.r_[0.0, kin, kin])
+
+
+@pytest.mark.parametrize("n", [128, 129, 256, 257])
+def test_norm_bound_holds(rng, n):
+    # white noise, and single cosines, for which the bound is tight
+    m_max, x = n // 2, np.arange(n)
+    for _ in range(5):
+        noise = rng.normal(0.0, 1.0, n) + rng.normal()
+        wave = rng.normal() * np.cos(2.0 * math.pi * rng.integers(1, n) * x
+                                     / n + rng.uniform(0.0, 2.0 * math.pi))
+        for q in (noise, wave):
+            # the bound is exact for a wave at odd n; the reference norm
+            # carries rounding error
+            norm = np.linalg.norm(q_part(q, 2.0, m_max), 2)
+            assert norm <= curvature_operator._norm_bound(q) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [128, 129, 256, 257])
+def test_fft_residuals_match_the_coupling_block(rng, n):
+    # the full matrix's rows of modes m_low < m <= n // 2 against its
+    # columns of the low block, in the block order 1, cos, sin
+    m_max, m_low, ell = n // 2, 40, 2.5
+    q = rng.normal(0.0, 1.0, n)
+    full = _real_fourier_matrix(q, ell, m_max)
+    low = np.r_[0, 1:m_low + 1, m_max + 1:m_max + m_low + 1]
+    high = np.r_[m_low + 1:m_max + 1, m_max + m_low + 1:2 * m_max + 1]
+    assert np.array_equal(full[np.ix_(low, low)],
+                          _real_fourier_matrix(q, ell, m_low))
+    vecs = rng.normal(0.0, 1.0, (2 * m_low + 1, 6))
+    ref = (full[np.ix_(high, low)] @ vecs).T
+    got = curvature_operator._high_mode_residuals(q, vecs, m_low, m_max)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def blas_threads():
@@ -247,6 +338,7 @@ def two_blas_threads():
 
 
 def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
+    # a certified block makes one solve, a failed certificate two
     before, during = two_blas_threads, []
     real_eigh = curvature_operator.eigh
 
@@ -257,6 +349,8 @@ def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
     monkeypatch.setattr(curvature_operator, "eigh", eigh)
     ks_spectrum(latitude(math.pi / 4, 256), 256, "fourier", k=4)
     assert during == [[1] * len(before)]
+    ks_spectrum(bumped_loop(256), 256, "fourier", k=4)
+    assert during == [[1] * len(before)] * 3
     assert blas_threads() == before
 
 
