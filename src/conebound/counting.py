@@ -399,9 +399,11 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     mode counts all its (E, n) shifts from one inward phase sweep.  The
     staircase is then fitted against |ln E| and compared with the predicted
     slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
-    spectrum.  The levels lambda_m and that slope are `ks_fd`'s (n = 1024,
-    k = 12), the same numbers `ks_constant` reports; the Fourier cross-check
-    it adds is not run here, since nothing assembled reads it.
+    spectrum.  The levels lambda_m and that slope come from
+    `curvature_operator.ks_block` (k = 12), the certified low Fourier block
+    on the curve's own samples, and from `ks_fd` (n = 1024, k = 12), the
+    numbers `ks_constant` reports, only when the block cannot certify
+    them; params["ks_route"] records which ran, "fourier" or "fd".
     """
     from . import curvature_operator, threshold
     if not 0.0 < delta < 0.5:
@@ -415,7 +417,9 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     E_grid = _energy_grid(default_energy_grid() if E_grid is None
                           else E_grid)
 
-    report = curvature_operator.ks_fd(curve)
+    report = curvature_operator.ks_block(curve)
+    if report is None:
+        report = curvature_operator.ks_fd(curve)
     lambdas = np.asarray(report.eigenvalues)
     kappa_inf = sup_curvature(curve)
 
@@ -478,6 +482,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         "delta": delta, "C_knob": C_knob, "eps_knob": eps_knob,
         "K_delta": K_delta, "R_fixed": R_fixed, "eps0": eps0,
         "kappa_inf": kappa_inf, "ell": curve.length,
+        "ks_route": report.route,
         "retained_modes": [[m, lam, c] for m, lam, c in retained],
     }
     return AssembledModel(E_grid, ccurve.lnE_abs, counts, per_mode,

@@ -18,6 +18,14 @@ interlacing).  When the certificate fails, as for curvature with strong
 high modes, the whole matrix is solved.  Every eigensolve runs on one
 OpenBLAS thread, so the levels, and every byte of the report, do not depend
 on the thread count OpenBLAS was started with.
+
+`ks_constant` reports the fd k_S with the Fourier value as its
+cross-check.  The assembled model needs one k_S and takes the cheapest
+certified one: `ks_block` runs the low block on the curve's own samples and
+bounds each level's error by the certificate, and only when it cannot
+certify does the model fall back to `ks_fd`; the dense Fourier solve,
+an order of magnitude slower than both, is never its fallback.  Both
+routes read the same zero band off their levels (`_ks_of_levels`).
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import eigh
@@ -59,9 +67,16 @@ class KsReport:
         return self.method_diff < 1e-4
 
 
+def _require_kappa(curve: SampledCurve) -> None:
+    if curve.kappa is None or curve.kappa.shape[0] != curve.n_samples:
+        raise PreconditionError("curve has no curvature field")
+
+
 def _kappa_on_grid(curve: SampledCurve, n: int) -> np.ndarray:
-    if n == curve.n_samples:
-        return curve.kappa
+    if curve.n_samples % n == 0:
+        # every node is a sample, where the interpolant below returns the
+        # sample itself, bit for bit: take the samples
+        return curve.kappa[::curve.n_samples // n]
     # periodic interpolation of the curvature field onto the operator grid
     from scipy.interpolate import PchipInterpolator
 
@@ -70,6 +85,12 @@ def _kappa_on_grid(curve: SampledCurve, n: int) -> np.ndarray:
     k_ext = np.concatenate([curve.kappa] * 3)
     target = curve.length * np.arange(n) / n
     return PchipInterpolator(s_ext, k_ext)(target)
+
+
+def _potential(curve: SampledCurve, n: int) -> np.ndarray:
+    """q = -kappa^2/4 on n uniform nodes of the loop."""
+    kappa = _kappa_on_grid(curve, n)
+    return -0.25 * kappa * kappa
 
 
 def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int) -> np.ndarray:
@@ -170,8 +191,13 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int):
     t = k + int(gapped[0])
     r = _high_mode_residuals(q, vecs[:, :t], m_low, m_max)
     shift = float(np.sum(r * r)) / (beta[t - k] - lam[t - 1])
-    tol = np.finfo(float).eps * (2.0 * math.pi * m_max / ell) ** 2
-    return lam[:k] if shift <= tol else None
+    return lam[:k] if shift <= _dense_error(m_max, ell) else None
+
+
+def _dense_error(m_max: int, ell: float) -> float:
+    """eps (2pi M/ell)^2: the backward error of a dense eigensolve of the
+    M-mode Fourier matrix, whose norm its kinetic part dominates."""
+    return np.finfo(float).eps * (2.0 * math.pi * m_max / ell) ** 2
 
 
 # thread-count entry points of OpenBLAS builds, 64-bit-integer ones first
@@ -247,8 +273,7 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
     a whole otherwise.  k may not exceed the basis size: n for "fd",
     2 (n // 2) + 1 for "fourier".
     """
-    if curve.kappa is None or curve.kappa.shape[0] != curve.n_samples:
-        raise PreconditionError("curve has no curvature field")
+    _require_kappa(curve)
     if n < 128:
         raise PreconditionError(f"need n >= 128, got {n}")
     size = 2 * (n // 2) + 1 if method == "fourier" else n
@@ -257,22 +282,18 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
             f"need 1 <= k <= {size}, the {method} basis size at n = {n}, "
             f"got k = {k}")
     ell = curve.length
-
-    def q_on(m):
-        kappa = _kappa_on_grid(curve, m)
-        return -0.25 * kappa * kappa
-
     if method == "fd":
         def periodic_op(m):
             return spectral1d.assemble(
-                q_on(m), spectral1d.Grid1D.make(0.0, ell, m, "periodic"))
+                _potential(curve, m),
+                spectral1d.Grid1D.make(0.0, ell, m, "periodic"))
 
         return spectral1d.lowest_eigenvalues(periodic_op(n), k,
                                              want_vectors=False,
                                              coarse=periodic_op(n // 2))
     if method == "fourier":
         try:
-            q = q_on(n)
+            q = _potential(curve, n)
             with _one_blas_thread():
                 vals = _low_block_levels(q, ell, k)
                 if vals is None:
@@ -287,37 +308,70 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
     raise PreconditionError(f"unknown method {method!r}")
 
 
-class FdKs(NamedTuple):
-    """k_S from the finite-difference levels alone, with its zero band."""
+class KsLevels(NamedTuple):
+    """Low levels of the curvature operator, their zero band and k_S."""
 
     eigenvalues: np.ndarray
     ambiguous: np.ndarray
     negative_part: np.ndarray
     k_S: float
     k_S_uncertainty: tuple
+    route: str  # "fd" or "fourier", the discretization the levels come from
 
 
-def ks_fd(curve: SampledCurve, n: int = 1024, k: int = 12) -> FdKs:
-    """k_S from the certainly negative Richardson-extrapolated fd levels.
+def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str) -> KsLevels:
+    """k_S from the certainly negative levels, with its zero band.
 
-    An eigenvalue within 10x its error estimate of 0 cannot be told apart
-    from a zero mode: it is left out of the point estimate (zero modes
-    contribute nothing) and the high end of k_S_uncertainty shows what
+    Each level's error is the route's estimate errs plus a floor of
+    1e-12 max(1, |lambda|).  A level within _ZERO_BAND times its error of 0
+    cannot be told apart from a zero mode (e.g. the geodesic ground mode
+    at -1e-12): it is left out of the point estimate, as a zero mode
+    contributes nothing, and the high end of k_S_uncertainty shows what
     including it would add.
     """
-    fd = ks_spectrum(curve, n, "fd", k=k)
-    vals = fd.extrapolated
-    errs = np.abs(fd.richardson_error) + 1e-12 * np.maximum(1.0, np.abs(vals))
-
-    # levels indistinguishable from zero (e.g. the geodesic ground mode at
-    # -1e-12) are excluded from the point estimate, as a zero mode would be,
-    # and re-included at the high end of the uncertainty interval
+    errs = errs + 1e-12 * np.maximum(1.0, np.abs(vals))
     ambiguous = np.abs(vals) < _ZERO_BAND * errs
     neg_certain = vals[(vals < 0.0) & ~ambiguous]
     ks_point = float(np.sum(np.sqrt(-neg_certain))) / (2.0 * math.pi)
     ks_hi = float(np.sum(np.sqrt(np.abs(vals[(vals < 0.0) | ambiguous])))) \
         / (2.0 * math.pi)
-    return FdKs(vals[:k], ambiguous, neg_certain, ks_point, (ks_point, ks_hi))
+    return KsLevels(vals, ambiguous, neg_certain, ks_point, (ks_point, ks_hi),
+                    route)
+
+
+def ks_fd(curve: SampledCurve, n: int = 1024, k: int = 12) -> KsLevels:
+    """k_S from the Richardson-extrapolated fd levels on n nodes.
+
+    Each level's error is its Richardson estimate.  It costs two periodic
+    band solves, on n and n // 2 nodes, and a resample of kappa unless n
+    divides the sample count: at n = 1024 about six times `ks_block`.  `ks_constant` reports
+    these numbers, and `assemble_model` falls back to them when `ks_block`
+    cannot certify its levels.
+    """
+    fd = ks_spectrum(curve, n, "fd", k=k)
+    return _ks_of_levels(fd.extrapolated, np.abs(fd.richardson_error), "fd")
+
+
+def ks_block(curve: SampledCurve, k: int = 12) -> Optional[KsLevels]:
+    """k_S from the certified low Fourier block on the curve's own samples,
+    or None when the block cannot certify its levels.
+
+    `_low_block_levels` runs on q = -kappa^2/4 at n = n_samples, on one
+    OpenBLAS thread, with no resampling and no fd solve.  A certified
+    level lies within eps (2pi M/ell)^2 of the block's, M = n_samples // 2,
+    and the dense solve of the whole basis it stands in for has as much
+    backward error again: twice that is each level's error.  A curve of at
+    most 129 samples, whose block is the whole basis, and curvature with
+    strong modes above 64 give None.
+    """
+    _require_kappa(curve)
+    with _one_blas_thread():
+        vals = _low_block_levels(_potential(curve, curve.n_samples),
+                                 curve.length, k)
+    if vals is None:
+        return None
+    err = 2.0 * _dense_error(curve.n_samples // 2, curve.length)
+    return _ks_of_levels(vals, np.full(k, err), "fourier")
 
 
 def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,

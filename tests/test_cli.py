@@ -109,6 +109,18 @@ KS_LATITUDE = ["ks", "--preset", "latitude", "--theta", "0.5",
                "--n-samples", "2048", "--n-fd", "2048", "--n-fourier", "1024"]
 KS_PERTURBED = ["ks", "--preset", "perturbed", "--amplitude", "0.1",
                 "--mode", "3"]
+README_ASSEMBLE = ["assemble", "--preset", "latitude", "--theta",
+                   "0.7853981633974483", "--family", "hard_wall", "--a", "1.0"]
+# (theta, mode) of perturbed curves with amplitude 0.2, whose strong high
+# curvature modes the low Fourier block cannot certify: assemble falls back
+# to the fd levels
+FD_ROUTE_CURVES = [(0.7853981633974483, 5), (0.5, 3)]
+
+
+def fd_route_assemble(theta, mode):
+    return ["assemble", "--preset", "perturbed", "--theta", repr(theta),
+            "--amplitude", "0.2", "--mode", str(mode), "--family",
+            "hard_wall", "--a", "1.0"]
 
 # sha256 of the data files that conebound 0.1.0 writes for the README
 # counting and assemble examples and for Neumann c = 2 on the README grid,
@@ -116,19 +128,21 @@ KS_PERTURBED = ["ks", "--preset", "perturbed", "--amplitude", "0.1",
 # runs, and of the summaries of that workload's threshold and ks ops and of
 # the README assemble example (they carry eps0, bracket, k_S, method_diff
 # and predicted_slope), of that workload's perturbed curve summary and of
-# the README counting example's slope.json, and of that curve's curve.csv;
-# a counting or eigensolver method may change, these bytes may not.  The
-# two ks reports were re-frozen twice, when the Fourier cross-check moved to
-# one OpenBLAS thread and when it moved to a certified low-mode block: each
-# moved only method_diff, the rounding noise of the Fourier solve, and
-# FROZEN_FD_REPORTS pins the rest
+# the README counting example's slope.json, of that curve's curve.csv, and
+# of the counts of the two fd-route assemble runs; a counting or
+# eigensolver method may change, these bytes may not.  The two ks reports
+# were re-frozen twice, when the Fourier cross-check moved to one OpenBLAS
+# thread and when it moved to a certified low-mode block: each moved only
+# method_diff, the rounding noise of the Fourier solve, and
+# FROZEN_FD_REPORTS pins the rest.  The README assemble summary was
+# re-frozen when assemble took k_S from the certified block in place of
+# the fd levels: predicted_slope, relative_error and the retained lambda
+# moved by under 1e-10 relative, and params gained ks_route
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
      "5ca89373a10be65e71e6680055339182ccb1a7b95b4ea0d2918ccfa712b9c32d"),
-    (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
-      "--family", "hard_wall", "--a", "1.0"],
-     "assemble_counts.csv",
+    (README_ASSEMBLE, "assemble_counts.csv",
      "826d81f809bcd774e9586bb7078570e67eb106ab700aa40b66907b63969c8fd5"),
     (["counting", "--c", "2", "--E-top", "1e-3", "--E-bottom", "1e-8",
       "--n-points", "41", "--bc", "neumann"],
@@ -157,10 +171,8 @@ FROZEN_OUTPUTS = [
      "e59706708a217cae2ddefe6a2009670a6129fa4cbff1d1ca33ff451ca4bcdb96"),
     (KS_PERTURBED, "ks_report.json",
      "136a248c9393cc925fad7d2f05f5443ef7ab8a6e16afdcb9c8429bad48d0d962"),
-    (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
-      "--family", "hard_wall", "--a", "1.0"],
-     "assemble_summary.json",
-     "4fe216b0dcfa2d0816aad0aa7f806c75412c895290c8a9944606ceb6432c804b"),
+    (README_ASSEMBLE, "assemble_summary.json",
+     "a430341a0dd8c7802910afa19fb2f0a73d8c3ef8afa4cda416b2c3c9d59aefe6"),
     (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
       "--n-samples", "4096"],
      "curve_summary.json",
@@ -172,6 +184,10 @@ FROZEN_OUTPUTS = [
       "--n-samples", "4096"],
      "curve.csv",
      "ef8da7259bb8687cf0f542f5b0615dd14b600e83216ae67a326f92c1ada3a939"),
+    (fd_route_assemble(*FD_ROUTE_CURVES[0]), "assemble_counts.csv",
+     "d1fa1cdbd3b41544ccb45b21723204e146253f4c3b89fff6ce0f232579bcbc87"),
+    (fd_route_assemble(*FD_ROUTE_CURVES[1]), "assemble_counts.csv",
+     "ef6474deee889df54f0967dbc3b77dd5e4a313a6d40354796772d017b535a925"),
 ]
 
 
@@ -184,7 +200,9 @@ FROZEN_OUTPUTS = [
                               "readme-assemble-summary",
                               "perturbed-curve-summary",
                               "readme-counting-slope",
-                              "perturbed-curve-csv"])
+                              "perturbed-curve-csv",
+                              "fd-route-assemble-pi4-0.2-5",
+                              "fd-route-assemble-0.5-0.2-3"])
 def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
@@ -361,21 +379,24 @@ def test_reproducible_bytes(tmp_path):
         (b / "ks_report.json").read_bytes()
 
 
-def test_ks_report_does_not_depend_on_blas_threads(tmp_path):
-    # OpenBLAS reads its thread count once, when it loads: one fresh
-    # interpreter per count
+@pytest.mark.parametrize("argv", [KS_LATITUDE, README_ASSEMBLE],
+                         ids=["ks", "assemble"])
+def test_report_does_not_depend_on_blas_threads(tmp_path, argv):
+    # both take levels from a dense eigh.  OpenBLAS reads its thread count
+    # once, when it loads: one fresh interpreter per count
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path,
                "OPENBLAS_NUM_THREADS": threads}
-        argv = [*KS_LATITUDE, "--out-dir", str(tmp_path / threads)]
-        out = subprocess.run([sys.executable, "-m", "conebound.cli", *argv],
+        out = subprocess.run([sys.executable, "-m", "conebound.cli", *argv,
+                              "--out-dir", str(tmp_path / threads)],
                              env=env, capture_output=True, text=True,
                              timeout=120)
         assert out.returncode == 0, out.stderr
-    assert (tmp_path / "1" / "ks_report.json").read_bytes() == \
-        (tmp_path / "2" / "ks_report.json").read_bytes()
+    name = SUMMARY[argv[0]]
+    assert (tmp_path / "1" / name).read_bytes() == \
+        (tmp_path / "2" / name).read_bytes()
 
 
 # one run per command; its summary, fed back as --config, must replay it
@@ -762,6 +783,27 @@ def test_assemble_small_run(tmp_path):
     rows = (tmp_path / "assemble_counts.csv").read_text().splitlines()
     assert rows[0] == "E,lnE_abs,N"
     assert len(rows) == 16
+
+
+@pytest.mark.parametrize("theta, mode", FD_ROUTE_CURVES,
+                         ids=["pi4-0.2-5", "0.5-0.2-3"])
+def test_uncertified_assemble_takes_the_fd_levels(tmp_path, theta, mode):
+    # the low block fails its certificate on these curves: assemble reads
+    # ks_fd's levels and k_S, bit for bit, and not the dense Fourier solve
+    from conebound import CurveSpec, build_curve
+    from conebound.curvature_operator import ks_block, ks_fd
+
+    assert run(fd_route_assemble(theta, mode) + ["--out-dir", tmp_path]) == 0
+    doc = load(tmp_path / "assemble_summary.json")
+    assert doc["params"]["ks_route"] == "fd"
+    curve = build_curve(CurveSpec(kind="perturbed_latitude", theta=theta,
+                                  amplitude=0.2, mode=mode), 1024)
+    assert ks_block(curve) is None
+    fd = ks_fd(curve)
+    assert doc["predicted_slope"] == fd.k_S
+    assert doc["modes"]
+    for m, lam, _ in doc["modes"]:
+        assert lam == fd.eigenvalues[m]
 
 
 def test_run_meta_segregates_timestamp(tmp_path):

@@ -476,9 +476,10 @@ def test_model_mode_and_channel_validation(n_modes, n_channels):
     CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.05,
               mode=3),
 ], ids=["latitude", "great-circle", "perturbed"])
-def test_model_reads_the_fd_levels_of_ks_constant(monkeypatch, spec):
-    # assemble needs only the fd half of ks_constant, and must get the same
-    # levels and k_S from it, bit for bit
+def test_model_reads_the_certified_block_levels(monkeypatch, spec):
+    # assemble takes its levels from the certified low Fourier block on the
+    # curve's own samples, bit for bit, and runs no fd solve; its k_S is
+    # ks_constant's fd k_S to well within either method's error
     curve = build_curve(spec, 1024)
     methods = []
     ks_spectrum = curvature_operator.ks_spectrum
@@ -491,14 +492,22 @@ def test_model_reads_the_fd_levels_of_ks_constant(monkeypatch, spec):
     model = assemble_model(curve, PotentialSpec(family="hard_wall",
                                                 half_width=1.0),
                            E_grid=np.logspace(-3, -8, 10))
-    assert methods == ["fd"]
-    report = curvature_operator.ks_constant(curve)
-    assert methods == ["fd", "fd", "fourier"]
-    assert model.predicted_slope == report.k_S
-    assert model.params["ell"] == report.ell
+    assert methods == []
+    assert model.params["ks_route"] == "fourier"
+    with curvature_operator._one_blas_thread():
+        levels = curvature_operator._low_block_levels(
+            -curve.kappa ** 2 / 4, curve.length, 12)
     assert model.modes
     for m, lam, _ in model.modes:
-        assert lam == report.eigenvalues[m]
+        assert lam == levels[m]
+    report = curvature_operator.ks_constant(curve)
+    assert abs(model.predicted_slope - report.k_S) <= 1e-8 * report.k_S
+    assert model.params["ell"] == report.ell
+    if spec.theta == math.pi / 2:
+        # the ground level sits at 0 up to rounding: excluded from k_S as a
+        # zero mode would be
+        assert model.predicted_slope == 0.0
+        assert curvature_operator.ks_block(curve).ambiguous[0]
 
 
 @pytest.mark.parametrize("E_grid, needle", [

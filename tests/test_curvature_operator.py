@@ -138,6 +138,17 @@ def test_perturbation_continuity():
     print(f"perturbation continuity constant ~ {worst:.3f}")
 
 
+def test_block_route_needs_more_than_64_modes():
+    # at 129 samples or fewer the 64-mode block is the whole basis and
+    # certifies nothing; at 256 it gives the closed-form k_S
+    theta = math.pi / 4
+    assert curvature_operator.ks_block(latitude(theta, 128)) is None
+    block = curvature_operator.ks_block(latitude(theta, 256))
+    assert block.route == "fourier"
+    assert block.k_S == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-4)
+    assert block.k_S_uncertainty == (block.k_S, block.k_S)
+
+
 def test_report_serialization_shape():
     doc = asdict(ks_constant(latitude(math.pi / 3)))
     assert set(doc) == {"ell", "eigenvalues", "negative_part", "k_S",
@@ -182,6 +193,29 @@ def test_fourier_route_closed_form_for_constant_curvature(n):
     curve = constant_curvature_loop(kappa, ell, n)
     got = ks_spectrum(curve, n, "fourier", k=12).values
     assert np.max(np.abs(got - exact)) < 1e-9
+
+
+@pytest.mark.parametrize("spec, n_samples", [
+    (CurveSpec(kind="latitude_circle", theta=0.5), 2048),
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.1,
+               mode=3), 1024),
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.2,
+               mode=5), 1024),
+    (CurveSpec(kind="latitude_circle", theta=math.pi / 4), 1024),
+], ids=["latitude-0.5", "perturbed-0.1-3", "perturbed-0.2-5", "latitude"])
+def test_dividing_grids_subsample_the_interpolant(spec, n_samples):
+    # on a grid whose nodes are samples, the periodic PCHIP through the
+    # samples returns those samples bit for bit, and so must the subsample
+    from scipy.interpolate import PchipInterpolator
+
+    curve = build_curve(spec, n_samples)
+    s, ell = curve.s, curve.length
+    pchip = PchipInterpolator(np.concatenate([s - ell, s, s + ell]),
+                              np.concatenate([curve.kappa] * 3))
+    for n in (n_samples // 2, n_samples // 4):
+        got = curvature_operator._kappa_on_grid(curve, n)
+        assert np.array_equal(got, pchip(ell * np.arange(n) / n))
+        assert np.array_equal(got, curve.kappa[::n_samples // n])
 
 
 def direct_sum_fourier_matrix(q, ell, m_max):
@@ -338,7 +372,8 @@ def two_blas_threads():
 
 
 def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
-    # a certified block makes one solve, a failed certificate two
+    # a certified block makes one solve, a failed certificate two, and
+    # assemble's block route one
     before, during = two_blas_threads, []
     real_eigh = curvature_operator.eigh
 
@@ -351,6 +386,8 @@ def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
     assert during == [[1] * len(before)]
     ks_spectrum(bumped_loop(256), 256, "fourier", k=4)
     assert during == [[1] * len(before)] * 3
+    curvature_operator.ks_block(latitude(math.pi / 4, 256))
+    assert during == [[1] * len(before)] * 4
     assert blas_threads() == before
 
 
