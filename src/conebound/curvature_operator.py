@@ -5,27 +5,31 @@ Its strictly negative eigenvalues lambda_j determine the constant
     k_S = (1/2pi) * sum_j sqrt(-lambda_j),
 
 the universal slope of the logarithmic eigenvalue-counting law.  Two
-independent discretizations are kept deliberately separate: periodic finite
-differences (with Richardson extrapolation), solved as a symmetric band, and
-a truncated real Fourier basis {1, sqrt2 cos, sqrt2 sin} in which the
-kinetic part is diagonal and kappa^2/4 acts through the cosine and sine sums
-of its samples, taken from one FFT.  The Fourier matrix is dense, but only
-its block of the lowest 64 modes is solved as a rule: the coupling of the
-block's low eigenvectors to the higher modes, read off FFTs, and a bound on
-the higher modes' spectrum certify those levels to the backward error of a
-dense solve of the whole matrix (a quadratic residual bound, with Cauchy
-interlacing).  When the certificate fails, as for curvature with strong
-high modes, the whole matrix is solved.  Every eigensolve runs on one
-OpenBLAS thread, so the levels, and every byte of the report, do not depend
-on the thread count OpenBLAS was started with.
+independent discretizations are kept: periodic finite differences (with
+Richardson extrapolation) and a truncated real Fourier basis
+{1, sqrt2 cos, sqrt2 sin}.  Both are diagonal in the same real modes up to
+their kinetic symbols, (2 sin(pi m/n)/h)^2 on the grid's own DFT modes for
+fd and (2pi m/ell)^2 for Fourier, and kappa^2/4 couples the modes through
+the cosine and sine sums of its samples, taken from one FFT.  So the two
+share one certified solver: only the block of the lowest 64 modes is
+solved as a rule, and the coupling of the block's low eigenvectors to the
+higher modes, read off FFTs, and a bound on the higher modes' spectrum
+certify those levels to the backward error of a solve of the whole matrix
+(a quadratic residual bound, with Cauchy interlacing).  When the
+certificate fails, as for curvature with strong high modes, the whole
+matrix is solved: densely for Fourier, and for fd as the periodic band of
+`spectral1d.lowest_eigenvalues`, which is also the fd route's independent
+reference in the tests.  Every block and dense eigensolve runs on one
+OpenBLAS thread, so the levels, and every byte of the report, do not
+depend on the thread count OpenBLAS was started with.
 
 `ks_constant` reports the fd k_S with the Fourier value as its
 cross-check.  The assembled model needs one k_S and takes the cheapest
-certified one: `ks_block` runs the low block on the curve's own samples and
-bounds each level's error by the certificate, and only when it cannot
-certify does the model fall back to `ks_fd`; the dense Fourier solve,
-an order of magnitude slower than both, is never its fallback.  Both
-routes read the same zero band off their levels (`_ks_of_levels`).
+certified one: `ks_block` runs the low Fourier block on the curve's own
+samples and bounds each level's error by the certificate, and only when
+it cannot certify does the model fall back to `ks_fd`; the dense Fourier
+solve, an order of magnitude slower than both, is never its fallback.
+Both routes read the same zero band off their levels (`_ks_of_levels`).
 """
 from __future__ import annotations
 
@@ -61,10 +65,20 @@ class KsReport:
     k_S: float
     k_S_uncertainty: tuple
     method_diff: float  # relative fd / Fourier k_S difference
+    fd_solver: str  # "block": both fd grids certified their low blocks
 
     @property
     def verified(self) -> bool:
         return self.method_diff < 1e-4
+
+
+@dataclass(frozen=True)
+class KsSpectrum(spectral1d.EigResult):
+    """`ks_spectrum`'s levels and the solver they come from: "block" when
+    every grid's certified low block gave them, else "band" (fd) or
+    "dense" (Fourier)."""
+
+    solver: str
 
 
 def _require_kappa(curve: SampledCurve) -> None:
@@ -93,20 +107,36 @@ def _potential(curve: SampledCurve, n: int) -> np.ndarray:
     return -0.25 * kappa * kappa
 
 
-def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int) -> np.ndarray:
+def _fourier_symbol(ell: float):
+    """m -> (2pi m/ell)^2, -d^2/ds^2 on exp(2pi i m s/ell)."""
+    return lambda m: (2.0 * math.pi * m / ell) ** 2
+
+
+def _fd_symbol(ell: float, n: int):
+    """m -> (2 sin(pi m/n)/h)^2, h = ell/n: the periodic second difference
+    on the n-node grid mode exp(2pi i m j/n), rising on 0 <= m <= n/2."""
+    h = ell / n
+    return lambda m: (2.0 * np.sin(math.pi * m / n) / h) ** 2
+
+
+def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int,
+                         symbol=None) -> np.ndarray:
     """Real symmetric matrix of -d^2/ds^2 + q in modes 0 < m <= m_max.
 
     The basis is {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, in that
     block order.  For real q it spans the same space as exp(2pi i m s/ell),
     |m| <= m_max, and gives the same eigenvalues.  q enters through its
     discrete cosine and sine sums a_k, b_k, k <= 2 m_max, read off one FFT
-    of its samples (k taken mod n).
+    of its samples (k taken mod n).  The kinetic diagonal is symbol(m),
+    `_fourier_symbol(ell)` unless given: with `_fd_symbol(ell, n)` and
+    m_max < n/2 this is the periodic fd matrix on the n samples restricted
+    to those modes, which are orthonormal in the grid's mean inner product.
     """
     n = q.shape[0]
     f = np.fft.fft(q)[np.arange(2 * m_max + 1) % n] / n
     a, b = f.real, -f.imag
     m = np.arange(1, m_max + 1)
-    kin = np.diag((2.0 * math.pi * m / ell) ** 2)
+    kin = np.diag((symbol or _fourier_symbol(ell))(m))
     diff = m[:, None] - m[None, :]
     gap, total = np.abs(diff), m[:, None] + m[None, :]
     cs = b[total] - np.sign(diff) * b[gap]
@@ -159,30 +189,40 @@ def _high_mode_residuals(q: np.ndarray, vecs: np.ndarray, m_low: int,
     return np.concatenate([w.real, -w.imag], axis=1)
 
 
-def _low_block_levels(q: np.ndarray, ell: float, k: int):
-    """The k lowest levels of the M = n // 2-mode Fourier matrix from its
-    _LOW_MODES-mode block, or None when the block cannot certify them.
+def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
+    """The k lowest levels of the M = n // 2-mode matrix -d^2/ds^2 + q with
+    kinetic symbol(m) from its _LOW_MODES-mode block, or None when the block
+    cannot certify them.
 
+    symbol is `_fourier_symbol(ell)` (the default: the truncated Fourier
+    basis) or `_fd_symbol(ell, n)` (the periodic fd matrix on the n samples,
+    diagonal in the same real DFT modes); either rises with m up to n/2.
     The block's lowest t Ritz pairs (Lam_j, v_j) couple to the rest of the
     full matrix only through the residuals r_j of `_high_mode_residuals`.
     The rest has no eigenvalue below beta_t, the smaller eigenvalue of
-    [[Lam_{t+1}, qb], [qb, h]], where qb bounds ||Q|| and h bounds the high
-    modes' block from below by their kinetic energy minus qb.  For the
-    first t >= k with beta_t > Lam_t (this closes degenerate cos/sin pairs)
-    the quadratic residual bound of C.-K. Li & R.-C. Li (Linear Algebra
-    Appl. 395 (2005) 183-190) and Cauchy interlacing give
+    [[Lam_{t+1}, qb], [qb, h]], where qb bounds ||Q|| and
+    h = symbol(_LOW_MODES + 1) - qb bounds the high modes' block from below.
+    For the first t >= k with beta_t > Lam_t (this closes degenerate
+    cos/sin pairs) the quadratic residual bound of C.-K. Li & R.-C. Li
+    (Linear Algebra Appl. 395 (2005) 183-190) and Cauchy interlacing give
     Lam_j - sum ||r_j||^2 / (beta_t - Lam_t) <= lambda_j <= Lam_j.  The
-    levels are accepted when that gap is within the backward error
-    eps (2pi M/ell)^2 of the dense solve they replace.  With
-    M <= _LOW_MODES the block is the whole matrix, and this returns None.
+    levels are accepted when that gap is within eps symbol(M), the scale
+    of the whole matrix's norm and so the backward error of the dense or
+    banded solve they replace: `_dense_error` for the Fourier basis,
+    eps (2n/ell)^2 for fd.  For fd at even n the Nyquist mode (-1)^j has norm
+    1, not sqrt2, so its residual comes out sqrt2 too large, which only
+    makes the bound more conservative.  With M <= _LOW_MODES the block is
+    the whole matrix, and this returns None.
     """
+    symbol = symbol or _fourier_symbol(ell)
     m_max, m_low = q.shape[0] // 2, _LOW_MODES
     if m_max <= m_low:
         return None
     # divide and conquer: every eigenpair, at a third of the default's time
-    lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low), driver="evd")
+    lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low, symbol),
+                     driver="evd")
     qb = _norm_bound(q)
-    h = (2.0 * math.pi * (m_low + 1) / ell) ** 2 - qb
+    h = symbol(m_low + 1) - qb
     nxt = lam[k:]
     beta = 0.5 * (nxt + h) - np.sqrt((0.5 * (nxt - h)) ** 2 + qb * qb)
     gapped = np.flatnonzero(beta > lam[k - 1:-1])
@@ -191,13 +231,13 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int):
     t = k + int(gapped[0])
     r = _high_mode_residuals(q, vecs[:, :t], m_low, m_max)
     shift = float(np.sum(r * r)) / (beta[t - k] - lam[t - 1])
-    return lam[:k] if shift <= _dense_error(m_max, ell) else None
+    return lam[:k] if shift <= np.finfo(float).eps * symbol(m_max) else None
 
 
 def _dense_error(m_max: int, ell: float) -> float:
     """eps (2pi M/ell)^2: the backward error of a dense eigensolve of the
     M-mode Fourier matrix, whose norm its kinetic part dominates."""
-    return np.finfo(float).eps * (2.0 * math.pi * m_max / ell) ** 2
+    return np.finfo(float).eps * _fourier_symbol(ell)(m_max)
 
 
 # thread-count entry points of OpenBLAS builds, 64-bit-integer ones first
@@ -262,16 +302,59 @@ def _one_blas_thread():
             set_(count)
 
 
+def _fd_levels(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
+    """The periodic fd levels on n nodes, Richardson-extrapolated against
+    n // 2 nodes; each grid from its certified low DFT block when it can.
+
+    The fine grid's block is tried first.  Only when it certifies is the
+    coarse grid's block tried too, and a coarse grid that does not certify
+    is band-solved alone; when the fine grid does not certify, both grids
+    are band-solved as one `spectral1d.lowest_eigenvalues` call, so a curve
+    that cannot certify pays for one failed block at most.
+    """
+    ell, n_c = curve.length, n // 2
+    k_c = min(k, n_c)
+    q, q_c = _potential(curve, n), _potential(curve, n_c)
+
+    def periodic_op(q_m):
+        return spectral1d.assemble(
+            q_m, spectral1d.Grid1D.make(0.0, ell, q_m.shape[0], "periodic"))
+
+    def block(q_m, k_m):
+        with _one_blas_thread():
+            return _low_block_levels(q_m, ell, k_m,
+                                     _fd_symbol(ell, q_m.shape[0]))
+
+    fine = block(q, k)
+    if fine is None:
+        res = spectral1d.lowest_eigenvalues(periodic_op(q), k,
+                                            want_vectors=False,
+                                            coarse=periodic_op(q_c))
+        return KsSpectrum(res.values, None, res.richardson_error, "band")
+    coarse, solver = block(q_c, k_c), "block"
+    if coarse is None:
+        coarse, solver = spectral1d.lowest_eigenvalues(
+            periodic_op(q_c), k_c, want_vectors=False).values, "band"
+    rich = np.zeros(k)
+    rich[:k_c] = (fine[:k_c] - coarse) / 3.0
+    return KsSpectrum(fine, None, rich, solver)
+
+
 def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
-                k: int = 16) -> spectral1d.EigResult:
+                k: int = 16) -> KsSpectrum:
     """Low eigenvalues of -d^2/ds^2 - kappa^2/4 on the circle of length ell.
 
-    method "fd" assembles the periodic second-difference operator on n nodes;
-    method "fourier" diagonalizes in the real truncated Fourier basis
+    method "fd" takes the periodic second-difference operator on n nodes,
+    with the Richardson error against n // 2 nodes (`_fd_levels`): its
+    symbol (2 sin(pi m/n)/h)^2 is diagonal in the grid's real DFT modes, so
+    each grid's levels come from the certified low block of that basis
+    (`_low_block_levels`) when they can, and from the periodic band solve
+    of `spectral1d.lowest_eigenvalues` otherwise.  method "fourier"
+    diagonalizes in the real truncated Fourier basis
     {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, 0 < m <= n/2,
-    from its certified low block (`_low_block_levels`) when it can and as
-    a whole otherwise.  k may not exceed the basis size: n for "fd",
-    2 (n // 2) + 1 for "fourier".
+    from its certified low block when it can and as a whole otherwise.
+    Every block and dense solve runs on one OpenBLAS thread.  k may not
+    exceed the basis size: n for "fd", 2 (n // 2) + 1 for "fourier".
     """
     _require_kappa(curve)
     if n < 128:
@@ -283,28 +366,22 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
             f"got k = {k}")
     ell = curve.length
     if method == "fd":
-        def periodic_op(m):
-            return spectral1d.assemble(
-                _potential(curve, m),
-                spectral1d.Grid1D.make(0.0, ell, m, "periodic"))
-
-        return spectral1d.lowest_eigenvalues(periodic_op(n), k,
-                                             want_vectors=False,
-                                             coarse=periodic_op(n // 2))
+        return _fd_levels(curve, n, k)
     if method == "fourier":
         try:
             q = _potential(curve, n)
             with _one_blas_thread():
-                vals = _low_block_levels(q, ell, k)
+                vals, solver = _low_block_levels(q, ell, k), "block"
                 if vals is None:
-                    vals = eigh(_real_fourier_matrix(q, ell, n // 2),
-                                eigvals_only=True, subset_by_index=[0, k - 1])
+                    vals, solver = eigh(
+                        _real_fourier_matrix(q, ell, n // 2),
+                        eigvals_only=True, subset_by_index=[0, k - 1]), "dense"
         except MemoryError as exc:
             raise PreconditionError(
                 f"the Fourier basis at n = {n} needs a dense {size} x {size} "
                 f"matrix ({8.0 * size * size / 2.0**30:.3g} GiB), which could "
                 f"not be allocated; lower n_fourier") from exc
-        return spectral1d.EigResult(np.asarray(vals), None, np.zeros(k))
+        return KsSpectrum(np.asarray(vals), None, np.zeros(k), solver)
     raise PreconditionError(f"unknown method {method!r}")
 
 
@@ -317,9 +394,11 @@ class KsLevels(NamedTuple):
     k_S: float
     k_S_uncertainty: tuple
     route: str  # "fd" or "fourier", the discretization the levels come from
+    solver: str  # "block" or "band", as `KsSpectrum.solver`
 
 
-def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str) -> KsLevels:
+def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str,
+                  solver: str) -> KsLevels:
     """k_S from the certainly negative levels, with its zero band.
 
     Each level's error is the route's estimate errs plus a floor of
@@ -336,20 +415,22 @@ def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str) -> KsLevels:
     ks_hi = float(np.sum(np.sqrt(np.abs(vals[(vals < 0.0) | ambiguous])))) \
         / (2.0 * math.pi)
     return KsLevels(vals, ambiguous, neg_certain, ks_point, (ks_point, ks_hi),
-                    route)
+                    route, solver)
 
 
 def ks_fd(curve: SampledCurve, n: int = 1024, k: int = 12) -> KsLevels:
     """k_S from the Richardson-extrapolated fd levels on n nodes.
 
-    Each level's error is its Richardson estimate.  It costs two periodic
-    band solves, on n and n // 2 nodes, and a resample of kappa unless n
-    divides the sample count: at n = 1024 about six times `ks_block`.  `ks_constant` reports
-    these numbers, and `assemble_model` falls back to them when `ks_block`
-    cannot certify its levels.
+    Each level's error is its Richardson estimate.  It costs two certified
+    blocks, on n and n // 2 nodes, or, when they cannot certify, periodic
+    band solves (`ks_spectrum`), and a resample of kappa unless n divides
+    the sample count.  `ks_constant` reports these numbers, and
+    `assemble_model` falls back to them when `ks_block` cannot certify its
+    levels.
     """
     fd = ks_spectrum(curve, n, "fd", k=k)
-    return _ks_of_levels(fd.extrapolated, np.abs(fd.richardson_error), "fd")
+    return _ks_of_levels(fd.extrapolated, np.abs(fd.richardson_error), "fd",
+                         fd.solver)
 
 
 def ks_block(curve: SampledCurve, k: int = 12) -> Optional[KsLevels]:
@@ -371,7 +452,7 @@ def ks_block(curve: SampledCurve, k: int = 12) -> Optional[KsLevels]:
     if vals is None:
         return None
     err = 2.0 * _dense_error(curve.n_samples // 2, curve.length)
-    return _ks_of_levels(vals, np.full(k, err), "fourier")
+    return _ks_of_levels(vals, np.full(k, err), "fourier", "block")
 
 
 def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
@@ -398,4 +479,5 @@ def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
         k_S=fd.k_S,
         k_S_uncertainty=fd.k_S_uncertainty,
         method_diff=diff,
+        fd_solver=fd.solver,
     )

@@ -315,17 +315,26 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
 
-    def solve(args):
-        L, kind = args
-        n = int(round(2.0 * spec.domain_half_width(L) / h))
+    def operator(L, kind):
+        half = spec.domain_half_width(L)
+        n = int(round(2.0 * half / h))
         if kind == "dirichlet":
             n -= 1
-        op = _interval_op(spec, L, n, kind)
+        return half, n, kind
+
+    def solve(args):
+        half, n, kind = args
+        op = _interval_op(spec, half, n, kind)
         return op.grid, spectral1d.lowest_eigenvalues(
             op, 2, want_vectors=kind == "neumann")
 
-    work = [(L, kind) for L in L_grid for kind in ("neumann", "dirichlet")]
-    out = parallel_map(solve, work)
+    work = [operator(L, kind) for L in L_grid
+            for kind in ("neumann", "dirichlet")]
+    # hard_wall clamps every L >= a to the box (-a, a): solve each distinct
+    # operator once
+    distinct = list(dict.fromkeys(work))
+    solved = dict(zip(distinct, parallel_map(solve, distinct)))
+    out = [solved[key] for key in work]
     neu = out[0::2]
     lam1_n, lam2_n = np.array([res.values for _, res in neu]).T
     lam1_d, lam2_d = np.array([res.values for _, res in out[1::2]]).T

@@ -56,7 +56,7 @@ def test_ks_example(tmp_path):
     assert doc["k_S"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-3)
     assert set(doc) == {"config", "config_sha256", "ell", "eigenvalues",
                         "negative_part", "k_S", "k_S_uncertainty",
-                        "method_diff"}
+                        "method_diff", "fd_solver"}
     # the embedded hash matches the embedded config block
     assert doc["config_sha256"] == sha256_hex(canonical_json(doc["config"]))
 
@@ -130,11 +130,18 @@ def fd_route_assemble(theta, mode):
 # and predicted_slope), of that workload's perturbed curve summary and of
 # the README counting example's slope.json, of that curve's curve.csv, and
 # of the counts of the two fd-route assemble runs; a counting or
-# eigensolver method may change, these bytes may not.  The two ks reports
-# were re-frozen twice, when the Fourier cross-check moved to one OpenBLAS
+# eigensolver method may change, these bytes may not, unless an oracle
+# shows the new bytes closer to the truth.  The two ks reports were
+# re-frozen twice, when the Fourier cross-check moved to one OpenBLAS
 # thread and when it moved to a certified low-mode block: each moved only
-# method_diff, the rounding noise of the Fourier solve, and
-# FROZEN_FD_REPORTS pins the rest.  The README assemble summary was
+# method_diff, the rounding noise of the Fourier solve.  They were
+# re-frozen a third time, with FROZEN_FD_REPORTS, when the fd levels moved
+# from the periodic band solve to the certified low DFT block: the
+# eigenvalues moved by under 1e-8, k_S by under 2e-9 relative, method_diff
+# fell 56-220x, and fd_solver was added.  The band solve misses the
+# closed-form fd levels of a constant-curvature loop by up to 1e-9, the
+# block by none (test_fd_route_closed_form_for_constant_curvature).  The
+# README assemble summary was
 # re-frozen when assemble took k_S from the certified block in place of
 # the fd levels: predicted_slope, relative_error and the retained lambda
 # moved by under 1e-10 relative, and params gained ks_route
@@ -168,9 +175,9 @@ FROZEN_OUTPUTS = [
      "threshold_summary.json",
      "878f6ae6a69b34daaf2f125c6e42082889197715d81ba38bf98925b7a1802c50"),
     (KS_LATITUDE, "ks_report.json",
-     "e59706708a217cae2ddefe6a2009670a6129fa4cbff1d1ca33ff451ca4bcdb96"),
+     "f056a04a39fe988a7d0f0b783eae8274e41166598912e46712220ac09677f440"),
     (KS_PERTURBED, "ks_report.json",
-     "136a248c9393cc925fad7d2f05f5443ef7ab8a6e16afdcb9c8429bad48d0d962"),
+     "e9136561f8a8e9226566ac4b044f4969236d2489a208dd75f08c81cdf3f5296a"),
     (README_ASSEMBLE, "assemble_summary.json",
      "a430341a0dd8c7802910afa19fb2f0a73d8c3ef8afa4cda416b2c3c9d59aefe6"),
     (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
@@ -211,12 +218,15 @@ def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
 
 # sha256 of canonical_json of those ks reports without method_diff: every
 # other field comes from the finite-difference route alone, so a change to
-# the Fourier cross-check may move method_diff and nothing else
+# the Fourier cross-check may move method_diff and nothing else.  Re-frozen
+# with the two reports above when the fd levels moved to the certified
+# low DFT block, which matches the closed-form fd levels the band solve
+# missed (test_fd_route_closed_form_for_constant_curvature)
 FROZEN_FD_REPORTS = [
     (KS_LATITUDE,
-     "e82a84c99e15abd66f0a4be2ae1e5e46a562c43cfd1eabf2e598914b7c89b454"),
+     "f38edf411056431ad4b007b1983368cf2a0de2a88efaa82609b994fee875d076"),
     (KS_PERTURBED,
-     "a75e4f30432e864789e5155bb75a0e6d6ee1d62e4a6b9cd75f0961b809c543a0"),
+     "4dd3da54a38d925641961a9707c87b11af7868defa2ad4917a9150cdc3a58de4"),
 ]
 
 
@@ -529,8 +539,13 @@ def test_unallocatable_fourier_matrix_is_a_precondition_error(
     # stands in for numpy's "Unable to allocate 74.5 GiB" at this size
     from conebound import curvature_operator
 
-    def no_memory(q, ell, m_max):
-        raise MemoryError("Unable to allocate 74.5 GiB")
+    real = curvature_operator._real_fourier_matrix
+
+    def no_memory(q, *args):
+        # only the --n-fourier grid; the fd grids' blocks still solve
+        if q.shape[0] == 100000:
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        return real(q, *args)
 
     monkeypatch.setattr(curvature_operator, "_real_fourier_matrix", no_memory)
     code = run(["ks", "--preset", "latitude", "--theta", "0.7",

@@ -8,7 +8,7 @@ import pytest
 
 from conebound import (CurveSpec, PreconditionError, SampledCurve,
                        build_curve, ks_constant, ks_spectrum)
-from conebound import curvature_operator
+from conebound import curvature_operator, spectral1d
 from conebound.curvature_operator import _real_fourier_matrix
 
 from _oracles import complex_fourier_matrix
@@ -152,7 +152,7 @@ def test_block_route_needs_more_than_64_modes():
 def test_report_serialization_shape():
     doc = asdict(ks_constant(latitude(math.pi / 3)))
     assert set(doc) == {"ell", "eigenvalues", "negative_part", "k_S",
-                        "k_S_uncertainty", "method_diff"}
+                        "k_S_uncertainty", "method_diff", "fd_solver"}
     assert len(doc["k_S_uncertainty"]) == 2
     assert doc["method_diff"] < 1e-4
 
@@ -416,3 +416,100 @@ def test_fourier_route_without_openblas(monkeypatch):
     missing = ks_spectrum(c, 256, "fourier", k=8).values
     assert lookups == [1]
     assert np.max(np.abs(missing - found)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_fd_route_closed_form_for_constant_curvature(n):
+    # q = -kappa^2/4 is constant, and the periodic second difference has
+    # the symbol (2 sin(pi m/n)/h)^2: lambda = that - kappa^2/4, m = 0 once
+    # and every m >= 1 twice
+    kappa, ell = 1.3, 3.0
+    m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6])
+    h = ell / n
+    exact = (2.0 * np.sin(math.pi * m / n) / h) ** 2 - 0.25 * kappa * kappa
+    curve = constant_curvature_loop(kappa, ell, n)
+    got = ks_spectrum(curve, n, "fd", k=12)
+    assert got.solver == "block"
+    assert np.max(np.abs(got.values - exact)) < 1e-11
+
+
+def band_fd_levels(curve, n, k):
+    """The periodic fd levels of `ks_spectrum`, from the band solve alone."""
+    def op(m):
+        return spectral1d.assemble(
+            curvature_operator._potential(curve, m),
+            spectral1d.Grid1D.make(0.0, curve.length, m, "periodic"))
+
+    return spectral1d.lowest_eigenvalues(op(n), k, want_vectors=False,
+                                         coarse=op(n // 2))
+
+
+@pytest.mark.parametrize("case", ["latitude-0.5", "perturbed-0.1-3"])
+def test_fd_blocks_match_the_band_solve(case, monkeypatch):
+    # the two ks benchmark curves at their n_fd: both grids certify
+    spec, n, _ = FOURIER_CURVES[case]
+    curve = build_curve(spec, n)
+    ref = band_fd_levels(curve, n, 12)
+    rows = record_eigh_rows(monkeypatch)
+    got = ks_spectrum(curve, n, "fd", k=12)
+    assert rows == [129, 129]
+    assert got.solver == "block"
+    assert np.max(np.abs(got.values - ref.values)) < 5e-8
+    assert np.max(np.abs(got.extrapolated - ref.extrapolated)) < 5e-8
+
+
+# (curve, n, k) the fd blocks cannot certify, and the block rows tried
+FD_BAND_CASES = {
+    "perturbed-0.2-5": (lambda: build_curve(FOURIER_CURVES[
+        "perturbed-0.2-5"][0], 1024), 1024, 12, [129]),
+    "bumped-256": (lambda: bumped_loop(256), 256, 12, [129]),
+    "n-128": (lambda: latitude(math.pi / 4, 256), 128, 12, []),
+    "k-130": (lambda: latitude(math.pi / 4), 1024, 130, [129]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_BAND_CASES))
+def test_uncertified_fd_block_falls_back_to_the_band_solve(case,
+                                                           monkeypatch):
+    make, n, k, tried = FD_BAND_CASES[case]
+    curve = make()
+    ref = band_fd_levels(curve, n, k)
+    rows = record_eigh_rows(monkeypatch)
+    got = ks_spectrum(curve, n, "fd", k=k)
+    assert rows == tried
+    assert got.solver == "band"
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.richardson_error, ref.richardson_error)
+
+
+def test_uncertified_coarse_fd_grid_alone_is_band_solved(monkeypatch):
+    # at n = 256 the fine block certifies; the 128-node grid has no block
+    curve = latitude(math.pi / 4, 256)
+    fine = band_fd_levels(curve, 256, 12).values
+    coarse = band_fd_levels(curve, 128, 12).values
+    rows = record_eigh_rows(monkeypatch)
+    got = ks_spectrum(curve, 256, "fd", k=12)
+    assert rows == [129]
+    assert got.solver == "band"
+    assert np.max(np.abs(got.values - fine)) < 1e-9
+    assert np.array_equal(got.richardson_error, (got.values - coarse) / 3.0)
+
+
+def test_report_names_the_fd_solver():
+    assert ks_constant(latitude(math.pi / 4)).fd_solver == "block"
+    rough = build_curve(FOURIER_CURVES["perturbed-0.2-5"][0], 1024)
+    assert ks_constant(rough).fd_solver == "band"
+
+
+def test_fd_blocks_run_on_one_blas_thread(monkeypatch, two_blas_threads):
+    before, during = two_blas_threads, []
+    real_eigh = curvature_operator.eigh
+
+    def eigh(*args, **kwargs):
+        during.append(blas_threads())
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(curvature_operator, "eigh", eigh)
+    ks_spectrum(latitude(math.pi / 4), 1024, "fd", k=4)
+    assert during == [[1] * len(before)] * 2
+    assert blas_threads() == before

@@ -299,6 +299,26 @@ def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
     assert calls == [4096, 2048, 4096, 2048]
 
 
+@pytest.mark.parametrize("spec, solves", [
+    (PotentialSpec(family="hard_wall", half_width=1.0), 2), (SQUARE, 22)],
+    ids=["hard_wall", "square_well"])
+def test_sweep_solves_each_distinct_operator_once(monkeypatch, spec, solves):
+    # hard_wall clamps every L >= a to the box (-a, a), so the 11 lengths
+    # share one Neumann and one Dirichlet operator; a well's do not
+    calls = []
+    solve = spectral1d.lowest_eigenvalues
+
+    def counted(op, *args, **kwargs):
+        calls.append((op.grid.b, op.grid.n, op.kind))
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectral1d, "lowest_eigenvalues", counted)
+    sweep = truncation_sweep(spec, L_GRID)
+    assert len(calls) == len(set(calls)) == solves
+    assert sweep.lam1_N.shape == sweep.lam1_D.shape == (len(L_GRID),)
+    assert len(sweep.ground_states) == len(L_GRID)
+
+
 def test_sweep_csv_layout(tmp_path, square_sweep):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(square_sweep, None, path)
