@@ -400,10 +400,11 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     staircase is then fitted against |ln E| and compared with the predicted
     slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
     spectrum.  The levels lambda_m and that slope come from
-    `curvature_operator.ks_block` (k = 12), the certified low Fourier block
-    on the curve's own samples, and from `ks_fd` (n = 1024, k = 12), the
-    numbers `ks_constant` reports, only when the block cannot certify
-    them; params["ks_route"] records which ran, "fourier" or "fd".
+    `curvature_operator.ks_levels` (k = max(12, n_modes)): the certified low
+    Fourier block on the curve's own samples, else the band-solved fd
+    levels on 1024 nodes; params["ks_route"] records which ran, "fourier"
+    or "fd".  A highest level that is not certainly positive is a
+    PreconditionError, as k_S could then miss negative levels.
     """
     from . import curvature_operator, threshold
     if not 0.0 < delta < 0.5:
@@ -417,9 +418,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     E_grid = _energy_grid(default_energy_grid() if E_grid is None
                           else E_grid)
 
-    report = curvature_operator.ks_block(curve)
-    if report is None:
-        report = curvature_operator.ks_fd(curve)
+    report = curvature_operator.ks_levels(curve, max(12, n_modes))
     lambdas = np.asarray(report.eigenvalues)
     kappa_inf = sup_curvature(curve)
 

@@ -18,18 +18,17 @@ certify those levels to the backward error of a solve of the whole matrix
 (a quadratic residual bound, with Cauchy interlacing).  When the
 certificate fails, as for curvature with strong high modes, the whole
 matrix is solved: densely for Fourier, and for fd as the periodic band of
-`spectral1d.lowest_eigenvalues`, which is also the fd route's independent
-reference in the tests.  Every block and dense eigensolve runs on one
-OpenBLAS thread, so the levels, and every byte of the report, do not
-depend on the thread count OpenBLAS was started with.
+`spectral1d.lowest_eigenvalues` (`_fd_band`), which is also the fd route's
+independent reference in the tests.  Every block and dense eigensolve runs
+on one OpenBLAS thread, so the levels, and every byte of the report, do
+not depend on the thread count OpenBLAS was started with.
 
 `ks_constant` reports the fd k_S with the Fourier value as its
-cross-check.  The assembled model needs one k_S and takes the cheapest
-certified one: `ks_block` runs the low Fourier block on the curve's own
-samples and bounds each level's error by the certificate, and only when
-it cannot certify does the model fall back to `ks_fd`; the dense Fourier
-solve, an order of magnitude slower than both, is never its fallback.
-Both routes read the same zero band off their levels (`_ks_of_levels`).
+cross-check.  The assembled model takes its k_S from `ks_levels`: the
+certified low Fourier block on the curve's own samples, else the
+band-solved fd levels, never the dense Fourier solve, an order of
+magnitude slower.  Every route reads the same zero band off its levels
+(`_ks_of_levels`), and refuses levels whose highest may be negative.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
@@ -208,19 +207,21 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
     Lam_j - sum ||r_j||^2 / (beta_t - Lam_t) <= lambda_j <= Lam_j.  The
     levels are accepted when that gap is within eps symbol(M), the scale
     of the whole matrix's norm and so the backward error of the dense or
-    banded solve they replace: `_dense_error` for the Fourier basis,
+    banded solve they replace: eps (2pi M/ell)^2 for the Fourier basis,
     eps (2n/ell)^2 for fd.  For fd at even n the Nyquist mode (-1)^j has norm
     1, not sqrt2, so its residual comes out sqrt2 too large, which only
     makes the bound more conservative.  With M <= _LOW_MODES the block is
-    the whole matrix, and this returns None.
+    the whole matrix, and this returns None.  The block solve runs on one
+    OpenBLAS thread.
     """
     symbol = symbol or _fourier_symbol(ell)
     m_max, m_low = q.shape[0] // 2, _LOW_MODES
     if m_max <= m_low:
         return None
     # divide and conquer: every eigenpair, at a third of the default's time
-    lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low, symbol),
-                     driver="evd")
+    with _one_blas_thread():
+        lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low, symbol),
+                         driver="evd")
     qb = _norm_bound(q)
     h = symbol(m_low + 1) - qb
     nxt = lam[k:]
@@ -234,12 +235,6 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
     return lam[:k] if shift <= np.finfo(float).eps * symbol(m_max) else None
 
 
-def _dense_error(m_max: int, ell: float) -> float:
-    """eps (2pi M/ell)^2: the backward error of a dense eigensolve of the
-    M-mode Fourier matrix, whose norm its kinetic part dominates."""
-    return np.finfo(float).eps * _fourier_symbol(ell)(m_max)
-
-
 # thread-count entry points of OpenBLAS builds, 64-bit-integer ones first
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -251,41 +246,29 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 @functools.cache
 def _openblas_threads() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS scipy has loaded.
+    """((get, set),): the thread-count functions of the OpenBLAS that scipy's
+    LAPACK wrappers call, or () when they call no OpenBLAS.
 
-    Only the copies bundled in scipy.libs are looked for, and only those
-    already loaded are opened; anything else gives an empty tuple.
+    `scipy.linalg` has loaded `cython_lapack`, and a symbol lookup on that
+    library searches the libraries it was linked against too.
     """
     import ctypes
-    import os
-    from pathlib import Path
 
-    import scipy
+    import scipy.linalg
 
-    noload = getattr(os, "RTLD_NOLOAD", None)
-    libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
-    if noload is None or not libs.is_dir():
-        return ()
-    found = []
-    for path in sorted(libs.glob("*openblas*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=noload | os.RTLD_NOW)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = (getattr(lib, get_name, None),
-                         getattr(lib, set_name, None))
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                found.append((get, set_))
-                break
-    return tuple(found)
+    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return ((get, set_),)
+    return ()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread; restore the old count after.
+    """Run a solve on one OpenBLAS thread; restore the old count after.
 
     A dense eigensolve's rounding depends on how OpenBLAS splits its
     products over threads, and at these sizes a second thread saves no time
@@ -302,6 +285,22 @@ def _one_blas_thread():
             set_(count)
 
 
+def _periodic_op(curve: SampledCurve, n: int) -> spectral1d.Operator1D:
+    """-d^2/ds^2 - kappa^2/4 as the periodic second difference on n nodes."""
+    return spectral1d.assemble(_potential(curve, n), spectral1d.Grid1D.make(
+        0.0, curve.length, n, "periodic"))
+
+
+def _fd_band(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
+    """The periodic fd levels on n nodes from the band solve of
+    `spectral1d.lowest_eigenvalues`, Richardson-extrapolated against
+    n // 2 nodes."""
+    res = spectral1d.lowest_eigenvalues(_periodic_op(curve, n), k,
+                                        want_vectors=False,
+                                        coarse=_periodic_op(curve, n // 2))
+    return KsSpectrum(res.values, None, res.richardson_error, "band")
+
+
 def _fd_levels(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
     """The periodic fd levels on n nodes, Richardson-extrapolated against
     n // 2 nodes; each grid from its certified low DFT block when it can.
@@ -309,32 +308,19 @@ def _fd_levels(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
     The fine grid's block is tried first.  Only when it certifies is the
     coarse grid's block tried too, and a coarse grid that does not certify
     is band-solved alone; when the fine grid does not certify, both grids
-    are band-solved as one `spectral1d.lowest_eigenvalues` call, so a curve
-    that cannot certify pays for one failed block at most.
+    are band-solved (`_fd_band`), so a curve that cannot certify pays for
+    one failed block at most.
     """
     ell, n_c = curve.length, n // 2
     k_c = min(k, n_c)
-    q, q_c = _potential(curve, n), _potential(curve, n_c)
-
-    def periodic_op(q_m):
-        return spectral1d.assemble(
-            q_m, spectral1d.Grid1D.make(0.0, ell, q_m.shape[0], "periodic"))
-
-    def block(q_m, k_m):
-        with _one_blas_thread():
-            return _low_block_levels(q_m, ell, k_m,
-                                     _fd_symbol(ell, q_m.shape[0]))
-
-    fine = block(q, k)
+    fine = _low_block_levels(_potential(curve, n), ell, k, _fd_symbol(ell, n))
     if fine is None:
-        res = spectral1d.lowest_eigenvalues(periodic_op(q), k,
-                                            want_vectors=False,
-                                            coarse=periodic_op(q_c))
-        return KsSpectrum(res.values, None, res.richardson_error, "band")
-    coarse, solver = block(q_c, k_c), "block"
+        return _fd_band(curve, n, k)
+    coarse, solver = _low_block_levels(_potential(curve, n_c), ell, k_c,
+                                       _fd_symbol(ell, n_c)), "block"
     if coarse is None:
         coarse, solver = spectral1d.lowest_eigenvalues(
-            periodic_op(q_c), k_c, want_vectors=False).values, "band"
+            _periodic_op(curve, n_c), k_c, want_vectors=False).values, "band"
     rich = np.zeros(k)
     rich[:k_c] = (fine[:k_c] - coarse) / 3.0
     return KsSpectrum(fine, None, rich, solver)
@@ -370,9 +356,9 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
     if method == "fourier":
         try:
             q = _potential(curve, n)
-            with _one_blas_thread():
-                vals, solver = _low_block_levels(q, ell, k), "block"
-                if vals is None:
+            vals, solver = _low_block_levels(q, ell, k), "block"
+            if vals is None:
+                with _one_blas_thread():
                     vals, solver = eigh(
                         _real_fourier_matrix(q, ell, n // 2),
                         eigvals_only=True, subset_by_index=[0, k - 1]), "dense"
@@ -406,10 +392,16 @@ def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str,
     cannot be told apart from a zero mode (e.g. the geodesic ground mode
     at -1e-12): it is left out of the point estimate, as a zero mode
     contributes nothing, and the high end of k_S_uncertainty shows what
-    including it would add.
+    including it would add.  The highest level must be certainly positive,
+    or a level past it could be negative too and k_S would miss it.
     """
     errs = errs + 1e-12 * np.maximum(1.0, np.abs(vals))
     ambiguous = np.abs(vals) < _ZERO_BAND * errs
+    if vals[-1] < 0.0 or ambiguous[-1]:
+        raise PreconditionError(
+            f"the highest of the {vals.shape[0]} levels computed, "
+            f"{vals[-1]:.6g}, is not certainly positive, so k_S could miss "
+            f"negative levels; raise --k (ks) or --n-modes (assemble)")
     neg_certain = vals[(vals < 0.0) & ~ambiguous]
     ks_point = float(np.sum(np.sqrt(-neg_certain))) / (2.0 * math.pi)
     ks_hi = float(np.sum(np.sqrt(np.abs(vals[(vals < 0.0) | ambiguous])))) \
@@ -418,52 +410,39 @@ def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str,
                     route, solver)
 
 
-def ks_fd(curve: SampledCurve, n: int = 1024, k: int = 12) -> KsLevels:
-    """k_S from the Richardson-extrapolated fd levels on n nodes.
+def ks_levels(curve: SampledCurve, k: int) -> KsLevels:
+    """The k lowest levels and k_S that `assemble_model` uses.
 
-    Each level's error is its Richardson estimate.  It costs two certified
-    blocks, on n and n // 2 nodes, or, when they cannot certify, periodic
-    band solves (`ks_spectrum`), and a resample of kappa unless n divides
-    the sample count.  `ks_constant` reports these numbers, and
-    `assemble_model` falls back to them when `ks_block` cannot certify its
-    levels.
+    The certified low Fourier block on the curve's own samples gives them,
+    each within eps (2pi M/ell)^2, M = n_samples // 2, of the dense solve it
+    stands in for, which has that backward error too: twice that is each
+    level's error.  At most 129 samples, or strong curvature modes above
+    64, cannot certify; then the band-solved fd levels on 1024 nodes
+    (`_fd_band`) give them, with their Richardson errors, and no fd block is
+    tried on the samples the Fourier block just failed on.
     """
-    fd = ks_spectrum(curve, n, "fd", k=k)
+    _require_kappa(curve)
+    n, ell = curve.n_samples, curve.length
+    vals = _low_block_levels(_potential(curve, n), ell, k)
+    if vals is not None:
+        err = 2.0 * np.finfo(float).eps * _fourier_symbol(ell)(n // 2)
+        return _ks_of_levels(vals, np.full(k, err), "fourier", "block")
+    fd = _fd_band(curve, 1024, k)
     return _ks_of_levels(fd.extrapolated, np.abs(fd.richardson_error), "fd",
                          fd.solver)
 
 
-def ks_block(curve: SampledCurve, k: int = 12) -> Optional[KsLevels]:
-    """k_S from the certified low Fourier block on the curve's own samples,
-    or None when the block cannot certify its levels.
-
-    `_low_block_levels` runs on q = -kappa^2/4 at n = n_samples, on one
-    OpenBLAS thread, with no resampling and no fd solve.  A certified
-    level lies within eps (2pi M/ell)^2 of the block's, M = n_samples // 2,
-    and the dense solve of the whole basis it stands in for has as much
-    backward error again: twice that is each level's error.  A curve of at
-    most 129 samples, whose block is the whole basis, and curvature with
-    strong modes above 64 give None.
-    """
-    _require_kappa(curve)
-    with _one_blas_thread():
-        vals = _low_block_levels(_potential(curve, curve.n_samples),
-                                 curve.length, k)
-    if vals is None:
-        return None
-    err = 2.0 * _dense_error(curve.n_samples // 2, curve.length)
-    return _ks_of_levels(vals, np.full(k, err), "fourier", "block")
-
-
 def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
                 k: int = 12) -> KsReport:
-    """`ks_fd`'s k_S, cross-checked against the Fourier levels.
+    """k_S from the Richardson-extrapolated fd levels, with their Richardson
+    errors, cross-checked against the Fourier levels.
 
-    The finite-difference values are Richardson-extrapolated; the Fourier
-    values are spectrally accurate for smooth curvature.  The report is
-    flagged verified when the two k_S values agree to 1e-4 relative.
+    The Fourier values are spectrally accurate for smooth curvature.  The
+    report is flagged verified when the two k_S values agree to 1e-4.
     """
-    fd = ks_fd(curve, n_fd, k)
+    fd_spec = ks_spectrum(curve, n_fd, "fd", k=k)
+    fd = _ks_of_levels(fd_spec.extrapolated, np.abs(fd_spec.richardson_error),
+                       "fd", fd_spec.solver)
     fourier = ks_spectrum(curve, n_fourier, "fourier", k=k)
     fvals = fourier.values
     # same zero band; the fd error estimates set the noise scale for both

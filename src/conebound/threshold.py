@@ -139,9 +139,15 @@ class PotentialSpec:
         return float(np.min(tail)) if tail.size else float(np.min(vt))
 
     def domain_half_width(self, L: float) -> float:
-        if self.family == "hard_wall":
-            return min(L, self.half_width)
-        return L
+        """Half width of the interval solved at truncation L: L itself, or
+        the box (-a, a) for hard_wall, which needs L >= a."""
+        if self.family != "hard_wall":
+            return L
+        if not L >= self.half_width:
+            raise PreconditionError(
+                f"hard_wall box half width a = {self.half_width:g} exceeds "
+                f"the truncation L = {L:g}; need L >= a")
+        return self.half_width
 
 
 def potential_spec_from_dict(doc: dict) -> PotentialSpec:

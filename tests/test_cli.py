@@ -804,21 +804,87 @@ def test_assemble_small_run(tmp_path):
                          ids=["pi4-0.2-5", "0.5-0.2-3"])
 def test_uncertified_assemble_takes_the_fd_levels(tmp_path, theta, mode):
     # the low block fails its certificate on these curves: assemble reads
-    # ks_fd's levels and k_S, bit for bit, and not the dense Fourier solve
+    # the fd levels and k_S of ks_levels, bit for bit, and not the dense
+    # Fourier solve
     from conebound import CurveSpec, build_curve
-    from conebound.curvature_operator import ks_block, ks_fd
+    from conebound.curvature_operator import ks_levels
 
     assert run(fd_route_assemble(theta, mode) + ["--out-dir", tmp_path]) == 0
     doc = load(tmp_path / "assemble_summary.json")
     assert doc["params"]["ks_route"] == "fd"
     curve = build_curve(CurveSpec(kind="perturbed_latitude", theta=theta,
                                   amplitude=0.2, mode=mode), 1024)
-    assert ks_block(curve) is None
-    fd = ks_fd(curve)
+    fd = ks_levels(curve, 12)
+    assert fd.route == "fd"
     assert doc["predicted_slope"] == fd.k_S
     assert doc["modes"]
     for m, lam, _ in doc["modes"]:
         assert lam == fd.eigenvalues[m]
+
+
+@pytest.mark.parametrize("theta, mode", FD_ROUTE_CURVES,
+                         ids=["pi4-0.2-5", "0.5-0.2-3"])
+def test_uncertified_assemble_makes_one_block_solve(monkeypatch, theta, mode):
+    # the Fourier block fails on these samples; no fd block is tried on them
+    from conebound import CurveSpec, PotentialSpec, build_curve
+    from conebound import curvature_operator
+    from conebound.counting import assemble_model
+
+    curve = build_curve(CurveSpec(kind="perturbed_latitude", theta=theta,
+                                  amplitude=0.2, mode=mode), 1024)
+    rows, real_eigh = [], curvature_operator.eigh
+
+    def eigh(a, *args, **kwargs):
+        rows.append(len(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(curvature_operator, "eigh", eigh)
+    model = assemble_model(curve, PotentialSpec(family="hard_wall",
+                                                half_width=1.0),
+                           E_grid=np.logspace(-3, -8, 10))
+    assert rows == [129]
+    assert model.params["ks_route"] == "fd"
+
+
+# a curve with 16 negative levels, 4 more than assemble's default 12 modes
+MANY_LEVELS = ["--preset", "perturbed", "--theta", "0.7853981633974483",
+               "--amplitude", "0.3", "--mode", "8", "--n-samples", "4096"]
+
+
+def test_too_few_levels_for_k_S_exit_4(tmp_path, capsys):
+    # they used to report the k_S of the levels computed: 1.04995 for ks
+    # --k 3 (3 of 5 negative levels), 15.87 for assemble (12 of 16)
+    code = run(["ks", "--preset", "perturbed", "--amplitude", "0.2",
+                "--mode", "5", "--k", "3", "--out-dir", tmp_path / "ks"])
+    assert code == 4
+    assert "raise --k" in capsys.readouterr().err
+    assemble = ["assemble", *MANY_LEVELS, "--family", "hard_wall", "--a",
+                "1.0", "--delta", "0.01"]
+    assert run(assemble + ["--out-dir", tmp_path / "a"]) == 4
+    assert "--n-modes" in capsys.readouterr().err
+    assert run(assemble + ["--n-modes", "17", "--out-dir", tmp_path]) == 0
+    doc = load(tmp_path / "assemble_summary.json")
+    assert len(doc["modes"]) == 16
+    assert doc["predicted_slope"] == pytest.approx(18.0644, rel=1e-5)
+
+
+@pytest.mark.parametrize("args", [["--a", "20"], ["--a", "1", "--L", "0.5"],
+                                  ["--a", "1", "--sweep", "--L-min", "0.5"]],
+                         ids=["a-20", "L-0.5", "sweep-L-0.5"])
+def test_hard_wall_wider_than_truncation_exits_4(tmp_path, capsys, args):
+    # the box used to be clamped to (-L, L): --a 20 reported
+    # pi^2 / (4 * 12^2), the default L = 12, in place of pi^2 / (4 * 20^2)
+    code = run(["threshold", "--family", "hard_wall", *args,
+                "--out-dir", tmp_path])
+    assert code == 4
+    assert "need L >= a" in capsys.readouterr().err
+
+
+def test_hard_wall_inside_truncation_is_the_box(tmp_path):
+    assert run(["threshold", "--family", "hard_wall", "--a", "20", "--L",
+                "20", "--out-dir", tmp_path]) == 0
+    eps0 = load(tmp_path / "threshold_summary.json")["eps0"]
+    assert eps0 == pytest.approx(math.pi ** 2 / (4.0 * 20.0 ** 2), rel=1e-6)
 
 
 def test_run_meta_segregates_timestamp(tmp_path):

@@ -507,7 +507,7 @@ def test_model_reads_the_certified_block_levels(monkeypatch, spec):
         # the ground level sits at 0 up to rounding: excluded from k_S as a
         # zero mode would be
         assert model.predicted_slope == 0.0
-        assert curvature_operator.ks_block(curve).ambiguous[0]
+        assert curvature_operator.ks_levels(curve, 12).ambiguous[0]
 
 
 @pytest.mark.parametrize("E_grid, needle", [

@@ -1,7 +1,11 @@
 """Loop operator -d^2/ds^2 - kappa^2/4: spectra, k_S, two-method check."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,11 +146,41 @@ def test_block_route_needs_more_than_64_modes():
     # at 129 samples or fewer the 64-mode block is the whole basis and
     # certifies nothing; at 256 it gives the closed-form k_S
     theta = math.pi / 4
-    assert curvature_operator.ks_block(latitude(theta, 128)) is None
-    block = curvature_operator.ks_block(latitude(theta, 256))
+    assert curvature_operator.ks_levels(latitude(theta, 128), 12).route == \
+        "fd"
+    block = curvature_operator.ks_levels(latitude(theta, 256), 12)
     assert block.route == "fourier"
     assert block.k_S == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-4)
     assert block.k_S_uncertainty == (block.k_S, block.k_S)
+
+
+@pytest.mark.parametrize("case", ["latitude-128", "perturbed-0.2-5"])
+def test_uncertified_ks_levels_are_the_fd_band_levels(case, monkeypatch):
+    # a 128-sample curve has no block to certify, and strong high modes fail
+    # the certificate: one Fourier block attempt at most, then the band
+    # solve on 1024 nodes, bit for bit, with no fd block
+    if case == "latitude-128":
+        curve, tried = latitude(math.pi / 4, 128), []
+    else:
+        curve = build_curve(FOURIER_CURVES[case][0], 1024)
+        tried = [129]
+    band = curvature_operator._fd_band(curve, 1024, 12)
+    rows = record_eigh_rows(monkeypatch)
+    got = curvature_operator.ks_levels(curve, 12)
+    assert rows == tried
+    assert (got.route, got.solver) == ("fd", "band")
+    assert np.array_equal(got.eigenvalues, band.extrapolated)
+
+
+def test_too_few_levels_for_k_S_is_a_precondition_error():
+    # 5 of the lowest levels are negative: k = 3 used to sum 3 of them
+    curve = build_curve(FOURIER_CURVES["perturbed-0.2-5"][0], 1024)
+    assert ks_constant(curve).negative_part.shape == (5,)
+    with pytest.raises(PreconditionError, match="raise --k"):
+        ks_constant(curve, k=3)
+    with pytest.raises(PreconditionError, match="--n-modes"):
+        curvature_operator.ks_levels(curve, 5)
+    assert curvature_operator.ks_levels(curve, 6).negative_part.shape == (5,)
 
 
 def test_report_serialization_shape():
@@ -371,6 +405,41 @@ def two_blas_threads():
         set_(count)
 
 
+def test_openblas_thread_functions_are_found(tmp_path):
+    # where scipy links OpenBLAS the guard must find it, or every thread
+    # assertion here holds vacuously.  OpenBLAS reads OPENBLAS_NUM_THREADS
+    # once, when it loads: a fresh interpreter
+    import scipy
+
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"]:
+        pytest.skip(f"scipy links {blas['name']}, not OpenBLAS")
+    script = tmp_path / "threads.py"
+    script.write_text(
+        "import math\n"
+        "from conebound import CurveSpec, build_curve, curvature_operator\n"
+        "apis = curvature_operator._openblas_threads()\n"
+        "assert len(apis) == 1, apis\n"
+        "get = apis[0][0]\n"
+        "before, during = get(), []\n"
+        "real_eigh = curvature_operator.eigh\n"
+        "def eigh(*args, **kwargs):\n"
+        "    during.append(get())\n"
+        "    return real_eigh(*args, **kwargs)\n"
+        "curvature_operator.eigh = eigh\n"
+        "curve = build_curve(CurveSpec(kind='latitude_circle',\n"
+        "                              theta=math.pi / 4), 256)\n"
+        "curvature_operator.ks_spectrum(curve, 256, 'fourier', k=4)\n"
+        "print(before, during, get())\n")
+    src = str(Path(curvature_operator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run([sys.executable, str(script)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", "[1]", "2"]
+
+
 def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
     # a certified block makes one solve, a failed certificate two, and
     # assemble's block route one
@@ -386,7 +455,7 @@ def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
     assert during == [[1] * len(before)]
     ks_spectrum(bumped_loop(256), 256, "fourier", k=4)
     assert during == [[1] * len(before)] * 3
-    curvature_operator.ks_block(latitude(math.pi / 4, 256))
+    curvature_operator.ks_levels(latitude(math.pi / 4, 256), 12)
     assert during == [[1] * len(before)] * 4
     assert blas_threads() == before
 
