@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eig_banded, eigh_tridiagonal
 # not called here: perfbench/tracing.py patches spectral1d.eigh by name
 from scipy.linalg import eigh  # noqa: F401
@@ -267,6 +266,13 @@ def count_below(op: Operator1D, level: float) -> int:
     if op.kind == "periodic":
         return _cyclic_negcount(op.diag, op.offdiag, op.corner, sigma)
     return _tridiag_negcount(op.diag, op.offdiag, sigma)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call: only
+    oscillation_count integrates, so the other probes start without it."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def oscillation_count(potential: Callable, a: float, b: float, bc: str,

@@ -12,8 +12,8 @@ is then the same for every L and cancels in differences, which is what
 makes the exponentially small truncation gaps measurable in double
 precision.  Gap rates are therefore fitted against each family's own
 largest-L value rather than against an external eps0.  The sweep's Neumann
-solves return their ground states too, and agmon_norms weighs those for
-the Agmon decay check (assumption (iii)) without solving anything again.
+solves return their ground states too, and agmon_norms weighs those, with
+the sweep's own eps0, for the Agmon decay check (assumption (iii)).
 
 Potential families (all even in x):
 
@@ -47,6 +47,7 @@ _PARAMS = {"square_well": ("depth", "half_width"),
 # numerical floor of a fixed-h eigenvalue difference: a few ulp of the
 # operator scale 4/h^2 + |v|; gaps below ~10x this are unmeasurable
 _EPS = np.finfo(float).eps
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,13 @@ class PotentialSpec:
 
     def domain_half_width(self, L: float) -> float:
         """Half width of the interval solved at truncation L: L itself, or
-        the box (-a, a) for hard_wall, which needs L >= a."""
+        the box (-a, a) for hard_wall, which needs L >= a.  A confining
+        |x|^p must stay finite out to L."""
+        if self.family == "confining" and 1.0 < L < math.inf and \
+                self.p * math.log(L) >= _LOG_MAX:
+            raise PreconditionError(
+                f"confining |x|^p with p = {self.p:g} overflows at the "
+                f"truncation half width L = {L:g}; lower p or L")
         if self.family != "hard_wall":
             return L
         if not L >= self.half_width:
@@ -236,10 +243,11 @@ def compute_threshold(spec: PotentialSpec, L: float = 12.0,
     """Ground-state energy eps0 of Q, with gap and enclosure.
 
     eps0 is the Richardson-extrapolated first Dirichlet eigenvalue on the
-    truncated interval; bracket records the Neumann/Dirichlet pair, whose
-    continuum counterparts enclose eps0 from below and above.  At practical
-    L the true width of that enclosure (~ exp(-2 sqrt(-eps0) L)) sits far
-    below grid resolution, so the recorded pair agrees up to the
+    truncated interval; bracket records the Neumann/Dirichlet pair (twice
+    the Dirichlet value for a hard wall, whose walls are Dirichlet under
+    either closure), whose continuum counterparts enclose eps0.  At
+    practical L the true width of that enclosure (~ exp(-2 sqrt(-eps0) L))
+    sits far below grid resolution, so the recorded pair agrees up to the
     extrapolation residual and its ordering is not meaningful; the ordered
     empirical bracketing lives in truncation_sweep, which works at fixed h
     where the discretization biases of the two closures separate cleanly.
@@ -258,8 +266,8 @@ def compute_threshold(spec: PotentialSpec, L: float = 12.0,
         raise PreconditionError(f"need n >= 512, got {n}")
     dir_res = _extrapolated_levels(spec, L, n, "dirichlet", 2)
     lam1_d, lam2_d = dir_res.extrapolated[:2]
-    neu_res = _extrapolated_levels(spec, L, n, "neumann", 1)
-    lam1_n = neu_res.extrapolated[0]
+    lam1_n = lam1_d if spec.family == "hard_wall" else \
+        _extrapolated_levels(spec, L, n, "neumann", 1).extrapolated[0]
     eps0 = float(lam1_d)
     gap = float(lam2_d - lam1_d)
 
@@ -304,8 +312,8 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     Records lambda_1 and lambda_2 for both closures, the sweep's own eps0
     (midpoint of the largest-L enclosure), exponential rate fits of both
     truncation gaps, and the persistent gap delta = min_L lambda_2 - eps0.
-    The Neumann solves return their vectors too, so each L keeps its grid
-    and ground state phi_{L,N} for agmon_norms to weigh.
+    The Neumann solves (a hard wall's box is Dirichlet under both) return
+    vectors too: each L keeps its grid and ground state for agmon_norms.
 
     The rate fits use each family's largest-L value as the reference and drop
     L values whose gap sits within 10x the double-precision floor of the
@@ -321,23 +329,30 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
 
+    # hard_wall clamps every L >= a to the box (-a, a), Dirichlet either way
+    wall = spec.family == "hard_wall"
+
     def operator(L, kind):
         half = spec.domain_half_width(L)
         n = int(round(2.0 * half / h))
-        if kind == "dirichlet":
-            n -= 1
+        if kind == "dirichlet" or wall:
+            return half, n - 1, "dirichlet"
         return half, n, kind
 
     def solve(args):
         half, n, kind = args
         op = _interval_op(spec, half, n, kind)
         return op.grid, spectral1d.lowest_eigenvalues(
-            op, 2, want_vectors=kind == "neumann")
+            op, 2, want_vectors=wall or kind == "neumann")
 
     work = [operator(L, kind) for L in L_grid
             for kind in ("neumann", "dirichlet")]
-    # hard_wall clamps every L >= a to the box (-a, a): solve each distinct
-    # operator once
+    if min(n for _, n, _ in work) < 16:
+        half = work[0][0]
+        raise PreconditionError(
+            f"the shortest sweep interval (-{half:g}, {half:g}), at L = "
+            f"{L_grid[0]:g}, holds fewer than 16 nodes at spacing h = {h:g}")
+    # solve each distinct operator once
     distinct = list(dict.fromkeys(work))
     solved = dict(zip(distinct, parallel_map(solve, distinct)))
     out = [solved[key] for key in work]
@@ -403,10 +418,11 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     """Agmon-weighted norms of a truncation sweep's Neumann ground states.
 
     `sweep` is truncation_sweep(spec, ...); its ground state phi_{L,N} at
-    each L is weighed as it stands, with no further solve, and
-    int e^{2 theta Phi} phi^2 dx is evaluated by the grid quadrature.  Tail
-    norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside and
-    fitted to a decaying exponential in L.
+    each L is weighed as it stands, with Phi taken at the sweep's own eps0,
+    and int e^{2 theta Phi} phi^2 dx is evaluated by the grid quadrature.
+    Tail norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside
+    and fitted to a decaying exponential in L; a window with no grid node is
+    a PreconditionError.
     """
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
@@ -415,17 +431,18 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     if not (math.isfinite(eta) and eta > 0.0):
         raise PreconditionError(f"need finite tail width eta > 0, got {eta}")
     L_grid = sweep.L_grid
-    eps0_ref = compute_threshold(
-        spec, L=float(L_grid[-1]),
-        n=max(512, int(round(2 * L_grid[-1] / sweep.h)))).eps0
-
     weighted, tails = [], []
     for L, (grid, phi) in zip(L_grid, sweep.ground_states):
         x = grid.nodes()
-        w = agmon_weight(spec, eps0_ref, R, x) if theta > 0 else np.zeros_like(x)
+        w = agmon_weight(spec, sweep.eps0, R, x) if theta > 0 else 0.0
         weighted.append(float(grid.h * np.sum(np.exp(2.0 * theta * w)
                                               * phi ** 2)))
         mask = np.abs(x) > L - eta
+        if not mask.any():
+            raise PreconditionError(
+                f"Agmon tail window {L - eta:g} < |x| < {L:g} (eta = {eta:g})"
+                f" holds no node of the grid on ({grid.a:g}, {grid.b:g}) at "
+                f"spacing h = {grid.h:g}")
         tails.append(float(math.sqrt(grid.h * np.sum(phi[mask] ** 2))))
     weighted, tails = np.array(weighted), np.array(tails)
     A, b, r2 = _fit_semilog(L_grid, tails)

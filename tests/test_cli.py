@@ -71,6 +71,25 @@ def test_threshold_hard_wall_example(tmp_path):
     assert doc["satisfied_iii"] is True
 
 
+def test_hard_wall_sweep_reports_the_box_level(tmp_path):
+    # a hard wall's walls are Dirichlet under either closure; the sweep
+    # used to solve a free Neumann box, whose lambda_1 ~ 0 entered bracket
+    # and halved the sweep's eps0 to pi^2 / 8
+    assert run(["threshold", "--family", "hard_wall", "--a", "1", "--sweep",
+                "--out-dir", tmp_path]) == 0
+    doc = load(tmp_path / "threshold_summary.json")
+    assert doc["eps0"] == 2.467401098443026
+    assert doc["gap"] == 7.402203302142785
+    assert doc["bracket"] == [doc["eps0"], doc["eps0"]]
+    # the fd Dirichlet box at h = 1/32 has 63 nodes and levels
+    # 4096 sin^2(k pi / 128)
+    level = [4096.0 * math.sin(k * math.pi / 128.0) ** 2 for k in (1, 2)]
+    sweep = doc["sweep"]
+    assert sweep["eps0"] == pytest.approx(level[0], rel=1e-12)
+    assert sweep["eps0"] == pytest.approx(math.pi ** 2 / 4.0, abs=1e-3)
+    assert sweep["gap_delta"] == pytest.approx(level[1] - level[0], rel=1e-11)
+
+
 def test_threshold_sweep_files(tmp_path):
     assert run(["threshold", "--family", "square_well", "--depth", "4",
                 "--a", "1", "--sweep", "--L-min", "4", "--L-max", "8",
@@ -144,7 +163,13 @@ def fd_route_assemble(theta, mode):
 # README assemble summary was
 # re-frozen when assemble took k_S from the certified block in place of
 # the fd levels: predicted_slope, relative_error and the retained lambda
-# moved by under 1e-10 relative, and params gained ks_route
+# moved by under 1e-10 relative, and params gained ks_route.  The two
+# Agmon sweeps and the three threshold summaries were re-frozen when the
+# Agmon weight took the sweep's own eps0 in place of a third grid's
+# compute_threshold (the weighted norms moved by under 7e-8 relative) and
+# a hard wall's box became Dirichlet under both closures (its bracket[0],
+# sweep eps0 and gap_delta went from the free Neumann box to the box
+# level; test_hard_wall_sweep_reports_the_box_level)
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -158,22 +183,22 @@ FROZEN_OUTPUTS = [
     (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
       "--sweep", "--agmon"],
      "sweep.csv",
-     "5a0e15fadef47907627a1feb908556cd6f11edfbbb5421f49e1c1d1e985c48bf"),
+     "891d73069e7ab027ac1954255e899ceacac9bd0b58f1c890af333a9019c9a2af"),
     (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
       "--sweep", "--agmon"],
      "sweep.csv",
-     "d9dde3d6408c187946b690845f7adfb6eb6f1f03f36b296103e2b624e7baacf9"),
+     "8b920ee26e9f1ff891dd7473d219ad9c48276f6e39f40c8fe60ec36bb2e6e34b"),
     (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
       "--sweep", "--agmon"],
      "threshold_summary.json",
-     "09e3d4b1891e52a13cf9dfab34a2495b86cd5e737053f61617c55520d3bc91aa"),
+     "c51685eb4c6f756a3c37a5ffb3596a87c1c4352cf87bbe2c8ced3c7ad2f88c44"),
     (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
       "--sweep", "--agmon"],
      "threshold_summary.json",
-     "393f35e310924679954c93da40e6b52f7bfc60de75c24b8f5a162270d4acabcc"),
+     "514f46e5c13743ea49f2243196a8ba0fb31c1e408f31c71b7a86e1b46832e7eb"),
     (["threshold", "--family", "hard_wall", "--a", "1", "--sweep"],
      "threshold_summary.json",
-     "878f6ae6a69b34daaf2f125c6e42082889197715d81ba38bf98925b7a1802c50"),
+     "c43bb029b8aa92727f865daec00a0065c26ada7095095b42b64d176c393f7de1"),
     (KS_LATITUDE, "ks_report.json",
      "f056a04a39fe988a7d0f0b783eae8274e41166598912e46712220ac09677f440"),
     (KS_PERTURBED, "ks_report.json",
@@ -645,6 +670,20 @@ BAD_REAL_INPUTS = [
     # with slope 0, the levels of a 1e-302 wide box raised OverflowError
     (_ASSEMBLE + ["--K-delta", "1e290"], "not all finite"),
     (_ASSEMBLE + ["--R-fixed", "1e-300"], "levels overflow"),
+    # Agmon tail windows with no grid node fitted log(0) and exited 0 with
+    # a NaN tail fit: the hard wall's box ends inside every window, and
+    # eta = 0.001 is below h / 2
+    (["threshold", "--family", "hard_wall", "--a", "1", "--sweep",
+      "--agmon"], "holds no node"),
+    (["threshold", "--sweep", "--agmon", "--eta", "0.001"], "eta = 0.001"),
+    # |x|^400 overflowed at x = 12 and exited 4 naming neither p nor L
+    (["threshold", "--family", "confining", "--p", "400"],
+     "p = 400 overflows at the truncation half width L = 12"),
+    # sweep lengths shorter than 16 nodes were reported as an n never set
+    (["threshold", "--family", "confining", "--sweep", "--L-min", "1e-3",
+      "--L-max", "2e-3"], "at L = 0.001, holds fewer than 16 nodes"),
+    (["threshold", "--sweep", "--h", "0.5"],
+     "at L = 4, holds fewer than 16 nodes at spacing h = 0.5"),
 ]
 
 
@@ -704,9 +743,10 @@ def test_curve_out_of_memory_is_a_precondition_error(tmp_path, capsys,
 
 def test_agmon_sweep_solves_each_neumann_operator_once(tmp_path,
                                                        monkeypatch):
-    # two compute_threshold calls (the summary's and the Agmon reference)
-    # of 2 solves each, and 2 solves per length of the 11-length sweep; the
-    # Agmon norms weigh the sweep's own Neumann ground states
+    # the summary's compute_threshold makes 2 solves and the 11-length
+    # sweep 2 per length; the Agmon norms weigh the sweep's own Neumann
+    # ground states against its own eps0 and solve nothing (they used to
+    # run a second compute_threshold for that eps0: 26 calls, 13 Neumann)
     from conebound import spectral1d
     calls = []
     solve = spectral1d.lowest_eigenvalues
@@ -718,8 +758,8 @@ def test_agmon_sweep_solves_each_neumann_operator_once(tmp_path,
     monkeypatch.setattr(spectral1d, "lowest_eigenvalues", counted)
     assert run(["threshold", "--family", "square_well", "--depth", "4",
                 "--a", "1", "--sweep", "--agmon", "--out-dir", tmp_path]) == 0
-    assert len(calls) == 26
-    assert calls.count("neumann") == 13
+    assert len(calls) == 24
+    assert calls.count("neumann") == 12
 
 
 # missing or unreadable files; each used to die in a traceback (exit 1)

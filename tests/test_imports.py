@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import conebound
 
 SRC = Path(conebound.__file__).resolve().parents[1]
@@ -63,3 +65,23 @@ print(json.dumps({
 """)
     assert report == {"unresolved": [], "unbound": [], "undir": [],
                       "missing_raises": True, "unique": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--family", "square_well", "--sweep", "--agmon"],
+    ["ks", "--preset", "latitude", "--theta", "0.7854"],
+    ["assemble", "--preset", "latitude", "--theta", "0.7854", "--family",
+     "hard_wall", "--a", "1"],
+], ids=["threshold", "ks", "assemble"])
+def test_solver_commands_load_no_scipy_integrate(tmp_path, argv):
+    # only spectral1d.oscillation_count integrates an ODE, and none of these
+    # calls it; spectral1d used to import scipy.integrate on load
+    loaded = fresh(f"""
+import contextlib, io, json, sys
+import conebound.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = conebound.cli.main({argv + ["--out-dir", str(tmp_path)]!r})
+print(json.dumps([code, [m for m in sys.modules
+                         if m.startswith("scipy.integrate")]]))
+""")
+    assert loaded == [0, []]

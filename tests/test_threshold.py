@@ -10,7 +10,7 @@ from conebound import (ConfigError, Grid1D, PotentialSpec, PreconditionError,
                        agmon_norms, agmon_weight, assemble, compute_threshold,
                        lowest_eigenvalues, potential_spec_from_dict,
                        truncation_sweep)
-from conebound import spectral1d
+from conebound import spectral1d, threshold
 from conebound.threshold import write_sweep_csv
 
 from _oracles import square_well_even_level, square_well_odd_level
@@ -281,6 +281,14 @@ def test_sweeps_reject_nonfinite_lengths(L):
         truncation_sweep(SQUARE, L_GRID[:-1] + [L])
 
 
+def test_sweep_rejects_confining_overflow_at_its_longest_length():
+    # |x|^270 is finite at the default L = 12 but not at 14, where the
+    # sweep's potential scan used to overflow
+    spec = PotentialSpec(family="confining", p=270.0)
+    with pytest.raises(PreconditionError, match="L = 14"):
+        truncation_sweep(spec, L_GRID)
+
+
 def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
     # the sweeps read raw values and vectors, so each length costs one solve
     # per closure; compute_threshold's extrapolation adds the half grids
@@ -300,11 +308,13 @@ def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, solves", [
-    (PotentialSpec(family="hard_wall", half_width=1.0), 2), (SQUARE, 22)],
+    (PotentialSpec(family="hard_wall", half_width=1.0), 1), (SQUARE, 22)],
     ids=["hard_wall", "square_well"])
 def test_sweep_solves_each_distinct_operator_once(monkeypatch, spec, solves):
-    # hard_wall clamps every L >= a to the box (-a, a), so the 11 lengths
-    # share one Neumann and one Dirichlet operator; a well's do not
+    # hard_wall clamps every L >= a to the box (-a, a), whose walls are
+    # Dirichlet under either closure, so both closures of the 11 lengths
+    # share one operator (they used to share a Neumann and a Dirichlet
+    # one: 2 solves); a well's do not
     calls = []
     solve = spectral1d.lowest_eigenvalues
 
@@ -367,6 +377,18 @@ def test_agmon_tail_decay(square_agmon):
     kap = math.sqrt(-square_well_even_level(4.0, 1.0))
     assert fit["r_squared"] > 0.95
     assert abs(fit["b"] - kap) / kap < 0.05
+
+
+def test_agmon_norms_solve_nothing(monkeypatch, square_sweep):
+    # the Agmon weight takes the sweep's own eps0; it used to run
+    # compute_threshold on a third grid for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("agmon_norms solved an operator")
+
+    monkeypatch.setattr(threshold, "compute_threshold", refuse)
+    monkeypatch.setattr(spectral1d, "lowest_eigenvalues", refuse)
+    rep = agmon_norms(SQUARE, square_sweep, 0.5, 2.0)
+    assert rep.weighted_norms.shape == (len(L_GRID),)
 
 
 def test_agmon_theta_range(square_sweep):
