@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from ._serial import canonical_json, sha256_hex, write_json
-from .errors import ConeboundError, ConfigError, PreconditionError
+from .errors import ConeboundError, ConfigError
 
 _PRESETS = {"latitude": "latitude_circle", "perturbed": "perturbed_latitude",
             "latitude_circle": "latitude_circle", "tabulated": "tabulated",
@@ -197,14 +197,7 @@ def cmd_threshold(block, args, out_dir):
         return cfg, summary, ["threshold_summary.json"], headline
     sw = cfg["sweep"] = _resolve(block.get("sweep", {}), args, SWEEP,
                                  "threshold.sweep")
-    ends = [sw["L_min"], sw["L_max"]]
-    if not np.isfinite(ends).all():
-        raise PreconditionError(f"need finite sweep lengths L, got {ends}")
-    if sw["num"] < 5:
-        raise PreconditionError(
-            f"truncation sweep needs at least 5 L values, got L_num = "
-            f"{sw['num']}")
-    grid = np.linspace(*ends, sw["num"])
+    grid = threshold.sweep_lengths(spec, **sw)
     sweep = threshold.truncation_sweep(spec, grid, h=sw["h"])
     summary["sweep"] = _pick(vars(sweep), "eps0", "rates", "gap_delta",
                              "L_min", "h")

@@ -129,6 +129,13 @@ def _dopri45(fun, t0: float, y0: float, t_eval) -> list:
     overhead of a general vector solver.  A step that falls below 10 ulp of
     t, which includes a NaN step, raises ConvergenceError.
     """
+    c2, c3, c4, c5, c6 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, b2, b3, b4, b5, b6 = _DP_B
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+    (p11, p12, p13), (p21, p22, p23), (p31, p32, p33), (p41, p42, p43), \
+        (p51, p52, p53), (p61, p62, p63), (p71, p72, p73) = _DP_P
     t_end = t_eval[-1]
     direction = math.copysign(1.0, t_end - t0)
     span = abs(t_end - t0)
@@ -155,13 +162,24 @@ def _dopri45(fun, t0: float, y0: float, t_eval) -> list:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            for c, a in zip(_DP_C, _DP_A):
-                K.append(fun(t + c * h,
-                             y + sum(ai * ki for ai, ki in zip(a, K)) * h))
-            y_new = y + h * sum(b * ki for b, ki in zip(_DP_B, K))
-            K.append(fun(t + h, y_new))
-            err = abs(sum(e * ki for e, ki in zip(_DP_E, K)) * h) \
+            # stage 1 is f; every sum starts from 0.0 and adds its terms
+            # left to right, zero coefficients included, so each float is
+            # the one a sum() over the tableau rows gives
+            k2 = fun(t + c2 * h, y + (0.0 + a21 * f) * h)
+            k3 = fun(t + c3 * h, y + (0.0 + a31 * f + a32 * k2) * h)
+            k4 = fun(t + c4 * h,
+                     y + (0.0 + a41 * f + a42 * k2 + a43 * k3) * h)
+            k5 = fun(t + c5 * h,
+                     y + (0.0 + a51 * f + a52 * k2 + a53 * k3
+                          + a54 * k4) * h)
+            k6 = fun(t + c6 * h,
+                     y + (0.0 + a61 * f + a62 * k2 + a63 * k3 + a64 * k4
+                          + a65 * k5) * h)
+            y_new = y + h * (0.0 + b1 * f + b2 * k2 + b3 * k3 + b4 * k4
+                             + b5 * k5 + b6 * k6)
+            k7 = fun(t + h, y_new)
+            err = abs((0.0 + e1 * f + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
+                       + e6 * k6 + e7 * k7) * h) \
                 / (_ATOL + max(abs(y), abs(y_new)) * _RTOL)
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
@@ -171,13 +189,17 @@ def _dopri45(fun, t0: float, y0: float, t_eval) -> list:
             rejected = True
         i = len(out)
         if i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
-            q = [sum(p[j] * ki for p, ki in zip(_DP_P, K)) for j in range(3)]
+            q1 = 0.0 + p11 * f + p21 * k2 + p31 * k3 + p41 * k4 + p51 * k5 \
+                + p61 * k6 + p71 * k7
+            q2 = 0.0 + p12 * f + p22 * k2 + p32 * k3 + p42 * k4 + p52 * k5 \
+                + p62 * k6 + p72 * k7
+            q3 = 0.0 + p13 * f + p23 * k2 + p33 * k3 + p43 * k4 + p53 * k5 \
+                + p63 * k6 + p73 * k7
             while i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
                 x = (t_eval[i] - t) / h
-                out.append(y + h * x * (f + x * (q[0] + x * (q[1]
-                                                               + x * q[2]))))
+                out.append(y + h * x * (f + x * (q1 + x * (q2 + x * q3))))
                 i += 1
-        t, y, f = t_new, y_new, K[-1]
+        t, y, f = t_new, y_new, k7
     return out
 
 

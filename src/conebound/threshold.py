@@ -305,6 +305,43 @@ def _fit_semilog(L: np.ndarray, g: np.ndarray):
     return float(math.exp(coef[1])), float(-coef[0]), r2
 
 
+def _check_spacing(spec: PotentialSpec, L: float, h: float) -> None:
+    """Refuse a spacing h that is not finite and positive, or that leaves
+    the sweep's shortest interval, at length L, fewer than 16 nodes."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise PreconditionError(f"need finite spacing h > 0, got {h}")
+    half = spec.domain_half_width(L)
+    if int(round(2.0 * half / h)) - 1 < 16:
+        raise PreconditionError(
+            f"the shortest sweep interval (-{half:g}, {half:g}), at L = "
+            f"{L:g}, holds fewer than 16 nodes at spacing h = {h:g}")
+
+
+def sweep_lengths(spec: PotentialSpec, L_min: float, L_max: float, num: int,
+                  h: float) -> np.ndarray:
+    """`num` evenly spaced truncation lengths from L_min to L_max.
+
+    Everything is checked before the array is made.  Lengths closer than
+    h / 2 round to the same node count 2 L / h, so more than
+    1 + 2 |L_max - L_min| / h of them, which includes equal ends, are more
+    than spacing h can tell apart and a PreconditionError.
+    """
+    ends = [L_min, L_max]
+    if not np.isfinite(ends).all():
+        raise PreconditionError(f"need finite sweep lengths L, got {ends}")
+    if num < 5:
+        raise PreconditionError(
+            f"truncation sweep needs at least 5 L values, got L_num = {num}")
+    _check_spacing(spec, min(ends), h)
+    most = 1.0 + 2.0 * abs(L_max - L_min) / h
+    if num > most:
+        raise PreconditionError(
+            f"L_num = {num} lengths on [{L_min:g}, {L_max:g}] are more than "
+            f"spacing h = {h:g} tells apart (at most {math.floor(most)}, "
+            f"h / 2 apart)")
+    return np.linspace(L_min, L_max, num)
+
+
 def truncation_sweep(spec: PotentialSpec, L_grid,
                      h: float = 1.0 / 32.0) -> TruncationSweep:
     """Raw eigenvalues of H_{L,N} and H_{L,D} over an L-grid at fixed h.
@@ -320,14 +357,13 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     operator scale, where truncation error is unmeasurable.
     """
     spec.validate()
-    if not (math.isfinite(h) and h > 0.0):
-        raise PreconditionError(f"need finite spacing h > 0, got {h}")
     L_grid = np.asarray(sorted(float(L) for L in L_grid))
     if not np.isfinite(L_grid).all():
         raise PreconditionError(
             f"need finite sweep lengths L, got {L_grid.tolist()}")
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
+    _check_spacing(spec, L_grid[0], h)
 
     # hard_wall clamps every L >= a to the box (-a, a), Dirichlet either way
     wall = spec.family == "hard_wall"
@@ -347,11 +383,6 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
 
     work = [operator(L, kind) for L in L_grid
             for kind in ("neumann", "dirichlet")]
-    if min(n for _, n, _ in work) < 16:
-        half = work[0][0]
-        raise PreconditionError(
-            f"the shortest sweep interval (-{half:g}, {half:g}), at L = "
-            f"{L_grid[0]:g}, holds fewer than 16 nodes at spacing h = {h:g}")
     # solve each distinct operator once
     distinct = list(dict.fromkeys(work))
     solved = dict(zip(distinct, parallel_map(solve, distinct)))
@@ -421,8 +452,8 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     each L is weighed as it stands, with Phi taken at the sweep's own eps0,
     and int e^{2 theta Phi} phi^2 dx is evaluated by the grid quadrature.
     Tail norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside
-    and fitted to a decaying exponential in L; a window with no grid node is
-    a PreconditionError.
+    and fitted to a decaying exponential in L; a window with no grid node,
+    and a weighted norm that overflows, is a PreconditionError.
     """
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
@@ -435,8 +466,14 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     for L, (grid, phi) in zip(L_grid, sweep.ground_states):
         x = grid.nodes()
         w = agmon_weight(spec, sweep.eps0, R, x) if theta > 0 else 0.0
-        weighted.append(float(grid.h * np.sum(np.exp(2.0 * theta * w)
-                                              * phi ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
+        if not math.isfinite(norm):
+            raise PreconditionError(
+                f"the Agmon-weighted norm at L = {L:g}, theta = {theta:g} is "
+                f"not finite: the weight e^(2 theta Phi) leaves the "
+                f"floating-point range; lower theta or L_max")
+        weighted.append(norm)
         mask = np.abs(x) > L - eta
         if not mask.any():
             raise PreconditionError(

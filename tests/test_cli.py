@@ -684,6 +684,16 @@ BAD_REAL_INPUTS = [
       "--L-max", "2e-3"], "at L = 0.001, holds fewer than 16 nodes"),
     (["threshold", "--sweep", "--h", "0.5"],
      "at L = 4, holds fewer than 16 nodes at spacing h = 0.5"),
+    # np.linspace asked for an 8 GB grid of lengths h / 2 cannot separate;
+    # equal ends exited 0 with both rate fits flagged NaN
+    (["threshold", "--sweep", "--L-num", "1000000000"],
+     "L_num = 1000000000 lengths on [4, 14] are more than spacing h"),
+    (["threshold", "--sweep", "--L-min", "8", "--L-max", "8"],
+     "(at most 1, h / 2 apart)"),
+    # e^(2 theta Phi) overflowed past the stein ground state's floor and
+    # exited 0 with bound_estimate = inf
+    (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4"],
+     "Agmon-weighted norm at L = 13, theta = 0.5 is not finite"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Half-line eigenvalue counting, slope fits, and the assembled model."""
 
+import functools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -203,6 +205,118 @@ def test_dopri_kernel_turns_a_nan_rhs_into_a_convergence_error(nan_below):
     rhs, calls = _evaluations(rhs)
     with pytest.raises(ConvergenceError):
         counting._dopri45(rhs, 0.0, 1.0, [-0.25, -1.0])
+
+
+def _sum(terms):
+    # sum() of floats up to Python 3.11: from 0, left to right (3.12 and
+    # later compensate, which would make the reference itself move)
+    return functools.reduce(operator.add, terms, 0)
+
+
+def _loop_dopri45(fun, t0, y0, t_eval):
+    # the kernel as a loop over the tableau rows, the form `_dopri45` was
+    # written in before its stages were spelled out
+    t_end = t_eval[-1]
+    direction = math.copysign(1.0, t_end - t0)
+    span = abs(t_end - t0)
+    t, y, f = t0, y0, fun(t0, y0)
+    scale = counting._ATOL + abs(y) * counting._RTOL
+    d0, d1 = abs(y) / scale, abs(f) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = abs(fun(t + h0 * direction, y + h0 * direction * f) - f) \
+        / scale / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+        else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, span)
+    out = []
+    while direction * (t - t_end) < 0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise ConvergenceError(f"step size {h_abs:.3e} at t = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for c, a in zip(counting._DP_C, counting._DP_A):
+                K.append(fun(t + c * h,
+                             y + _sum(ai * ki for ai, ki in zip(a, K)) * h))
+            y_new = y + h * _sum(b * ki for b, ki in zip(counting._DP_B, K))
+            K.append(fun(t + h, y_new))
+            err = abs(_sum(e * ki for e, ki in zip(counting._DP_E, K)) * h) \
+                / (counting._ATOL + max(abs(y), abs(y_new)) * counting._RTOL)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        i = len(out)
+        if i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
+            q = [_sum(p[j] * ki for p, ki in zip(counting._DP_P, K))
+                 for j in range(3)]
+            while i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
+                x = (t_eval[i] - t) / h
+                out.append(y + h * x * (f + x * (q[0] + x * (q[1]
+                                                               + x * q[2]))))
+                i += 1
+        t, y, f = t_new, y_new, K[-1]
+    return out
+
+
+def _bits(kernel, fun, t0, y0, t_eval):
+    # the returned floats and every (t, y) the kernel asked fun for, as hex
+    # strings, so that == also tells -0.0 from 0.0
+    calls = []
+
+    def recorded(t, y):
+        calls.append((t.hex(), y.hex()))
+        return fun(t, y)
+    out = kernel(recorded, t0, y0, t_eval)
+    return [v.hex() for v in out], calls
+
+
+def _rejections(calls):
+    # an accepted step's first stage lies past the previous step's last
+    # evaluation at t + h; a retried step starts again behind it
+    times = [float.fromhex(t) for t, _ in calls]
+    firsts, lasts = times[8::6], times[7::6]
+    direction = math.copysign(1.0, times[-1] - times[0])
+    return sum(direction * (a - b) < 0 for a, b in zip(firsts, lasts))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(c=st.floats(0.25, 20.0, exclude_min=True),
+       bc=st.sampled_from(["dirichlet", "neumann"]))
+def test_dopri_kernel_is_the_loop_form_bit_for_bit(c, bc):
+    # the written-out stages sum in the loop's order, so the sweep takes
+    # the same steps at the same points and returns the same floats
+    kernel, sweeps = counting._dopri45, []
+
+    def capture(*args):
+        sweeps.append(args)
+        return kernel(*args)
+    with mock.patch.object(counting, "_dopri45", capture):
+        counting_curve(RadialProblem(c=c, bc=bc), DEEP_GRID)
+    [sweep] = sweeps
+    assert _bits(kernel, *sweep) == _bits(_loop_dopri45, *sweep)
+
+
+@pytest.mark.parametrize("t_eval", [[0.5, 3.0, 4.0], [-0.5, -3.0, -4.0]],
+                         ids=["forward", "backward"])
+def test_dopri_kernel_matches_the_loop_form_through_rejected_steps(t_eval):
+    # a forcing switched on for 1 < |t| < 1.1 makes the step control reject
+    # dozens of steps in either direction
+    def kick(t, y):
+        return -y + (100.0 if 1.0 < abs(t) < 1.1 else 0.0)
+
+    ours = _bits(counting._dopri45, kick, 0.0, 1.0, t_eval)
+    assert ours == _bits(_loop_dopri45, kick, 0.0, 1.0, t_eval)
+    assert _rejections(ours[1]) >= 20
 
 
 def test_subcritical_coupling_binds_nothing():

@@ -85,3 +85,17 @@ print(json.dumps([code, [m for m in sys.modules
                          if m.startswith("scipy.integrate")]]))
 """)
     assert loaded == [0, []]
+
+
+def test_agmon_sweep_loads_no_scipy_interpolate(tmp_path):
+    # the Agmon weight integrates and interpolates in numpy
+    loaded = fresh(f"""
+import contextlib, io, json, sys
+import conebound.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = conebound.cli.main(["threshold", "--sweep", "--agmon",
+                               "--out-dir", {str(tmp_path)!r}])
+print(json.dumps([code, [m for m in sys.modules
+                         if m.startswith("scipy.interpolate")]]))
+""")
+    assert loaded == [0, []]

@@ -267,6 +267,18 @@ def test_sweep_needs_enough_lengths():
         truncation_sweep(SQUARE, [4.0, 8.0, 12.0])
 
 
+def test_sweep_lengths_stop_where_spacing_h_tells_them_apart():
+    # 1 + 2 |L_max - L_min| / h lengths lie h / 2 apart, either way round
+    h = 1.0 / 32.0
+    assert threshold.sweep_lengths(SQUARE, 4.0, 14.0, 641, h).tolist() \
+        == np.linspace(4.0, 14.0, 641).tolist()
+    assert threshold.sweep_lengths(SQUARE, 14.0, 4.0, 11, h).tolist() \
+        == np.linspace(14.0, 4.0, 11).tolist()
+    for L_max, num in [(14.0, 642), (4.0, 5)]:
+        with pytest.raises(PreconditionError, match="tells apart"):
+            threshold.sweep_lengths(SQUARE, 4.0, L_max, num, h)
+
+
 @pytest.mark.parametrize("h", [0.0, -1.0 / 32.0, math.nan, math.inf])
 def test_sweeps_reject_bad_spacing(h):
     # h = 0 used to overflow and h = nan to fail in int(round(nan))
