@@ -5,26 +5,29 @@ boundary condition at rho0.  For c > 1/4 the number of eigenvalues below -E
 grows like sqrt(c - 1/4) |ln E| / (2 pi) as E -> 0+; for c <= 1/4 it stays
 bounded.  Counts are evaluated by oscillation theory: in x = sqrt(E) rho
 every level shares one decaying solution, sqrt(rho) K_{i nu}(x), and the
-count below -E is the number of its zeros above x0 = sqrt(E) rho0.  One
-Pruefer phase sweep, run inward in ln x from past the turning point, is
-read off at every requested x0, so a whole staircase costs one integration
-and needs no truncation radius.  The sweep runs on `_dopri45`, a scalar
-Dormand-Prince 5(4) kernel on plain floats that takes the same steps as
-scipy's RK45 without its per-step array overhead; the forward shooter
-`spectral1d.oscillation_count`, the tests' independent oracle, stays on
-scipy's `solve_ivp`.  Below -c / rho0^2 the operator has no spectrum at
-all (-c/rho^2 >= -c/rho0^2 on the half-line), so levels that deep count 0
-without any integration.
+count below -E is the number of its zeros above x0 = sqrt(E) rho0.  For
+c > 1/4 that number is the integer part of a closed-form phase, the
+argument of the power series of I_{i nu} (DLMF 10.25.2, 10.27.4, 10.45.7):
+a few series terms per energy, no truncation radius, no integration, and a
+certificate on every count (`_phase_counts`).  Energies near the turning
+point x = nu that fail the certificate, and Neumann counts at c <= 1/4,
+fall back to one inward Pruefer phase sweep on scipy's RK45
+(`_sweep_counts`), which the tests also take as their reference; the
+forward shooter `spectral1d.oscillation_count` stays their independent
+oracle.  Below -c / rho0^2 the operator has no spectrum at all
+(-c/rho^2 >= -c/rho0^2 on the half-line), so levels that deep count 0.
 
 `assemble_model` stacks these half-line counters into the surface model: the
 cross-section modes come from the curvature operator spectrum, the shrinking
 transverse wells contribute channel shifts, and the resulting staircase is
-compared against the predicted log slope.  Counting itself needs only numpy
-and math: `assemble_model` imports the scipy-backed layers (curvature
-operator, threshold, spectral1d) when it is called, not at import.
+compared against the predicted log slope.  Certified counts need only numpy
+and math; the sweep fallback imports scipy.integrate when it runs, and
+`assemble_model` imports the scipy-backed layers (curvature operator,
+threshold, spectral1d) when it is called, not at import.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -89,150 +92,151 @@ class SlopeFit:
     degenerate: bool = False
 
 
-# Dormand-Prince 5(4) with Shampine's quartic dense output: the tableau of
-# scipy.integrate.RK45 (Hairer, Norsett & Wanner I, Sec. II.4-6).  _DP_P is
-# its interpolant matrix without the first column, which picks stage 1 alone
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = ((1 / 5,),
-         (3 / 40, 9 / 40),
-         (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-         -22 / 525, 1 / 40)
-_DP_P = ((-8048581381 / 2820520608, 8663915743 / 2820520608,
-          -12715105075 / 11282082432),
-         (0.0, 0.0, 0.0),
-         (131558114200 / 32700410799, -68118460800 / 10900136933,
-          87487479700 / 32700410799),
-         (-1754552775 / 470086768, 14199869525 / 1410260304,
-          -10690763975 / 1880347072),
-         (127303824393 / 49829197408, -318862633887 / 49829197408,
-          701980252875 / 199316789632),
-         (-282668133 / 205662961, 2019193451 / 616988883,
-          -1453857185 / 822651844),
-         (40617522 / 29380423, -110615467 / 29380423,
-          69997945 / 29380423))
-_RTOL = 1e-8
-_ATOL = 1e-10
+_EPS = np.finfo(float).eps
+_LN2 = math.log(2.0)
+# Stirling's coefficients B_2j / (2j (2j - 1)), j = 1..8 (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
 
 
-def _dopri45(fun, t0: float, y0: float, t_eval) -> list:
-    """Solve the scalar y' = fun(t, y), y(t0) = y0, and return y at t_eval.
+def _arg_gamma(nu: float) -> tuple[float, float]:
+    """arg Gamma(1 + i nu), continuous from nu = 0, and its error bound.
 
-    `t_eval` runs monotonically away from t0 and the integration stops at
-    its last point.  Step for step this is scipy's RK45 at rtol = _RTOL,
-    atol = _ATOL: the same initial-step rule, the same control (safety 0.9,
-    step factors 0.2 to 10 with exponent -1/5, no growth right after a
-    rejection) and the same dense output, without the per-step array
-    overhead of a general vector solver.  A step that falls below 10 ulp of
-    t, which includes a NaN step, raises ConvergenceError.
+    Gamma(z + 1) = z Gamma(z) (DLMF 5.5.1) steps up to w = 17 + i nu, where
+    Stirling's series (DLMF 5.11.1) stops after 8 terms with a remainder
+    below 1e-19 (DLMF 5.11(ii)).
     """
-    c2, c3, c4, c5, c6 = _DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _DP_A
-    b1, b2, b3, b4, b5, b6 = _DP_B
-    e1, e2, e3, e4, e5, e6, e7 = _DP_E
-    (p11, p12, p13), (p21, p22, p23), (p31, p32, p33), (p41, p42, p43), \
-        (p51, p52, p53), (p61, p62, p63), (p71, p72, p73) = _DP_P
-    t_end = t_eval[-1]
-    direction = math.copysign(1.0, t_end - t0)
-    span = abs(t_end - t0)
-    t, y, f = t0, y0, fun(t0, y0)
-    scale = _ATOL + abs(y) * _RTOL
-    d0, d1 = abs(y) / scale, abs(f) / scale
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = abs(fun(t + h0 * direction, y + h0 * direction * f) - f) \
-        / scale / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
-        else (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, span)
-    out = []
-    while direction * (t - t_end) < 0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise ConvergenceError(
-                    f"step size {h_abs:.3e} below {min_step:.3e} at t = {t}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-            # stage 1 is f; every sum starts from 0.0 and adds its terms
-            # left to right, zero coefficients included, so each float is
-            # the one a sum() over the tableau rows gives
-            k2 = fun(t + c2 * h, y + (0.0 + a21 * f) * h)
-            k3 = fun(t + c3 * h, y + (0.0 + a31 * f + a32 * k2) * h)
-            k4 = fun(t + c4 * h,
-                     y + (0.0 + a41 * f + a42 * k2 + a43 * k3) * h)
-            k5 = fun(t + c5 * h,
-                     y + (0.0 + a51 * f + a52 * k2 + a53 * k3
-                          + a54 * k4) * h)
-            k6 = fun(t + c6 * h,
-                     y + (0.0 + a61 * f + a62 * k2 + a63 * k3 + a64 * k4
-                          + a65 * k5) * h)
-            y_new = y + h * (0.0 + b1 * f + b2 * k2 + b3 * k3 + b4 * k4
-                             + b5 * k5 + b6 * k6)
-            k7 = fun(t + h, y_new)
-            err = abs((0.0 + e1 * f + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5
-                       + e6 * k6 + e7 * k7) * h) \
-                / (_ATOL + max(abs(y), abs(y_new)) * _RTOL)
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-        i = len(out)
-        if i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
-            q1 = 0.0 + p11 * f + p21 * k2 + p31 * k3 + p41 * k4 + p51 * k5 \
-                + p61 * k6 + p71 * k7
-            q2 = 0.0 + p12 * f + p22 * k2 + p32 * k3 + p42 * k4 + p52 * k5 \
-                + p62 * k6 + p72 * k7
-            q3 = 0.0 + p13 * f + p23 * k2 + p33 * k3 + p43 * k4 + p53 * k5 \
-                + p63 * k6 + p73 * k7
-            while i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
-                x = (t_eval[i] - t) / h
-                out.append(y + h * x * (f + x * (q1 + x * (q2 + x * q3))))
-                i += 1
-        t, y, f = t_new, y_new, k7
-    return out
+    w = complex(17.0, nu)
+    z = 1.0 / w
+    series = 0.0
+    for coef in reversed(_STIRLING):
+        series = series * z * z + coef
+    log_gamma = (w - 0.5) * cmath.log(w) - w + series * z
+    arg = log_gamma.imag - math.fsum(math.atan2(nu, j) for j in range(1, 17))
+    return arg, 16.0 * _EPS * nu * (math.log(abs(w)) + 8.0) + 1e-18
 
 
-def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
-    """Eigenvalue counts below each level -E / scale, from one phase sweep.
+def _phase_counts(problem: RadialProblem, s0: np.ndarray) -> np.ndarray:
+    """Closed-form counts at s0 = ln x0 for c > 1/4; -1 where uncertified.
 
-    Levels are nudged up by TIE_SHIFT, so an eigenvalue at exactly
-    -E / scale is included.
+    K_{i nu}(x) = -pi Im I_{i nu}(x) / sinh(pi nu) (DLMF 10.27.4), and the
+    series of I_{i nu} (DLMF 10.25.2) gives its phase Theta = beta + arg S,
+    beta = nu ln(x/2) - arg Gamma(1 + i nu), S = sum_k term_k with
+    term_k = (x^2/4)^k / (k! (1 + i nu)_k).  Theta rises through the zeros
+    at -pi, -2 pi, ... and stays in (-pi, 0) above the last (DLMF 10.45.7),
+    so the Dirichlet count is ceil(-Theta/pi) - 1.  Neumann takes the
+    Pruefer angle of `_sweep_counts`, atan2(k w, w_s) mod pi with
+    w = Im(e^{i beta} S), w_s = Im(e^{i beta} (i nu S + 2 D)) and
+    D = sum_k k term_k, on the branch pi floor((Theta + pi) / pi) that w's
+    zeros share with Theta, and counts the branches of atan2(k, -1/2)
+    above it.
 
-    With x = sqrt(E) rho, s = ln x and u = sqrt(rho) w, the equation
-    -u'' - c/rho^2 u = -E u becomes w'' = (e^{2s} - nu^2) w, nu^2 = c - 1/4,
-    for every E at once: only the boundary point s0 = ln(sqrt(E) rho0) moves.
-    Its decaying solution is w = K_{i nu}(e^s), and the count below -E is
-    the number of its zeros above s0 (Kirsch & Simon).  The Pruefer phase
-    (w ~ sin(theta), w_s ~ k cos(theta)) obeys
-
-        theta' = k cos^2(theta) + (nu^2 - e^{2s}) sin^2(theta) / k,
-
-    with k = nu (theta' = nu below the turning point) floored at 1/4: as
-    nu -> 0 a scale k = nu would squeeze every phase, the start angle and
-    the Neumann target atan2(k, -1/2) alike, onto pi, below the solver's
-    tolerance.  It starts past the turning point, at x1 = nu + 40, from the
-    WKB ratio w_s / w = -sqrt(x^2 - nu^2) - x^2 / (2 (x^2 - nu^2)), and runs
-    inward, where the decaying solution dominates and a start error dies
-    out, on the scalar Dormand-Prince kernel `_dopri45`.  A zero of w is
-    theta = 0 mod pi with theta' = k > 0, so theta falls through the
-    multiples of pi on the way in.  The boundary
-    condition is theta_bc = 0 for Dirichlet and atan2(k, -1/2) for Neumann
-    (u'(rho0) = 0 is w_s / w = -1/2), and the count is the number of
-    branches theta_bc - j pi, j >= 0, above theta(s0).  Once 40 is below
-    one ulp of nu there is no start point past the turning point, and a c
-    that large is a precondition error.
+    Certificate: T = sum_k |term_k| <= 3/2 keeps |S - 1| <= 1/2 all the way
+    from 0 to x0, so the principal arg S is the continuous one; T > 3/2,
+    near the turning point, gives -1.  A phase within its rounding bound of
+    a branch is a ConvergenceError, and a bound of 1 rad, where no count is
+    an exact integer, a PreconditionError.
     """
+    nu = math.sqrt(problem.c - 0.25)
+    arg_gamma, err_gamma = _arg_gamma(nu)
+    beta = nu * (s0 - _LN2) - arg_gamma
+    err = err_gamma + 4.0 * _EPS * nu * (np.abs(s0) + 1.0)
+    if err.max() >= 1.0:
+        raise PreconditionError(
+            f"c = {problem.c:g} is too large for an exact count: the Bessel "
+            f"phase carries a rounding error of up to {err.max():.3g} rad")
+    q = np.exp(2.0 * (s0 - _LN2))  # x0^2 / 4
+    term = np.ones(s0.shape, dtype=complex)
+    S, D, T = term.copy(), np.zeros_like(term), np.ones(s0.shape)
+    k = 0
+    while True:
+        # past the first term each ratio |term_k / term_{k-1}| <= 1/4 where
+        # T <= 3/2, so stopping below eps / 2 leaves less than eps / 6
+        k += 1
+        term = term * (q / (k * complex(k, nu)))
+        S += term
+        D += k * term
+        T += np.abs(term)
+        term[T > 1.5] = 0.0  # uncertified: stop before the terms overflow
+        if np.abs(term).max() <= 0.5 * _EPS:
+            break
+    err_S = _EPS * (7 * k + 8) * T
+    err = err + 3.0 * err_S + _EPS
+    y = -(beta + np.angle(S)) / math.pi
+    tie = np.abs(y - np.rint(y)) * math.pi <= err
+    if problem.bc == "dirichlet":
+        n = np.ceil(y) - 1.0
+    else:
+        kp = max(nu, 0.25)
+        theta_bc = math.atan2(kp, -0.5)
+        rot = np.exp(1j * beta)
+        w = (rot * S).imag
+        w_s = (rot * (1j * nu * S + 2.0 * D)).imag
+        a = np.arctan2(kp * w, w_s) % math.pi
+        err_a = _EPS + 4.0 * (err + k * err_S) / np.hypot(kp * w, w_s) \
+            * ((kp + nu) * np.abs(S) + 2.0 * np.abs(D))
+        tie |= (np.abs(a - theta_bc) <= err_a) \
+            | (np.minimum(a, math.pi - a) <= err_a)
+        n = (a < theta_bc) - np.floor(1.0 - y)
+    certified = T <= 1.5
+    if (tie & certified).any():
+        x0 = float(np.exp(s0[tie & certified][0]))
+        raise ConvergenceError(
+            f"the Bessel phase at x0 = sqrt(E) rho0 = {x0:.6g} lies within "
+            f"its rounding bound of a branch; the count is not certain")
+    return np.where(certified, np.maximum(n, 0.0), -1.0).astype(int)
+
+
+def _sweep_counts(problem: RadialProblem, s0: np.ndarray) -> np.ndarray:
+    """Counts at s0 = ln x0 from one inward Pruefer sweep on scipy's RK45.
+
+    In s = ln x, w = K_{i nu}(e^s) solves w'' = (e^{2s} - nu^2) w, and its
+    Pruefer phase (w ~ sin(theta), w_s ~ k cos(theta)) obeys
+    theta' = k cos^2(theta) + (nu^2 - e^{2s}) sin^2(theta) / k, with k = nu
+    floored at 1/4 (a smaller k squeezes every angle onto pi).  The sweep
+    starts past the turning point, at x1 = nu + 40, from the WKB ratio
+    w_s / w = -sqrt(x^2 - nu^2) - x^2 / (2 (x^2 - nu^2)), and runs inward,
+    where a start error dies out; theta falls through the multiples of pi
+    at the zeros of w.  The count is the number of branches theta_bc - j pi,
+    j >= 0, above theta(s0), with theta_bc = 0 for Dirichlet and
+    atan2(k, -1/2) for Neumann (u'(rho0) = 0 is w_s / w = -1/2).  A c with
+    no start point past the turning point is a PreconditionError, a failed
+    integration a ConvergenceError.
+    """
+    from scipy.integrate import solve_ivp
+
+    nu2 = problem.c - 0.25
+    nu = math.sqrt(max(nu2, 0.0))
+    k = max(nu, 0.25)
+    # a live level has x0^2 < c = nu^2 + 1/4, so every x0 lies below x1
+    x1 = nu + 40.0
+    q1 = x1 * x1 - nu2
+    if x1 == nu or q1 <= 0.0:
+        raise PreconditionError(
+            f"c = {problem.c:g} too large for a WKB start past the turning "
+            f"point x = nu")
+    theta1 = math.atan2(k, -math.sqrt(q1) - x1 * x1 / (2.0 * q1))
+
+    def rhs(s, theta):
+        sn = math.sin(theta[0])
+        cs = math.cos(theta[0])
+        return [k * cs * cs + (nu2 - math.exp(2.0 * s)) * sn * sn / k]
+
+    s, inverse = np.unique(s0, return_inverse=True)
+    sol = solve_ivp(rhs, (math.log(x1), s[0]), [theta1], t_eval=s[::-1],
+                    rtol=1e-8, atol=1e-10)
+    if not sol.success:
+        raise ConvergenceError(f"the inward phase sweep failed: {sol.message}")
+    theta = sol.y[0][::-1][inverse]
+    theta_bc = 0.0 if problem.bc == "dirichlet" else math.atan2(k, -0.5)
+    return np.maximum(0, np.ceil((theta_bc - theta) / math.pi)).astype(int)
+
+
+def _counts(problem: RadialProblem, E) -> np.ndarray:
+    """Eigenvalue counts below each level -E / scale, an eigenvalue at
+    exactly -E / scale included (TIE_SHIFT): the closed form
+    `_phase_counts`, and `_sweep_counts` where that is uncertified or, for
+    Neumann c <= 1/4, undefined."""
     E_eff = np.asarray(E, dtype=float) / problem.scale
     depth = E_eff * (1.0 - TIE_SHIFT)
     counts = np.zeros(depth.shape, dtype=int)
@@ -244,42 +248,26 @@ def _sweep_counts(problem: RadialProblem, E) -> np.ndarray:
         live[:] = False
     if not live.any():
         return counts
-    nu = math.sqrt(max(nu2, 0.0))
-    k = max(nu, 0.25)
-    # a live level has x0^2 < c = nu^2 + 1/4, so every x0 lies below x1
-    s0, inverse = np.unique(0.5 * np.log(depth[live]) + math.log(problem.rho0),
-                          return_inverse=True)
-    x1 = nu + 40.0
-    q1 = x1 * x1 - nu2
-    if x1 == nu or q1 <= 0.0:
-        raise PreconditionError(
-            f"c = {problem.c:g} too large for a WKB start past the turning "
-            f"point x = nu")
-    theta1 = math.atan2(k, -math.sqrt(q1) - x1 * x1 / (2.0 * q1))
-
-    def rhs(s, theta):
-        sn = math.sin(theta)
-        cs = math.cos(theta)
-        return k * cs * cs + (nu2 - math.exp(2.0 * s)) * sn * sn / k
-
-    theta = np.array(_dopri45(rhs, math.log(x1), theta1,
-                              s0[::-1].tolist()))[::-1][inverse]
-    theta_bc = 0.0 if problem.bc == "dirichlet" else math.atan2(k, -0.5)
-    counts[live] = np.maximum(0, np.ceil((theta_bc - theta) / math.pi))
+    s0 = 0.5 * np.log(depth[live]) + math.log(problem.rho0)
+    n = _phase_counts(problem, s0) if nu2 > 0.0 else np.full(s0.shape, -1)
+    slow = n < 0
+    if slow.any():
+        n[slow] = _sweep_counts(problem, s0[slow])
+    counts[live] = n
     return counts
 
 
 def count_radial(problem: RadialProblem, E: float) -> int:
     """Number of eigenvalues of the radial operator below -E.
 
-    The count is read off one inward phase sweep (see `_sweep_counts`),
-    which has no truncation radius.  An eigenvalue at exactly -E is
-    included.
+    The count comes from `_counts`, the closed-form Bessel phase or the
+    inward sweep where that is uncertified, and depends on no truncation
+    radius.  An eigenvalue at exactly -E is included.
     """
     problem.validate()
     if not E > 0:
         raise PreconditionError(f"need E > 0, got {E}")
-    return int(_sweep_counts(problem, [E])[0])
+    return int(_counts(problem, [E])[0])
 
 
 def _energy_grid(E_grid) -> np.ndarray:
@@ -298,13 +286,14 @@ def _energy_grid(E_grid) -> np.ndarray:
 def counting_curve(problem: RadialProblem, E_grid) -> CountingCurve:
     """Counting function N(E) over a descending positive energy grid.
 
-    All counts come from a single inward phase sweep read off at every grid
-    energy.  Above the bottom of the potential the phase crosses each
+    Counts come from `_counts`: the closed-form Bessel phase, with one
+    inward sweep shared by the energies it does not certify.  Above the
+    bottom of the potential the phase crosses each
     boundary branch in one direction only, so N is nonincreasing in E.
     """
     problem.validate()
     E = _energy_grid(E_grid)
-    counts = _sweep_counts(problem, E)
+    counts = _counts(problem, E)
     return CountingCurve(E, np.abs(np.log(E)), counts)
 
 
@@ -418,7 +407,8 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
 
     with attractive coefficient c_m = (1 - C_knob (delta + eps_knob)) / 4
     - lambda_m.  Modes with c_m <= 0 cannot bind and are dropped.  Each
-    mode counts all its (E, n) shifts from one inward phase sweep.  The
+    mode counts all its (E, n) shifts in one `_counts` call (the closed
+    form, with one sweep for the shifts it does not certify).  The
     staircase is then fitted against |ln E| and compared with the predicted
     slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
     spectrum.  The levels lambda_m and that slope come from
@@ -480,15 +470,15 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         return mu
 
     mu = np.array(parallel_map(shifts_at, E_grid))
-    # _sweep_counts' live rule at rho0 = 1: a shift counts only below c
+    # _counts' live rule at rho0 = 1: a shift counts only below c
     c_max = max(c for _, _, c in retained)
     if not (mu * (1.0 - TIE_SHIFT) < c_max).any():
         raise PreconditionError(
             f"every channel shift mu (the least is {mu.min():.3e}) lies at or "
             f"above the largest retained c = {c_max:.3g}, so no level counts")
-    # one sweep per mode covers every (E, channel) shift; mu_n rises with n,
+    # one call per mode covers every (E, channel) shift; mu_n rises with n,
     # so channels past the first empty one add nothing to the sum
-    per_mode = {m: _sweep_counts(RadialProblem(c=c), mu).sum(axis=1)
+    per_mode = {m: _counts(RadialProblem(c=c), mu).sum(axis=1)
                 for m, _, c in retained}
     counts = sum(per_mode.values())
 

@@ -305,16 +305,22 @@ def _fit_semilog(L: np.ndarray, g: np.ndarray):
     return float(math.exp(coef[1])), float(-coef[0]), r2
 
 
-def _check_spacing(spec: PotentialSpec, L: float, h: float) -> None:
-    """Refuse a spacing h that is not finite and positive, or that leaves
-    the sweep's shortest interval, at length L, fewer than 16 nodes."""
+def _check_spacing(spec: PotentialSpec, L_lo: float, L_hi: float,
+                   h: float) -> None:
+    """Refuse a spacing h that is not finite and positive, that leaves the
+    sweep's shortest interval, at length L_lo, fewer than 16 nodes, or
+    whose node count 2 L / h at the longest length L_hi is not finite."""
     if not (math.isfinite(h) and h > 0.0):
         raise PreconditionError(f"need finite spacing h > 0, got {h}")
-    half = spec.domain_half_width(L)
+    if not math.isfinite(2.0 * float(spec.domain_half_width(L_hi)) / h):
+        raise PreconditionError(
+            f"spacing h = {h} makes the node count 2 L / h at L = {L_hi:g} "
+            f"overflow")
+    half = spec.domain_half_width(L_lo)
     if int(round(2.0 * half / h)) - 1 < 16:
         raise PreconditionError(
             f"the shortest sweep interval (-{half:g}, {half:g}), at L = "
-            f"{L:g}, holds fewer than 16 nodes at spacing h = {h:g}")
+            f"{L_lo:g}, holds fewer than 16 nodes at spacing h = {h:g}")
 
 
 def sweep_lengths(spec: PotentialSpec, L_min: float, L_max: float, num: int,
@@ -332,7 +338,7 @@ def sweep_lengths(spec: PotentialSpec, L_min: float, L_max: float, num: int,
     if num < 5:
         raise PreconditionError(
             f"truncation sweep needs at least 5 L values, got L_num = {num}")
-    _check_spacing(spec, min(ends), h)
+    _check_spacing(spec, min(ends), max(ends), h)
     most = 1.0 + 2.0 * abs(L_max - L_min) / h
     if num > most:
         raise PreconditionError(
@@ -363,7 +369,7 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
             f"need finite sweep lengths L, got {L_grid.tolist()}")
     if L_grid.size < 5:
         raise PreconditionError("truncation sweep needs at least 5 L values")
-    _check_spacing(spec, L_grid[0], h)
+    _check_spacing(spec, L_grid[0], L_grid[-1], h)
 
     # hard_wall clamps every L >= a to the box (-a, a), Dirichlet either way
     wall = spec.family == "hard_wall"

@@ -103,6 +103,28 @@ def dlmf_zero_energies(c, e_min):
             out.append(x * x)
 
 
+def dlmf_count(c, energy, dps=40):
+    """Zeros of K_{i nu}(x) above x0 = sqrt(energy) from DLMF 10.45.7 in
+    mpmath, or None where x0 lies too close to a zero to tell.
+
+    The zeros sit where nu ln(x/2) - phi, phi = arg Gamma(1 + i nu), is
+    -k pi with k >= 1: the k = 0 seed of `dlmf_zero_energies` lies near
+    0.74 nu at large nu, below the turning point, but is no zero (the
+    frozen c = 1e4 counts are one below a count that keeps it).  The
+    O(x^2) term shifts the phase by about x0^2 / (4 nu), so an x0 whose
+    phase lies within x0^2 / nu of a zero gives None.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        nu = mp.sqrt(mp.mpf(c) - mp.mpf(1) / 4)
+        x0 = mp.sqrt(mp.mpf(energy))
+        y = (mp.im(mp.loggamma(1 + 1j * nu)) - nu * mp.log(x0 / 2)) / mp.pi
+        if abs(y - mp.nint(y)) * mp.pi < x0 * x0 / nu:
+            return None
+        return max(0, int(mp.ceil(y)) - 1)
+
+
 def bessel_first_zero_energy(c, dps=40):
     """Live recomputation of |E_1| for the half-line operator via mpmath."""
     import mpmath as mp

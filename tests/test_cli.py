@@ -684,6 +684,12 @@ BAD_REAL_INPUTS = [
       "--L-max", "2e-3"], "at L = 0.001, holds fewer than 16 nodes"),
     (["threshold", "--sweep", "--h", "0.5"],
      "at L = 4, holds fewer than 16 nodes at spacing h = 0.5"),
+    # 2 L / h overflowed and int() raised OverflowError (exit 1), at every
+    # length for a subnormal h and at the longest one only for h = 5e-308
+    (["threshold", "--sweep", "--h", "5e-324"],
+     "spacing h = 5e-324 makes the node count 2 L / h at L = 14 overflow"),
+    (["threshold", "--sweep", "--h", "5e-308"],
+     "spacing h = 5e-308 makes the node count 2 L / h at L = 14 overflow"),
     # np.linspace asked for an 8 GB grid of lengths h / 2 cannot separate;
     # equal ends exited 0 with both rate fits flagged NaN
     (["threshold", "--sweep", "--L-num", "1000000000"],

@@ -1,9 +1,6 @@
 """Half-line eigenvalue counting, slope fits, and the assembled model."""
 
-import functools
 import math
-import operator
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +19,8 @@ from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
 
 from _oracles import (BESSEL_ENERGIES, STRONG_COUPLING_COUNTS, bessel_count,
-                      bessel_first_zero_energy, dlmf_zero_energies,
-                      square_well_even_level)
+                      bessel_first_zero_energy, dlmf_count,
+                      dlmf_zero_energies, square_well_even_level)
 
 # the criterion-6 grid: 8 points per decade down to the default floor 1e-22
 DEEP_GRID = np.logspace(-3, -22, 153)
@@ -148,175 +145,111 @@ def test_neumann_counts_match_forward_shooting(c):
        bc=st.sampled_from(["dirichlet", "neumann"]),
        log10_E=st.floats(-8.0, -2.0))
 def test_count_radial_matches_forward_shooting(c, rho0, scale, bc, log10_E):
-    # the inward sweep and the forward shooter in rho share no integration
+    # count_radial (the closed-form phase, or the inward sweep near the
+    # turning point) and the forward shooter in rho share no integration
     # variable, start point or truncation; on shallow levels both are exact
     problem = RadialProblem(c=c, rho0=rho0, bc=bc, scale=scale)
     E = 10.0 ** log10_E
     assert count_radial(problem, E) == _forward_count(problem, E)
 
 
-def _evaluations(fun):
-    calls = []
-
-    def counted(t, y):
-        calls.append(t)
-        return fun(t, y)
-    return counted, calls
+def _log_radii(problem, E):
+    """s0 = ln(sqrt(E) rho0) at the tie-shifted levels, as `_counts` forms
+    it."""
+    depth = np.asarray(E) / problem.scale * (1.0 - TIE_SHIFT)
+    return 0.5 * np.log(depth) + math.log(problem.rho0)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(c=st.floats(0.25, 20.0, exclude_min=True),
-       bc=st.sampled_from(["dirichlet", "neumann"]))
-def test_dopri_kernel_matches_scipy_rk45(c, bc):
-    # the sweep's scalar Dormand-Prince kernel mirrors scipy's RK45 step for
-    # step: on the sweep's own right-hand side, start and read-off points it
-    # takes as many evaluations as solve_ivp and agrees with it far below
-    # the phase gap pi that a count resolves
-    kernel = counting._dopri45
-    runs = []
-
-    def both(fun, t0, y0, t_eval):
-        ours, ours_calls = _evaluations(fun)
-        theta = np.array(kernel(ours, t0, y0, t_eval))
-        sol = solve_ivp(lambda t, y: [fun(t, y[0])], (t0, t_eval[-1]), [y0],
-                        method="RK45", t_eval=t_eval, rtol=1e-8, atol=1e-10)
-        assert sol.success
-        runs.append((len(ours_calls), sol.nfev,
-                     np.max(np.abs(theta - sol.y[0]))))
-        return sol.y[0]
-
-    problem = RadialProblem(c=c, bc=bc)
-    with mock.patch.object(counting, "_dopri45", both):
-        reference = counting_curve(problem, DEEP_GRID).N
-    [(nfev, ref_nfev, gap)] = runs
-    assert nfev == ref_nfev and gap <= 1e-9
-    assert counting_curve(problem, DEEP_GRID).N.tolist() == reference.tolist()
-
-
-@pytest.mark.parametrize("nan_below", [math.inf, -0.5])
-def test_dopri_kernel_turns_a_nan_rhs_into_a_convergence_error(nan_below):
-    # a NaN step would never fall below the minimum step by comparison; the
-    # kernel must stop, not spin, whether the NaN is there from the start
-    # or appears part way
-    def rhs(t, y):
-        assert len(calls) < 2000, "the kernel keeps stepping on NaN"
-        return math.nan if t < nan_below else -y
-
-    rhs, calls = _evaluations(rhs)
-    with pytest.raises(ConvergenceError):
-        counting._dopri45(rhs, 0.0, 1.0, [-0.25, -1.0])
+def test_closed_form_matches_the_sweep():
+    # the closed-form Bessel phase against the inward sweep, on the
+    # certified energies of a seeded sample from 1e-40 up to the live bound
+    # c / rho0^2.  The sweep's phase is only good to about its tolerance
+    # accumulated over the run, so each closed-form count must lie between
+    # the sweep's counts at s0 -/+ 1e-6 (1 + |s0|); the staircase is flat
+    # over that window almost everywhere, where the counts are equal
+    rng = np.random.default_rng(21)
+    checked = exact = 0
+    for c in (0.26, 0.3, 0.5, 1.25, 2.0, 5.0, 20.0, 100.0, 1e4):
+        for bc in ("dirichlet", "neumann"):
+            for rho0 in (0.3, 1.0, 3.0):
+                problem = RadialProblem(c=c, rho0=rho0, bc=bc)
+                E = 10.0 ** rng.uniform(-40.0, math.log10(c / rho0 ** 2),
+                                        200)
+                s0 = _log_radii(problem, E)
+                s0 = s0[s0 < 0.5 * math.log(c)]  # live
+                n = counting._phase_counts(problem, s0)
+                s0, n = s0[n >= 0], n[n >= 0]
+                d = 1e-6 * (1.0 + np.abs(s0))
+                hi, at, lo = counting._sweep_counts(
+                    problem, np.concatenate([s0 - d, s0, s0 + d])
+                ).reshape(3, -1)
+                assert np.all((lo <= n) & (n <= hi)), (c, bc, rho0)
+                checked += n.size
+                exact += np.count_nonzero(n == at)
+    assert checked > 10000
+    assert exact >= checked - 5
 
 
-def _sum(terms):
-    # sum() of floats up to Python 3.11: from 0, left to right (3.12 and
-    # later compensate, which would make the reference itself move)
-    return functools.reduce(operator.add, terms, 0)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_phase_on_a_branch_is_a_convergence_error(bc):
+    # bisect ln x0 onto the step of the staircase: before the bracket
+    # closes to adjacent floats the phase comes within its rounding bound
+    # of the branch, where the count is not certain
+    problem = RadialProblem(c=2.0, bc=bc)
+    lo, hi = -14.0, -10.0
+    with pytest.raises(ConvergenceError, match="rounding bound"):
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            n_lo, n_mid = counting._phase_counts(problem, np.array([lo, mid]))
+            lo, hi = (mid, hi) if n_mid == n_lo else (lo, mid)
 
 
-def _loop_dopri45(fun, t0, y0, t_eval):
-    # the kernel as a loop over the tableau rows, the form `_dopri45` was
-    # written in before its stages were spelled out
-    t_end = t_eval[-1]
-    direction = math.copysign(1.0, t_end - t0)
-    span = abs(t_end - t0)
-    t, y, f = t0, y0, fun(t0, y0)
-    scale = counting._ATOL + abs(y) * counting._RTOL
-    d0, d1 = abs(y) / scale, abs(f) / scale
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = abs(fun(t + h0 * direction, y + h0 * direction * f) - f) \
-        / scale / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
-        else (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, span)
-    out = []
-    while direction * (t - t_end) < 0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise ConvergenceError(f"step size {h_abs:.3e} at t = {t}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-            K = [f]
-            for c, a in zip(counting._DP_C, counting._DP_A):
-                K.append(fun(t + c * h,
-                             y + _sum(ai * ki for ai, ki in zip(a, K)) * h))
-            y_new = y + h * _sum(b * ki for b, ki in zip(counting._DP_B, K))
-            K.append(fun(t + h, y_new))
-            err = abs(_sum(e * ki for e, ki in zip(counting._DP_E, K)) * h) \
-                / (counting._ATOL + max(abs(y), abs(y_new)) * counting._RTOL)
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-        i = len(out)
-        if i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
-            q = [_sum(p[j] * ki for p, ki in zip(counting._DP_P, K))
-                 for j in range(3)]
-            while i < len(t_eval) and direction * (t_eval[i] - t_new) <= 0:
-                x = (t_eval[i] - t) / h
-                out.append(y + h * x * (f + x * (q[0] + x * (q[1]
-                                                               + x * q[2]))))
-                i += 1
-        t, y, f = t_new, y_new, K[-1]
-    return out
+def test_neumann_count_near_its_branch_at_strong_coupling():
+    # c = 1e4: the Neumann angle lies 4e-4 rad below its branch here, and
+    # the sweep (RK45 at rtol 1e-8) counted 691.  The phase series summed
+    # in 50-digit mpmath and a DOP853 sweep at rtol 1e-12 both count 692
+    problem = RadialProblem(c=1e4, bc="neumann")
+    assert count_radial(problem, 7.425984283365384e-16) == 692
 
 
-def _bits(kernel, fun, t0, y0, t_eval):
-    # the returned floats and every (t, y) the kernel asked fun for, as hex
-    # strings, so that == also tells -0.0 from 0.0
-    calls = []
-
-    def recorded(t, y):
-        calls.append((t.hex(), y.hex()))
-        return fun(t, y)
-    out = kernel(recorded, t0, y0, t_eval)
-    return [v.hex() for v in out], calls
-
-
-def _rejections(calls):
-    # an accepted step's first stage lies past the previous step's last
-    # evaluation at t + h; a retried step starts again behind it
-    times = [float.fromhex(t) for t, _ in calls]
-    firsts, lasts = times[8::6], times[7::6]
-    direction = math.copysign(1.0, times[-1] - times[0])
-    return sum(direction * (a - b) < 0 for a, b in zip(firsts, lasts))
+@pytest.mark.parametrize("c", [1e6, 1e8])
+def test_strong_coupling_counts_match_dlmf(c):
+    # the sweep lost phase over nu = 1e3 and 1e4 radians per unit of ln x:
+    # it was wrong on 1 and on 21 of these 41 energies, and `counting --c
+    # 1e8` exited 0 with those counts
+    grid = np.logspace(-3, -8, 41)
+    curve = counting_curve(RadialProblem(c=c), grid)
+    want = [dlmf_count(c, float(E)) for E in grid]
+    assert None not in want
+    assert curve.N.tolist() == want
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(c=st.floats(0.25, 20.0, exclude_min=True),
-       bc=st.sampled_from(["dirichlet", "neumann"]))
-def test_dopri_kernel_is_the_loop_form_bit_for_bit(c, bc):
-    # the written-out stages sum in the loop's order, so the sweep takes
-    # the same steps at the same points and returns the same floats
-    kernel, sweeps = counting._dopri45, []
-
-    def capture(*args):
-        sweeps.append(args)
-        return kernel(*args)
-    with mock.patch.object(counting, "_dopri45", capture):
-        counting_curve(RadialProblem(c=c, bc=bc), DEEP_GRID)
-    [sweep] = sweeps
-    assert _bits(kernel, *sweep) == _bits(_loop_dopri45, *sweep)
+@pytest.mark.parametrize("problem, grid", [
+    (RadialProblem(c=20.0), np.geomspace(15.0, 0.5, 12)),
+    (RadialProblem(c=20.0, bc="neumann"), np.geomspace(15.0, 0.5, 12)),
+    (RadialProblem(c=0.25, bc="neumann"), np.logspace(-1, -8, 8)),
+], ids=["c=20-dirichlet", "c=20-neumann", "c=0.25-neumann"])
+def test_sweep_fallback_matches_forward_shooting(problem, grid):
+    # energies near the turning point fail the closed form's certificate,
+    # and Neumann c <= 1/4 has no Bessel phase: the inward sweep counts them
+    if problem.c > 0.25:
+        assert (counting._phase_counts(problem,
+                                       _log_radii(problem, grid)) < 0).any()
+    forward = [_forward_count(problem, float(E)) for E in grid]
+    assert counting_curve(problem, grid).N.tolist() == forward
 
 
-@pytest.mark.parametrize("t_eval", [[0.5, 3.0, 4.0], [-0.5, -3.0, -4.0]],
-                         ids=["forward", "backward"])
-def test_dopri_kernel_matches_the_loop_form_through_rejected_steps(t_eval):
-    # a forcing switched on for 1 < |t| < 1.1 makes the step control reject
-    # dozens of steps in either direction
-    def kick(t, y):
-        return -y + (100.0 if 1.0 < abs(t) < 1.1 else 0.0)
+def test_failed_sweep_is_a_convergence_error(monkeypatch):
+    # a right-hand side that turns NaN part way makes RK45 shrink its step
+    # to nothing; the sweep must stop with a typed error, not spin
+    def poisoned(fun, *args, **kwargs):
+        def rhs(t, y):
+            return [math.nan] if t < -0.5 else fun(t, y)
+        return solve_ivp(rhs, *args, **kwargs)
 
-    ours = _bits(counting._dopri45, kick, 0.0, 1.0, t_eval)
-    assert ours == _bits(_loop_dopri45, kick, 0.0, 1.0, t_eval)
-    assert _rejections(ours[1]) >= 20
+    monkeypatch.setattr("scipy.integrate.solve_ivp", poisoned)
+    with pytest.raises(ConvergenceError, match="sweep failed"):
+        count_radial(RadialProblem(c=0.25, bc="neumann"), 1e-3)
 
 
 def test_subcritical_coupling_binds_nothing():

@@ -74,8 +74,10 @@ print(json.dumps({
      "hard_wall", "--a", "1"],
 ], ids=["threshold", "ks", "assemble"])
 def test_solver_commands_load_no_scipy_integrate(tmp_path, argv):
-    # only spectral1d.oscillation_count integrates an ODE, and none of these
-    # calls it; spectral1d used to import scipy.integrate on load
+    # spectral1d.oscillation_count integrates an ODE, and so does the
+    # counting sweep fallback, which imports scipy.integrate only when a
+    # count fails the closed form's certificate; none of these reaches
+    # either.  spectral1d used to import scipy.integrate on load
     loaded = fresh(f"""
 import contextlib, io, json, sys
 import conebound.cli
