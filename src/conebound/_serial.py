@@ -49,17 +49,14 @@ def write_json(path, obj) -> None:
 
 
 def _format_column(values) -> list:
-    """Shortest round-trip decimals; integers stay integral, bools are
-    true/false."""
+    """Shortest round-trip decimals; integers stay integral."""
     values = np.asarray(values)
-    if values.dtype == np.bool_:
-        return ["true" if v else "false" for v in values.tolist()]
     fmt = str if np.issubdtype(values.dtype, np.integer) else repr
     return list(map(fmt, values.tolist()))
 
 
 def write_csv(path, header, columns) -> None:
-    """Columns of int/float/bool values, formatted for exact round-trip."""
+    """Columns of int/float values, formatted for exact round-trip."""
     cells = [_format_column(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

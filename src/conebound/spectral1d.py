@@ -9,7 +9,10 @@ and circles (periodic), with three independent spectral probes:
   half-bandwidth 2 and solved with LAPACK sbevx), with a Richardson error
   estimate from a half-grid solve only when the caller passes the operator
   on that grid,
-* an O(n) eigenvalue counter from the LDL^T inertia of A - sigma I,
+* an O(n) eigenvalue counter from the inertia of A - sigma I: LAPACK
+  stebz's Sturm count on the tridiagonal matrix, and for the periodic one the
+  count of its leading tridiagonal block plus the sign of the last row's
+  Schur complement (one tridiagonal solve),
 * a Prufer-phase shooting counter that never touches the matrix at all.
 
 Grids carry their closure.  Dirichlet grids hold the n interior nodes
@@ -26,16 +29,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dstebz
 # not called here: perfbench/tracing.py patches spectral1d.eigh by name
 from scipy.linalg import eigh  # noqa: F401
 
 from .counting import TIE_SHIFT  # the scipy-free home of the constant
 from .errors import ConvergenceError, PreconditionError
-
-# pivot guard for the inertia recurrences (LAPACK-style: a vanishing pivot is
-# treated as an infinitesimally negative one)
-_TINY = 1e-300
 
 _OFFSETS = {"dirichlet": 1.0, "neumann": 0.5, "periodic": 0.0}
 
@@ -212,60 +212,50 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
     return EigResult(vals, vecs, rich)
 
 
-def _tridiag_negcount(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
-    neg = 0
-    p = d[0] - sigma
-    if p == 0.0:
-        p = -_TINY
-    if p < 0.0:
-        neg += 1
-    for i in range(1, d.shape[0]):
-        p = d[i] - sigma - e[i - 1] * e[i - 1] / p
-        if p == 0.0:
-            p = -_TINY
-        if p < 0.0:
-            neg += 1
-    return neg
+def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
+    """Eigenvalues <= sigma of the tridiagonal matrix (d, e).
 
-
-def _cyclic_negcount(d: np.ndarray, e: np.ndarray, corner: float,
-                     sigma: float) -> int:
-    # LDL^T of the bordered form: rows 0..n-2 are a plain tridiagonal chain,
-    # the last row couples to row 0 (corner) and row n-2 (e[n-2]); f carries
-    # the fill-in of the last column during the elimination.
-    n = d.shape[0]
-    neg = 0
-    dn = d[n - 1] - sigma
-    f = corner
-    p = 0.0
-    for i in range(n - 1):
-        pivot = d[i] - sigma
-        if i > 0:
-            pivot -= e[i - 1] * e[i - 1] / p
-        p = pivot if pivot != 0.0 else -_TINY
-        if p < 0.0:
-            neg += 1
-        dn -= f * f / p
-        if i + 1 <= n - 2:
-            f_next = e[n - 2] if i + 1 == n - 2 else 0.0
-            f = f_next - e[i] * f / p
-    if dn == 0.0:
-        dn = -_TINY
-    if dn < 0.0:
-        neg += 1
-    return neg
+    LAPACK dstebz counts them on (vl, sigma]; given vl = -inf it starts from
+    its own Gershgorin lower bound, and a tolerance this wide stops it before
+    any bisection step.  A vanishing pivot counts as negative.
+    """
+    m, _, _, _, info = dstebz(d, e, 1, -math.inf, sigma, 1, 1, 1e300, "E")
+    if info:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"Sturm count failed: dstebz info = {info}")
+    return m
 
 
 def count_below(op: Operator1D, level: float) -> int:
-    """Number of eigenvalues <= level, by LDL^T inertia; O(n), no solves.
+    """Number of eigenvalues <= level by Sturm inertia; O(n), no eigensolve.
 
-    The "<=" convention is realized by counting strictly below
-    level + 1e-12 * max(1, |level|).
+    The "<=" convention is realized by counting eigenvalues <= level +
+    1e-12 * max(1, |level|).  A periodic matrix is counted through its
+    leading (n-1)-row block T and the Schur complement s of its last row:
+    by Haynsworth's inertia additivity, A - sigma I has as many negative
+    eigenvalues as T - sigma I, plus one when s <= 0.
     """
-    sigma = level + TIE_SHIFT * max(1.0, abs(level))
-    if op.kind == "periodic":
-        return _cyclic_negcount(op.diag, op.offdiag, op.corner, sigma)
-    return _tridiag_negcount(op.diag, op.offdiag, sigma)
+    if math.isnan(level):
+        raise PreconditionError("cannot count eigenvalues below a NaN level")
+    sigma = (level + TIE_SHIFT * max(1.0, abs(level))
+             if math.isfinite(level) else level)
+    if math.isinf(sigma):
+        return op.grid.n if sigma > 0.0 else 0
+    if op.kind != "periodic":
+        return _sturm_count(op.diag, op.offdiag, sigma)
+    d, e = op.diag[:-1], op.offdiag[:-1]
+    below = _sturm_count(d, e, sigma)
+    # the last row couples to row 0 (corner) and row n-2 (offdiag[n-2])
+    b = np.zeros(d.shape[0])
+    b[0] = op.corner
+    b[-1] += op.offdiag[-1]
+    band = np.array([np.r_[0.0, e], d - sigma, np.r_[e, 0.0]])
+    try:
+        x = solve_banded((1, 1), band, b)
+    except np.linalg.LinAlgError:
+        # sigma is an eigenvalue of T, which `below` counts; just above it s
+        # is +inf, so the last row adds nothing
+        return below
+    return below + int(op.diag[-1] - sigma - b @ x <= 0.0)
 
 
 def solve_ivp(*args, **kwargs):

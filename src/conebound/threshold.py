@@ -458,8 +458,10 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     each L is weighed as it stands, with Phi taken at the sweep's own eps0,
     and int e^{2 theta Phi} phi^2 dx is evaluated by the grid quadrature.
     Tail norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside
-    and fitted to a decaying exponential in L; a window with no grid node,
-    and a weighted norm that overflows, is a PreconditionError.
+    and fitted to a decaying exponential in L.  A window with no grid node,
+    a weighted norm that overflows, and a tail norm that does not fall below
+    the previous length's (the ground state has reached its floating-point
+    floor) are each a PreconditionError.
     """
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
@@ -488,6 +490,14 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
                 f"spacing h = {grid.h:g}")
         tails.append(float(math.sqrt(grid.h * np.sum(phi[mask] ** 2))))
     weighted, tails = np.array(weighted), np.array(tails)
+    rise = np.flatnonzero(tails[1:] >= tails[:-1])
+    if rise.size:
+        i = int(rise[0]) + 1
+        raise PreconditionError(
+            f"the Agmon tail norm at L = {L_grid[i]:g} is {tails[i]:.3g}, not "
+            f"below {tails[i - 1]:.3g} at L = {L_grid[i - 1]:g}: the ground "
+            f"state has reached its floating-point floor, where the weighted "
+            f"norms mean nothing; lower L_max")
     A, b, r2 = _fit_semilog(L_grid, tails)
     return AgmonReport(theta, R, weighted, float(np.max(weighted)), tails,
                        {"B": A, "b": b, "r_squared": r2}, eta)

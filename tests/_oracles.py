@@ -84,23 +84,23 @@ def dlmf_zero_energies(c, e_min):
 
     For small x, K_{i nu}(x) ~ -(pi / (nu sinh(pi nu)))^(1/2)
     sin(nu ln(x/2) - phi) with phi = arg Gamma(1 + i nu) (DLMF 10.45.7), so
-    the zeros sit at x_k ~ 2 exp((phi - k pi) / nu), k = 0, 1, ...  The
+    the zeros sit at x_k ~ 2 exp((phi - k pi) / nu), k = 1, 2, ...  The
     relative error is O(x^2): the deep zeros are accurate to many digits.
-    The decaying solution of w'' = (e^{2u} - nu^2) w in u = ln x has no zero
-    above u = ln nu, so seeds with x_k >= nu are not zeros and are dropped.
-    Returns the energies x_k^2 in descending order.
+    The k = 0 seed is no zero: it lies above the turning point nu at small
+    nu, and near 0.74 nu at large nu, where it would add a zero (248 above
+    1e-3 at c = 1e4, where there are 247).  Returns the energies x_k^2 in
+    descending order.
     """
     nu = math.sqrt(c - 0.25)
     phi = float(loggamma(1.0 + 1j * nu).imag)
     out = []
-    k = 0
+    k = 1
     while True:
         x = 2.0 * math.exp((phi - k * math.pi) / nu)
-        k += 1
         if x * x < e_min:
             return np.array(out)
-        if x < nu:
-            out.append(x * x)
+        out.append(x * x)
+        k += 1
 
 
 def dlmf_count(c, energy, dps=40):
@@ -108,11 +108,9 @@ def dlmf_count(c, energy, dps=40):
     mpmath, or None where x0 lies too close to a zero to tell.
 
     The zeros sit where nu ln(x/2) - phi, phi = arg Gamma(1 + i nu), is
-    -k pi with k >= 1: the k = 0 seed of `dlmf_zero_energies` lies near
-    0.74 nu at large nu, below the turning point, but is no zero (the
-    frozen c = 1e4 counts are one below a count that keeps it).  The
-    O(x^2) term shifts the phase by about x0^2 / (4 nu), so an x0 whose
-    phase lies within x0^2 / nu of a zero gives None.
+    -k pi with k >= 1, as in `dlmf_zero_energies`.  The O(x^2) term shifts
+    the phase by about x0^2 / (4 nu), so an x0 whose phase lies within
+    x0^2 / nu of a zero gives None.
     """
     import mpmath as mp
 

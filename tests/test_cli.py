@@ -700,6 +700,11 @@ BAD_REAL_INPUTS = [
     # exited 0 with bound_estimate = inf
     (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4"],
      "Agmon-weighted norm at L = 13, theta = 0.5 is not finite"),
+    # short of that overflow, the tail norms fell to the same floor near
+    # 6e-49 and rose again, and the sweep exited 0 with bound_estimate 5.9e149
+    (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4",
+      "--L-max", "12"],
+     "Agmon tail norm at L = 8.8 is 2.82e-47, not below 6.01e-49 at L = 8"),
 ]
 
 
@@ -830,15 +835,35 @@ def test_bad_input_files_are_precondition_errors(tmp_path, capsys, case):
     assert needle in capsys.readouterr().err
 
 
+def _tabulated_threshold(tmp_path, x, v):
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps({"threshold": {"potential": {
+        "family": "tabulated", "x": list(x), "v": list(v)}}}))
+    return run(["threshold", "--config", cfg, "--out-dir", tmp_path])
+
+
 def test_uncertifiable_gap_is_a_convergence_error(tmp_path, capsys):
     x = np.linspace(-12.0, 12.0, 4001)
     v = -8.0 * (np.exp(-2.0 * (x - 5.0) ** 2) + np.exp(-2.0 * (x + 5.0) ** 2))
-    cfg = tmp_path / "dwell.json"
-    cfg.write_text(json.dumps({"threshold": {"potential": {
-        "family": "tabulated", "x": list(x), "v": list(v)}}}))
-    code = run(["threshold", "--config", cfg, "--out-dir", tmp_path])
-    assert code == 3
+    assert _tabulated_threshold(tmp_path, x, v) == 3
     assert "gap" in capsys.readouterr().err
+    # two depth-4 square wells of half width 1 at +-4: the tunnelling split
+    # of the lowest pair lies far below the Richardson resolution
+    x = np.linspace(-12.0, 12.0, 2401)
+    v = np.where(np.abs(np.abs(x) - 4.0) < 1.0, -4.0, 0.0)
+    assert _tabulated_threshold(tmp_path, x, v) == 3
+    assert "spectral gap 3.928e-05 below resolution 6.993e-04" in \
+        capsys.readouterr().err
+
+
+def test_well_above_the_far_tail_is_a_precondition_error(tmp_path, capsys):
+    # the table falls to -10 beyond |x| = 16, outside the truncation
+    # L = 12, so the truncated well's level -2.87 binds nothing
+    x = np.linspace(-20.0, 20.0, 401)
+    v = np.select([np.abs(x) < 1.0, np.abs(x) < 16.0], [-4.0, 0.0], -10.0)
+    assert _tabulated_threshold(tmp_path, x, v) == 4
+    assert "eps0 = -2.86727 does not lie below v_inf = -10" in \
+        capsys.readouterr().err
 
 
 def test_assemble_small_run(tmp_path):

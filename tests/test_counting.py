@@ -77,6 +77,14 @@ def test_dlmf_zeros_against_frozen_table():
         assert np.allclose(dlmf, frozen, rtol=1e-2, atol=0.0)
 
 
+def test_dlmf_zeros_match_frozen_strong_coupling_counts():
+    # at nu ~ 100 the k = 0 seed lies near 0.74 nu, below the turning point,
+    # and is no zero: an oracle that kept it gave 248 zeros above 1e-3
+    zeros = dlmf_zero_energies(1e4, 1e-4)
+    for E, want in STRONG_COUPLING_COUNTS.items():
+        assert int(np.count_nonzero(zeros > E)) == want, f"E = {E:g}"
+
+
 def _dlmf_count_or_none(zeros, E):
     """Oracle count below -E, or None within 1e-3 relative of a zero.
 

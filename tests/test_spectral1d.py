@@ -246,7 +246,7 @@ def test_count_below_tie_is_inclusive():
 
 
 def test_count_below_matches_dense_solve(rng):
-    # LDL^T inertia against a dense symmetric eigensolve, all three closures
+    # Sturm inertia against a dense symmetric eigensolve, all three closures
     for _ in range(12):
         kind = ("dirichlet", "neumann", "periodic")[int(rng.integers(3))]
         n = int(rng.integers(16, 120))
@@ -265,6 +265,56 @@ def test_count_below_matches_dense_solve(rng):
         level = float(rng.uniform(vals[0] - 5.0, vals[min(n - 1, 10)] + 5.0))
         want = int(np.sum(vals <= level + 1e-12 * max(1.0, abs(level))))
         assert count_below(op, level) == want
+
+
+def _dense_eigvalsh(op):
+    n = op.grid.n
+    dense = np.diag(op.diag)
+    idx = np.arange(n - 1)
+    dense[idx, idx + 1] = dense[idx + 1, idx] = op.offdiag
+    dense[0, -1] += op.corner
+    dense[-1, 0] += op.corner
+    return np.linalg.eigvalsh(dense)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+def test_count_below_matches_eigvalsh_across_the_spectrum(rng, kind):
+    # the Sturm count (and for periodic matrices the block count plus the
+    # Schur complement's sign) against a dense solve, with levels drawn over
+    # the whole spectrum and potentials of scale 0 to 1e4
+    sizes = [*rng.integers(16, 400, 8), int(rng.integers(1000, 1200))]
+    for n in map(int, sizes):
+        grid = Grid1D.make(0.0, float(rng.uniform(0.5, 4.0)), n, kind)
+        scale = (0.0, 1.0, 20.0, 1e4)[int(rng.integers(4))]
+        op = assemble(rng.normal(0.0, scale, n), grid)
+        vals = _dense_eigvalsh(op)
+        for level in rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, 6):
+            level = float(level)
+            want = int(np.sum(vals <= level + 1e-12 * max(1.0, abs(level))))
+            assert count_below(op, level) == want, f"n = {n}, {level!r}"
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+def test_count_below_infinite_and_nan_levels(kind):
+    op, _ = _free_op(0.0, 1.0, 40, kind)
+    assert count_below(op, math.inf) == 40
+    assert count_below(op, -math.inf) == 0
+    with pytest.raises(PreconditionError, match="NaN"):
+        count_below(op, math.nan)
+
+
+def test_periodic_count_with_a_singular_leading_block():
+    # h = 1, no potential: the leading 17-row block minus 2 I has a zero
+    # diagonal and is exactly singular, while the 18-node circle has no
+    # level at 2 (its levels are 2 - 2 cos(2 pi k / 18)); nine lie below
+    op, grid = _free_op(0.0, 18.0, 18, "periodic")
+    assert grid.h == 1.0
+    level = 2.0 - 2e-12
+    assert level + 1e-12 * level == 2.0   # the shifted level is exactly 2
+    want = int(np.sum(_dense_eigvalsh(op) <= 2.0))
+    assert want == 9
+    for lvl in (math.nextafter(level, 0.0), level, math.nextafter(level, 3.0)):
+        assert count_below(op, lvl) == want
 
 
 def test_periodic_solve_matches_dense_solve(rng):
