@@ -19,11 +19,11 @@ oracle.  Below -c / rho0^2 the operator has no spectrum at all
 
 `assemble_model` stacks these half-line counters into the surface model: the
 cross-section modes come from the curvature operator spectrum, the shrinking
-transverse wells contribute channel shifts, and the resulting staircase is
-compared against the predicted log slope.  Certified counts need only numpy
-and math; the sweep fallback imports scipy.integrate when it runs, and
-`assemble_model` imports the scipy-backed layers (curvature operator,
-threshold, spectral1d) when it is called, not at import.
+transverse wells contribute channel shifts from `threshold.box_levels`, and
+the staircase is compared against the predicted log slope.  Certified counts
+need only numpy and math; the sweep fallback imports scipy.integrate when it
+runs, and `assemble_model` imports the scipy-backed layers (curvature
+operator, threshold, spectral1d) when it is called, not at import.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ if TYPE_CHECKING:
     from .threshold import PotentialSpec
 
 TIE_SHIFT = 1e-12  # relative level shift that makes "<= level" count ties
-_TRANSVERSE_H = 1.0 / 512.0  # largest grid spacing of the transverse levels
 _N_CHANNELS = 8  # transverse channels counted per cross-section mode
 
 
@@ -361,35 +360,6 @@ def default_energy_grid(top: float = 1e-3, bottom: float = 1e-22,
     return np.logspace(math.log10(top), math.log10(bottom), n)
 
 
-def _transverse_levels(potential: PotentialSpec, half_width: float,
-                       n_max: int) -> np.ndarray:
-    """Dirichlet levels of the transverse well on (-w, w).
-
-    hard_wall is a free box and the levels are taken in closed form; that
-    keeps the shifts E - eps0 + lambda_n exact at energies far below the
-    discretization error of any grid.  Other families go through the
-    threshold layer's extrapolated solve, the one that gives eps0:
-    cell-averaged samples on a Dirichlet grid of spacing at most
-    _TRANSVERSE_H, Richardson-extrapolated on the half grid's own cell
-    averages.  They are only meaningful while the shifts stay above that
-    solve's error.
-    """
-    if potential.family == "hard_wall":
-        w = min(half_width, potential.half_width)
-        try:
-            return np.array([(k * math.pi / (2.0 * w)) ** 2
-                             for k in range(1, n_max + 1)])
-        except (OverflowError, ZeroDivisionError):
-            raise PreconditionError(
-                f"hard_wall levels overflow on the half width {w:.3e}"
-            ) from None
-    from .threshold import _extrapolated_levels
-
-    n = max(1024, int(round(2.0 * half_width / _TRANSVERSE_H)))
-    return _extrapolated_levels(potential, half_width, n - 1, "dirichlet",
-                                n_max).extrapolated
-
-
 def assemble_model(curve: SampledCurve, potential: PotentialSpec,
                    delta: float = 0.05, C_knob: float = 0.0,
                    eps_knob: float = 0.0, K_delta: float = 5.0,
@@ -399,19 +369,20 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     """Assembled eigenvalue count of the conical surface model.
 
     For each energy E on the grid the matching radius is R(E) = K_delta
-    |ln E| (or R_fixed), the transverse Dirichlet well on (-delta R,
-    delta R) contributes channel levels lambda_n, and each retained cross
+    |ln E| (or R_fixed), the Dirichlet well on (-delta R, delta R) gives
+    channel levels lambda_n = threshold.box_levels, and each retained cross
     mode m counts half-line eigenvalues below the shifted level
 
         mu_n(E) = (E - eps0 + lambda_n) R^2 (1 - delta kappa_inf)^2
 
-    with attractive coefficient c_m = (1 - C_knob (delta + eps_knob)) / 4
-    - lambda_m.  Modes with c_m <= 0 cannot bind and are dropped.  Each
-    mode counts all its (E, n) shifts in one `_counts` call (the closed
-    form, with one sweep for the shifts it does not certify).  The
-    staircase is then fitted against |ln E| and compared with the predicted
-    slope sum sqrt(-lambda_m) / (2 pi) from the curvature operator
-    spectrum.  The levels lambda_m and that slope come from
+    with eps0 from compute_threshold, or box_levels(potential, a, 1) for a
+    hard wall, which compute_threshold refuses when a > L, and attractive
+    coefficient c_m = (1 - C_knob (delta + eps_knob)) / 4 - lambda_m.
+    Modes with c_m <= 0 cannot bind and are dropped.  Each mode counts all
+    its (E, n) shifts in one `_counts` call (the closed form, with one
+    sweep for the shifts it does not certify).  The staircase is fitted
+    against |ln E| and compared with the predicted slope sum
+    sqrt(-lambda_m) / (2 pi).  The levels lambda_m and that slope come from
     `curvature_operator.ks_levels` (k = max(12, n_modes)): the certified low
     Fourier block on the curve's own samples, else the band-solved fd
     levels on 1024 nodes; params["ks_route"] records which ran, "fourier"
@@ -434,10 +405,9 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     lambdas = np.asarray(report.eigenvalues)
     kappa_inf = sup_curvature(curve)
 
-    if potential.family == "hard_wall":
-        eps0 = (math.pi / (2.0 * potential.half_width)) ** 2
-    else:
-        eps0 = threshold.compute_threshold(potential).eps0
+    eps0 = (float(threshold.box_levels(potential, potential.half_width, 1)[0])
+            if potential.family == "hard_wall"
+            else threshold.compute_threshold(potential).eps0)
 
     c_knob = (1.0 - C_knob * (delta + eps_knob)) / 4.0
     modes = [(m, float(lam), c_knob - float(lam))
@@ -456,7 +426,7 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         if not (math.isfinite(R) and R > 0.0):
             raise PreconditionError(
                 f"matching radius R = {R} must be finite and positive")
-        levels = _transverse_levels(potential, delta * R, _N_CHANNELS)
+        levels = threshold.box_levels(potential, delta * R, _N_CHANNELS)
         # (level - eps0) first: for the ground channel of a closed-form
         # family the pair cancels exactly, keeping mu = E R^2 alive at
         # energies far below one ulp of eps0

@@ -229,14 +229,17 @@ def count_below(op: Operator1D, level: float) -> int:
     """Number of eigenvalues <= level by Sturm inertia; O(n), no eigensolve.
 
     The "<=" convention is realized by counting eigenvalues <= level +
-    1e-12 * max(1, |level|).  A periodic matrix is counted through its
-    leading (n-1)-row block T and the Schur complement s of its last row:
-    by Haynsworth's inertia additivity, A - sigma I has as many negative
-    eigenvalues as T - sigma I, plus one when s <= 0.
+    1e-12 max(1, |level|) + 16 eps ||A||, ||A|| bounded by Gershgorin, as
+    a computed eigenvalue is off by about eps ||A||.  A periodic matrix is
+    counted through its leading (n-1)-row block T and the Schur complement s
+    of its last row: by Haynsworth's inertia additivity, A - sigma I has as
+    many negative eigenvalues as T - sigma I, plus one when s <= 0.
     """
     if math.isnan(level):
         raise PreconditionError("cannot count eigenvalues below a NaN level")
-    sigma = (level + TIE_SHIFT * max(1.0, abs(level))
+    slack = 16.0 * np.finfo(float).eps * (np.abs(op.diag).max() + 2.0 * max(
+        np.abs(op.offdiag).max(), abs(op.corner)))
+    sigma = (level + TIE_SHIFT * max(1.0, abs(level)) + slack
              if math.isfinite(level) else level)
     if math.isinf(sigma):
         return op.grid.n if sigma > 0.0 else 0

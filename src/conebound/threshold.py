@@ -14,6 +14,7 @@ precision.  Gap rates are therefore fitted against each family's own
 largest-L value rather than against an external eps0.  The sweep's Neumann
 solves return their ground states too, and agmon_norms weighs those, with
 the sweep's own eps0, for the Agmon decay check (assumption (iii)).
+box_levels owns Q's Dirichlet levels on a box, a hard wall's in closed form.
 
 Potential families (all even in x):
 
@@ -238,19 +239,44 @@ def _extrapolated_levels(spec: PotentialSpec, L: float, n: int, kind: str,
         coarse=_interval_op(spec, L, n // 2, kind))
 
 
+def box_levels(spec: PotentialSpec, half_width: float, k: int) -> np.ndarray:
+    """The k lowest Dirichlet levels of Q on (-w, w).
+
+    A hard wall's box has w = min(half_width, a) and levels (j pi / 2w)^2 in
+    Python floats, so lambda_1 - eps0 cancels to exactly 0 at any E; levels
+    that overflow are a PreconditionError.  Other families take w =
+    half_width and _extrapolated_levels at spacing at most 1/512 and at
+    least 1023 interior nodes, meaningful only above that solve's error.
+    """
+    if spec.family == "hard_wall":
+        w = min(half_width, spec.half_width)
+        try:
+            levels = [(j * math.pi / (2.0 * w)) ** 2 for j in range(1, k + 1)]
+            if math.isinf(levels[-1]):  # pi / (2 w) rounds to inf unraised
+                raise OverflowError
+        except (OverflowError, ZeroDivisionError):
+            raise PreconditionError(
+                f"hard_wall levels overflow on the half width {w:.3e}"
+            ) from None
+        return np.array(levels)
+    n = max(1024, int(round(2.0 * half_width * 512.0)))
+    return _extrapolated_levels(spec, half_width, n - 1, "dirichlet",
+                                k).extrapolated
+
+
 def compute_threshold(spec: PotentialSpec, L: float = 12.0,
                       n: int = 4096) -> ThresholdReport:
     """Ground-state energy eps0 of Q, with gap and enclosure.
 
     eps0 is the Richardson-extrapolated first Dirichlet eigenvalue on the
-    truncated interval; bracket records the Neumann/Dirichlet pair (twice
-    the Dirichlet value for a hard wall, whose walls are Dirichlet under
-    either closure), whose continuum counterparts enclose eps0.  At
-    practical L the true width of that enclosure (~ exp(-2 sqrt(-eps0) L))
-    sits far below grid resolution, so the recorded pair agrees up to the
-    extrapolation residual and its ordering is not meaningful; the ordered
-    empirical bracketing lives in truncation_sweep, which works at fixed h
-    where the discretization biases of the two closures separate cleanly.
+    truncated interval; bracket records the Neumann/Dirichlet pair, whose
+    continuum counterparts enclose eps0.  At practical L the true width of
+    that enclosure (~ exp(-2 sqrt(-eps0) L)) sits far below grid
+    resolution, so the recorded pair agrees up to the extrapolation
+    residual and its ordering is not meaningful; the ordered empirical
+    bracketing lives in truncation_sweep, which works at fixed h where the
+    discretization biases of the two closures separate cleanly.  A hard
+    wall takes eps0 = (pi / 2a)^2 and bracket (eps0, eps0) from box_levels.
 
     Raises
     ------
@@ -264,34 +290,33 @@ def compute_threshold(spec: PotentialSpec, L: float = 12.0,
     spec.validate()
     if n < 512:
         raise PreconditionError(f"need n >= 512, got {n}")
+    half = spec.domain_half_width(L)
+    if spec.family == "hard_wall":
+        lam1, lam2 = map(float, box_levels(spec, half, 2))
+        return ThresholdReport(lam1, math.inf, lam2 - lam1, half, n, True,
+                               (lam1, lam1))
     dir_res = _extrapolated_levels(spec, L, n, "dirichlet", 2)
-    lam1_d, lam2_d = dir_res.extrapolated[:2]
-    lam1_n = lam1_d if spec.family == "hard_wall" else \
-        _extrapolated_levels(spec, L, n, "neumann", 1).extrapolated[0]
-    eps0 = float(lam1_d)
-    gap = float(lam2_d - lam1_d)
+    eps0, lam2 = map(float, dir_res.extrapolated[:2])
+    lam1_n = _extrapolated_levels(spec, L, n, "neumann", 1).extrapolated[0]
+    gap = lam2 - eps0
 
     # the truncation is only trustworthy if the potential confines at +-L
-    if spec.family != "hard_wall":
-        half = spec.domain_half_width(L)
-        edge = np.linspace(0.95 * half, half, 32)
-        vmin_edge = float(np.min(spec(edge)))
-        if vmin_edge <= eps0:
-            raise PreconditionError(
-                f"potential near |x| = {half} dips to {vmin_edge:.6g} <= "
-                f"eps0 = {eps0:.6g}; enlarge L")
+    vmin_edge = float(np.min(spec(np.linspace(0.95 * half, half, 32))))
+    if vmin_edge <= eps0:
+        raise PreconditionError(
+            f"potential near |x| = {half} dips to {vmin_edge:.6g} <= "
+            f"eps0 = {eps0:.6g}; enlarge L")
 
     err_scale = max(abs(float(dir_res.richardson_error[1])), 1e-14)
     if gap <= 50.0 * err_scale:
         raise ConvergenceError(
             f"spectral gap {gap:.3e} below resolution {50.0 * err_scale:.3e}")
     v_inf = spec.v_inf()
-    satisfied = bool(eps0 < v_inf)
-    if not satisfied:
+    if not eps0 < v_inf:
         raise PreconditionError(
             f"threshold eps0 = {eps0:.6g} does not lie below v_inf = {v_inf:.6g}")
-    return ThresholdReport(eps0, v_inf, gap, spec.domain_half_width(L), n,
-                           satisfied, (float(lam1_n), float(lam1_d)))
+    return ThresholdReport(eps0, v_inf, gap, half, n, True,
+                           (float(lam1_n), eps0))
 
 
 def _fit_semilog(L: np.ndarray, g: np.ndarray):

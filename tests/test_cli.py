@@ -78,8 +78,9 @@ def test_hard_wall_sweep_reports_the_box_level(tmp_path):
     assert run(["threshold", "--family", "hard_wall", "--a", "1", "--sweep",
                 "--out-dir", tmp_path]) == 0
     doc = load(tmp_path / "threshold_summary.json")
-    assert doc["eps0"] == 2.467401098443026
-    assert doc["gap"] == 7.402203302142785
+    # compute_threshold's eps0 and gap are the closed-form box levels
+    assert doc["eps0"] == 2.4674011002723395
+    assert doc["gap"] == 7.4022033008170185
     assert doc["bracket"] == [doc["eps0"], doc["eps0"]]
     # the fd Dirichlet box at h = 1/32 has 63 nodes and levels
     # 4096 sin^2(k pi / 128)
@@ -169,7 +170,9 @@ def fd_route_assemble(theta, mode):
 # compute_threshold (the weighted norms moved by under 7e-8 relative) and
 # a hard wall's box became Dirichlet under both closures (its bracket[0],
 # sweep eps0 and gap_delta went from the free Neumann box to the box
-# level; test_hard_wall_sweep_reports_the_box_level)
+# level; test_hard_wall_sweep_reports_the_box_level).  The hard-wall summary
+# was re-frozen when compute_threshold took a hard wall's levels in closed
+# form from box_levels: eps0, gap and bracket moved by under 1e-9 relative
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -198,7 +201,7 @@ FROZEN_OUTPUTS = [
      "514f46e5c13743ea49f2243196a8ba0fb31c1e408f31c71b7a86e1b46832e7eb"),
     (["threshold", "--family", "hard_wall", "--a", "1", "--sweep"],
      "threshold_summary.json",
-     "c43bb029b8aa92727f865daec00a0065c26ada7095095b42b64d176c393f7de1"),
+     "6462c2e8360846758648bc3bb841ff443599a37c898ec860cf41934f1da9b47e"),
     (KS_LATITUDE, "ks_report.json",
      "f056a04a39fe988a7d0f0b783eae8274e41166598912e46712220ac09677f440"),
     (KS_PERTURBED, "ks_report.json",
@@ -667,9 +670,15 @@ BAD_REAL_INPUTS = [
     (["assemble", "--E-bottom", "inf"], "E_bottom = inf"),
     (["threshold", "--sweep", "--L-num", "-1"], "L_num = -1"),
     # hard_wall levels and shifts that overflow: R * R warned and exited 0
-    # with slope 0, the levels of a 1e-302 wide box raised OverflowError
+    # with slope 0, the levels of a 1e-302 wide box and the eps0 of a
+    # 1e-200 wide wall raised OverflowError (exit 1)
     (_ASSEMBLE + ["--K-delta", "1e290"], "not all finite"),
     (_ASSEMBLE + ["--R-fixed", "1e-300"], "levels overflow"),
+    (_ASSEMBLE + ["--a", "1e-200"], "levels overflow"),
+    # pi / (2 a) is inf here without an OverflowError; an inf eps0 would
+    # pass eps0 < v_inf = inf
+    (["threshold", "--family", "hard_wall", "--a", "5e-324"],
+     "levels overflow"),
     # Agmon tail windows with no grid node fitted log(0) and exited 0 with
     # a NaN tail fit: the hard wall's box ends inside every window, and
     # eta = 0.001 is below h / 2
@@ -959,6 +968,15 @@ def test_hard_wall_wider_than_truncation_exits_4(tmp_path, capsys, args):
                 "--out-dir", tmp_path])
     assert code == 4
     assert "need L >= a" in capsys.readouterr().err
+
+
+def test_assemble_reads_a_hard_wall_wider_than_the_truncation(tmp_path):
+    # threshold refuses a = 20 > L = 12; assemble reads the box level
+    # itself, at any width
+    assert run(["assemble", "--family", "hard_wall", "--a", "20", "--delta",
+                "0.2", "--out-dir", tmp_path]) == 0
+    eps0 = load(tmp_path / "assemble_summary.json")["params"]["eps0"]
+    assert eps0 == (math.pi / 40.0) ** 2
 
 
 def test_hard_wall_inside_truncation_is_the_box(tmp_path):

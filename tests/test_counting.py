@@ -14,7 +14,7 @@ from conebound import (ConvergenceError, CountingCurve, CurveSpec,
                        PotentialSpec, PreconditionError, RadialProblem,
                        assemble_model, build_curve, count_radial,
                        counting_curve, fit_log_slope, kirsch_simon_slope)
-from conebound import counting, curvature_operator
+from conebound import counting, curvature_operator, threshold
 from conebound.counting import default_energy_grid, write_counting_csv
 from conebound.spectral1d import TIE_SHIFT, oscillation_count
 
@@ -425,12 +425,23 @@ def test_transverse_levels_match_the_square_well_oracle():
     # the threshold layer's cell-averaged, extrapolated solve; the old point
     # samples on a grid of their own were off by 8.7e-4 here
     sq = PotentialSpec(family="square_well", depth=4.0, half_width=1.0)
-    lam = counting._transverse_levels(sq, 12.0, 2)
+    lam = threshold.box_levels(sq, 12.0, 2)
     assert abs(lam[0] - square_well_even_level(4.0, 1.0)) < 1e-8
 
 
 def test_model_uses_closed_form_threshold(small_model):
     assert small_model.params["eps0"] == (math.pi / 2.0) ** 2
+
+
+@pytest.mark.parametrize("a", [1.0, 0.7, 2.5])
+def test_hard_wall_has_one_eps0(a):
+    # compute_threshold used to Richardson-solve the box (2.467401098443026
+    # at a = 1) while assemble took the closed form (2.4674011002723395)
+    pot = PotentialSpec(family="hard_wall", half_width=a)
+    curve = build_curve(CurveSpec(kind="latitude_circle", theta=math.pi / 4))
+    model = assemble_model(curve, pot, E_grid=np.logspace(-3, -10, 15))
+    assert threshold.compute_threshold(pot).eps0 == model.params["eps0"] \
+        == (math.pi / (2.0 * a)) ** 2
 
 
 def test_model_retains_only_the_ground_mode(small_model):

@@ -243,6 +243,17 @@ def test_count_below_tie_is_inclusive():
     lam2 = fd_dirichlet_eigs(n, grid.h)[1]
     assert count_below(op, lam2) == 2
     assert count_below(op, lam2 * (1.0 - 1e-6)) == 1
+    # a level set to a computed eigenvalue counts it: the shift covers the
+    # rounding eps ||A|| ~ eps 4/h^2, which at n = 500 and 2000 the relative
+    # 1e-12 alone missed (0, 1, 2 in place of 1, 2, 3)
+    for n in (64, 500, 2000):
+        op, _ = _free_op(0.0, 1.0, n, "dirichlet")
+        low = _dense_eigvalsh(op)[:3]
+        assert [count_below(op, float(v)) for v in low] == [1, 2, 3]
+    # the free periodic operator's zero level computes as -8.1e-12
+    op, _ = _free_op(0.0, 1.0, 64, "periodic")
+    zero = float(_dense_eigvalsh(op)[0])
+    assert count_below(op, zero) == 1
 
 
 def test_count_below_matches_dense_solve(rng):

@@ -29,6 +29,38 @@ def test_hard_wall_closed_form():
     assert rep.satisfied_iii
 
 
+@pytest.mark.parametrize("w", [1.0, 3.0, 0.3, 1e-3, 0.005943712350245306])
+def test_box_levels_of_a_hard_wall_are_the_closed_form(w):
+    # bit for bit the Python expression, on the box (-min(w, a), min(w, a));
+    # at the last width numpy's ** 2 rounds some of these levels differently
+    spec = PotentialSpec(family="hard_wall", half_width=1.0)
+    box = min(w, 1.0)
+    assert threshold.box_levels(spec, w, 8).tolist() == \
+        [(j * math.pi / (2.0 * box)) ** 2 for j in range(1, 9)]
+
+
+@pytest.mark.parametrize("spec, w, n", [
+    (SQUARE, 4.0, 4095),
+    (PotentialSpec(family="gaussian_well", depth=2.0, width=0.5), 0.5, 1023),
+    (PotentialSpec(family="confining", p=2.0), 3.0, 3071)],
+    ids=["square-w4", "gaussian-w0.5", "confining-w3"])
+def test_box_levels_of_other_families_are_the_extrapolated_solve(spec, w, n):
+    # spacing at most 1/512, and at least 1023 interior nodes
+    got = threshold.box_levels(spec, w, 3)
+    want = threshold._extrapolated_levels(spec, w, n, "dirichlet", 3)
+    assert np.array_equal(got, want.extrapolated)
+
+
+def test_extrapolated_solve_of_the_hard_wall_box():
+    # the fd route on the box (-1, 1) that compute_threshold ran for a hard
+    # wall before it took box_levels; it returned eps0 = 2.467401098443026
+    spec = PotentialSpec(family="hard_wall", half_width=1.0)
+    got = threshold._extrapolated_levels(spec, 12.0, 4096, "dirichlet", 2)
+    np.testing.assert_allclose(got.extrapolated,
+                               [(math.pi / 2.0) ** 2, math.pi ** 2],
+                               rtol=1e-9, atol=0.0)
+
+
 def test_square_well_against_transcendental_oracle():
     exact = square_well_even_level(4.0, 1.0)
     rep = compute_threshold(SQUARE)
