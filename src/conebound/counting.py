@@ -421,12 +421,17 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         raise PreconditionError("delta kappa_inf >= 1; tube map degenerates")
     shrink = (1.0 - delta * kappa_inf) ** 2
 
+    boxes = {}  # channel levels of each box half width delta R, solved once
+
     def shifts_at(E):
         R = R_fixed if R_fixed is not None else K_delta * abs(math.log(E))
         if not (math.isfinite(R) and R > 0.0):
             raise PreconditionError(
                 f"matching radius R = {R} must be finite and positive")
-        levels = threshold.box_levels(potential, delta * R, _N_CHANNELS)
+        w = delta * R
+        if w not in boxes:
+            boxes[w] = threshold.box_levels(potential, w, _N_CHANNELS)
+        levels = boxes[w]
         # (level - eps0) first: for the ground channel of a closed-form
         # family the pair cancels exactly, keeping mu = E R^2 alive at
         # energies far below one ulp of eps0

@@ -3,12 +3,17 @@
 Symmetric second-difference operators on intervals (Dirichlet / Neumann ends)
 and circles (periodic), with three independent spectral probes:
 
-* low eigenvalues and eigenvectors via bisection plus inverse iteration
-  (LAPACK stebz/stein on the tridiagonal matrix; the periodic matrix, whose
-  corner entries close the circle, is reordered into a symmetric band of
-  half-bandwidth 2 and solved with LAPACK sbevx), with a Richardson error
-  estimate from a half-grid solve only when the caller passes the operator
-  on that grid,
+* low eigenvalues and eigenvectors, with a Richardson error estimate from a
+  half-grid solve only when the caller passes the operator on that grid.
+  On an interval, lambda_1 and lambda_2 come in O(n) from certified
+  iterations (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998):
+  inverse iteration at lower shifts that LAPACK pttrf proves, and
+  Rayleigh-quotient iteration deflated against the ground state whose index
+  one Sturm count proves; their vectors come from LAPACK stein.  More
+  levels, and any failed certificate, fall back to bisection plus inverse
+  iteration (LAPACK stebz/stein); the periodic matrix, whose corner entries
+  close the circle, is reordered into a symmetric band of half-bandwidth 2
+  and solved with LAPACK sbevx,
 * an O(n) eigenvalue counter from the inertia of A - sigma I: LAPACK
   stebz's Sturm count on the tridiagonal matrix, and for the periodic one the
   count of its leading tridiagonal block plus the sign of the last row's
@@ -30,7 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import (dgttrf, dgttrs, dpttrf, dpttrs, dstebz,
+                                  dstein)
 # not called here: perfbench/tracing.py patches spectral1d.eigh by name
 from scipy.linalg import eigh  # noqa: F401
 
@@ -38,6 +44,9 @@ from .counting import TIE_SHIFT  # the scipy-free home of the constant
 from .errors import ConvergenceError, PreconditionError
 
 _OFFSETS = {"dirichlet": 1.0, "neumann": 0.5, "periodic": 0.0}
+_EPS = np.finfo(float).eps
+# iteration steps before a solve falls back to bisection
+_MAX_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,153 @@ def _periodic_band(op: Operator1D):
     return band, order
 
 
-def _solve_sorted(op: Operator1D, k: int, want_vectors: bool):
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # numpy's own pairwise sum: no BLAS kernel or thread count moves a bit
+    return float(np.add.reduce(x * y))
+
+
+def _rayleigh(d: np.ndarray, e: np.ndarray, y: np.ndarray):
+    """The unit vector x = y / ||y||, its Rayleigh quotient rho and the
+    residual norm ||T x - rho x||."""
+    x = y / math.sqrt(_dot(y, y))
+    tx = d * x
+    tx[1:] += e * x[:-1]
+    tx[:-1] += e * x[1:]
+    rho = _dot(x, tx)
+    tx -= rho * x
+    return x, rho, math.sqrt(_dot(tx, tx))
+
+
+def _factor_above(d: np.ndarray, e: np.ndarray, sigma: float):
+    """LDL^T factors of T - sigma I, or None: LAPACK dpttrf succeeds only
+    when T - sigma I is positive definite, which puts every eigenvalue of T
+    above sigma."""
+    df, ef, info = dpttrf(d - sigma, e)
+    return None if info else (df, ef)
+
+
+def _ground(d, e, x, tol, hint):
+    """lambda_1 and its unit vector by inverse iteration from x, or None.
+
+    Every shift sigma is a lower bound on lambda_1, and the Rayleigh
+    quotient rho an upper one (Courant-Fischer), so lambda_1 lies in
+    (sigma, rho].  The first shift is Gershgorin's lower bound less tol, or
+    hint - tol when dpttrf certifies it and it lies higher; each step moves
+    it up to rho - ||r|| when dpttrf succeeds there.  The answer is rho
+    once rho - sigma <= tol.
+    """
+    ae = np.abs(e)
+    sigma = float(min(d[0] - ae[0], d[-1] - ae[-1],
+                      np.min(d[1:-1] - ae[:-1] - ae[1:]))) - tol
+    factors = None
+    if hint is not None and hint - tol > sigma:
+        factors = _factor_above(d, e, hint - tol)
+        if factors is not None:
+            sigma = hint - tol
+            x = dpttrs(*factors, x)[0]
+    for _ in range(_MAX_STEPS):
+        x, rho, res = _rayleigh(d, e, x)
+        if rho - res > sigma:
+            raised = _factor_above(d, e, rho - res)
+            if raised is not None:
+                sigma, factors = rho - res, raised
+        if rho - sigma <= tol:
+            return rho, x
+        if factors is None:
+            factors = _factor_above(d, e, sigma)
+            if factors is None:
+                return None
+        x = dpttrs(*factors, x)[0]
+    return None
+
+
+def _second(d, e, x, rho1, x1, tol):
+    """lambda_2 and its unit vector by Rayleigh-quotient iteration from x,
+    deflated against the ground state x1, or None.
+
+    Some eigenvalue lies within ||r|| of rho (the residual bound).  When
+    rho - ||r|| > rho1 >= lambda_1 it is not lambda_1, and when exactly two
+    eigenvalues are <= rho + ||r|| (one Sturm count) it is lambda_2.  The
+    first test also keeps the returned pair strictly ascending.
+    """
+    for _ in range(_MAX_STEPS):
+        x, rho, res = _rayleigh(d, e, x - _dot(x1, x) * x1)
+        if res <= tol:
+            break
+        lu = dgttrf(e, d - rho, e)
+        if lu[-1]:  # rho is an eigenvalue to working precision
+            break
+        x = dgttrs(*lu[:-1], x)[0]
+    if not (res <= tol and rho - res > rho1
+            and _sturm_count(d, e, rho + res) == 2):
+        return None
+    return rho, x
+
+
+def _certified(op: Operator1D, k: int, start):
+    """The lowest k <= 2 eigenvalues of a Dirichlet or Neumann operator,
+    each certified within tol = 16 eps ||T|| (Gershgorin), and the
+    iterations' unit vectors as columns; None when a certificate fails.
+
+    start is None or (grid, values, vectors) of an operator solved on an
+    overlapping interval: its columns, interpolated onto op's nodes and
+    held at their end values beyond that interval, start the iterations,
+    and its lambda_1, when given, is the first shift tried.
+    """
+    d, e, n = op.diag, op.offdiag, op.grid.n
+    tol = 16.0 * _EPS * (np.abs(d).max() + 2.0 * np.abs(e).max())
+    if not math.isfinite(tol):
+        return None
+    guess, hint = [np.ones(n), None], None
+    if start is not None:
+        grid, values, vecs = start
+        x, x_old = op.grid.nodes(), grid.nodes()
+        for j in range(min(k, vecs.shape[1])):
+            guess[j] = np.interp(x, x_old, vecs[:, j])
+        hint = None if values is None else float(values[0])
+    ground = _ground(d, e, guess[0], tol, hint)
+    if ground is None:
+        return None
+    rho1, x1 = ground
+    if k == 1:
+        return [rho1], x1[:, None]
+    if guess[1] is None:
+        # an odd start about the middle of the interval
+        guess[1] = (np.arange(n) - 0.5 * (n - 1)) * x1
+    second = _second(d, e, guess[1], rho1, x1, tol)
+    if second is None:
+        return None
+    return [rho1, second[0]], np.stack([x1, second[1]], axis=1)
+
+
+def _stein(op: Operator1D, vals) -> Optional[np.ndarray]:
+    """Eigenvectors at the given values by LAPACK dstein, as
+    eigh_tridiagonal computes them, taking the matrix as one block; None
+    where dstebz would split it at a negligible off-diagonal."""
+    d, e, n = op.diag, op.offdiag, op.grid.n
+    if not np.all(e * e > _EPS * _EPS * np.abs(d[:-1] * d[1:])):
+        return None
+    iblock = np.zeros(n, dtype=np.int32)
+    iblock[:len(vals)] = 1
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    vecs, info = dstein(d, e, vals, iblock, isplit)
+    if info:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"eigenvector solve failed: dstein info = "
+                               f"{info}")
+    return vecs
+
+
+def _solve_sorted(op: Operator1D, k: int, want_vectors: bool, start=None):
+    """(values, vectors or None, unit iteration vectors or None)."""
+    found = None
+    if op.kind != "periodic" and k <= 2:
+        found = _certified(op, k, start)
+    if found is not None:
+        vals, iterates = np.array(found[0]), found[1]
+        vecs = _stein(op, vals) if want_vectors else None
+        if vecs is not None or not want_vectors:
+            return vals, vecs, iterates
     try:
         if op.kind == "periodic":
             band, order = _periodic_band(op)
@@ -165,13 +320,24 @@ def _solve_sorted(op: Operator1D, k: int, want_vectors: bool):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigen solve failed: {exc}") from exc
     if want_vectors:
-        return out[0], out[1]
-    return out, None
+        return out[0], out[1], None
+    return out, None, None
 
 
 def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
-                       coarse: Optional[Operator1D] = None) -> EigResult:
-    """k smallest eigenvalues via Sturm-sequence bisection + inverse iteration.
+                       coarse: Optional[Operator1D] = None, *,
+                       _start=None) -> EigResult:
+    """k smallest eigenvalues, certified by inverse iteration or bisected.
+
+    On a Dirichlet or Neumann operator with k <= 2, lambda_1 comes from
+    inverse iteration at certified lower shifts (LAPACK dpttrf/dpttrs) and
+    lambda_2 from Rayleigh-quotient iteration deflated against the ground
+    state (dgttrf/dgttrs), each certified within 16 eps ||T|| by its
+    Rayleigh quotient, its residual, a dpttrf success and one Sturm count;
+    vectors are LAPACK stein's inverse iteration at those values.  Any
+    other operator or k, and any failed certificate, takes Sturm-sequence
+    bisection plus inverse iteration (LAPACK stebz/stein; the periodic
+    band solve is sbevx).
 
     Parameters
     ----------
@@ -183,7 +349,12 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
         it solved for the Richardson error estimate (its lowest min(k, n // 2)
         levels); without it richardson_error is all zeros and extrapolated
         equals values.  Any other coarse operator is a PreconditionError,
-        since it would extrapolate silently wrong.
+        since it would extrapolate silently wrong.  The coarse solve starts
+        from op's iteration vectors.
+    _start : private to truncation_sweep: (grid, values, vectors) of the
+        operator solved before, whose columns start this solve's iterations
+        and whose lambda_1 is the first shift tried.  It moves values by
+        rounding only.
     """
     g, n = op.grid, op.grid.n
     if not 1 <= k <= n:
@@ -193,13 +364,14 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
         raise PreconditionError(
             f"coarse operator must be {g.kind} on ({g.a}, {g.b}) with "
             f"{n // 2} nodes, got {c.kind} on ({c.a}, {c.b}) with {c.n}")
-    vals, vecs = _solve_sorted(op, k, want_vectors)
+    vals, vecs, iterates = _solve_sorted(op, k, want_vectors, _start)
     vals = np.asarray(vals, dtype=float)
 
     rich = np.zeros(k)
     if coarse is not None:
         k_c = min(k, coarse.grid.n)
-        vals_c, _ = _solve_sorted(coarse, k_c, False)
+        warm = None if iterates is None else (g, None, iterates)
+        vals_c = _solve_sorted(coarse, k_c, False, warm)[0]
         rich[:k_c] = (vals[:k_c] - np.asarray(vals_c, dtype=float)) / 3.0
 
     if vecs is not None:

@@ -382,6 +382,8 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
     truncation gaps, and the persistent gap delta = min_L lambda_2 - eps0.
     The Neumann solves (a hard wall's box is Dirichlet under both) return
     vectors too: each L keeps its grid and ground state for agmon_norms.
+    The operators are solved in order of L, each started from the latest
+    vectors, which moves their levels by rounding only.
 
     The rate fits use each family's largest-L value as the reference and drop
     L values whose gap sits within 10x the double-precision floor of the
@@ -406,15 +408,23 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
             return half, n - 1, "dirichlet"
         return half, n, kind
 
+    last = None  # (grid, values, vectors) of the latest solve with vectors
+
     def solve(args):
+        nonlocal last
         half, n, kind = args
         op = _interval_op(spec, half, n, kind)
-        return op.grid, spectral1d.lowest_eigenvalues(
-            op, 2, want_vectors=wall or kind == "neumann")
+        res = spectral1d.lowest_eigenvalues(
+            op, 2, want_vectors=wall or kind == "neumann", _start=last)
+        if res.vectors is not None:
+            last = (op.grid, res.values, res.vectors)
+        return op.grid, res
 
     work = [operator(L, kind) for L in L_grid
             for kind in ("neumann", "dirichlet")]
-    # solve each distinct operator once
+    # solve each distinct operator once; parallel_map keeps their order, so
+    # each length's Neumann operator starts from the previous length's
+    # Neumann solve, and its Dirichlet operator from that length's Neumann
     distinct = list(dict.fromkeys(work))
     solved = dict(zip(distinct, parallel_map(solve, distinct)))
     out = [solved[key] for key in work]

@@ -172,7 +172,19 @@ def fd_route_assemble(theta, mode):
 # sweep eps0 and gap_delta went from the free Neumann box to the box
 # level; test_hard_wall_sweep_reports_the_box_level).  The hard-wall summary
 # was re-frozen when compute_threshold took a hard wall's levels in closed
-# form from box_levels: eps0, gap and bracket moved by under 1e-9 relative
+# form from box_levels: eps0, gap and bracket moved by under 1e-9 relative.
+# The two Agmon sweeps and the three threshold summaries were re-frozen
+# when Dirichlet and Neumann levels with k <= 2 moved from bisection to
+# certified inverse iteration: eigenvalues moved by at most 3.2e-12
+# relative, the square-well gap-rate fits by at most 1.7e-4.  Against
+# long-double Sturm bisection on the same matrices
+# (test_certified_levels_are_no_farther_from_the_truth) the errors of
+# lambda_1 and lambda_2 went from 2.4e-13 / 1.7e-13 to 5.6e-15 / 8.7e-15
+# (square well, 767 Dirichlet nodes), 3.2e-14 / 4.1e-14 to 2.2e-14 /
+# 1.7e-14 (confining, 1536 Neumann) and 2.0e-12 / 4.5e-12 to 4.9e-14 /
+# 5.5e-14 (confining, 4096 Dirichlet), and the hard-wall sweep's eps0 and
+# gap_delta from 1.5e-13 / 3.7e-13 to 1.6e-15 / 3.9e-15 off the closed-form
+# fd box levels
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -186,22 +198,22 @@ FROZEN_OUTPUTS = [
     (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
       "--sweep", "--agmon"],
      "sweep.csv",
-     "891d73069e7ab027ac1954255e899ceacac9bd0b58f1c890af333a9019c9a2af"),
+     "a3f0b348c1d335ea654db323487e36121475a8c8dff40846583c5dbdfbd30a08"),
     (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
       "--sweep", "--agmon"],
      "sweep.csv",
-     "8b920ee26e9f1ff891dd7473d219ad9c48276f6e39f40c8fe60ec36bb2e6e34b"),
+     "28704cc2264c0c8dc212ccdc5dba7b2b9579a250f367697cb2598b328be50a3a"),
     (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
       "--sweep", "--agmon"],
      "threshold_summary.json",
-     "c51685eb4c6f756a3c37a5ffb3596a87c1c4352cf87bbe2c8ced3c7ad2f88c44"),
+     "e1817187efee75acd88da029f3fe0101c8d4c689a7aeac9866c6cf47b90af27a"),
     (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
       "--sweep", "--agmon"],
      "threshold_summary.json",
-     "514f46e5c13743ea49f2243196a8ba0fb31c1e408f31c71b7a86e1b46832e7eb"),
+     "c8f9056483626986076b0a09bd4f7ba8ff87cf23098b1f586930413c36faf887"),
     (["threshold", "--family", "hard_wall", "--a", "1", "--sweep"],
      "threshold_summary.json",
-     "6462c2e8360846758648bc3bb841ff443599a37c898ec860cf41934f1da9b47e"),
+     "4ee07ee2be8d46aa03ce22c58f88a2b3bf45c5d435e8ae00f96abcb6485a1beb"),
     (KS_LATITUDE, "ks_report.json",
      "f056a04a39fe988a7d0f0b783eae8274e41166598912e46712220ac09677f440"),
     (KS_PERTURBED, "ks_report.json",
@@ -710,10 +722,10 @@ BAD_REAL_INPUTS = [
     (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4"],
      "Agmon-weighted norm at L = 13, theta = 0.5 is not finite"),
     # short of that overflow, the tail norms fell to the same floor near
-    # 6e-49 and rose again, and the sweep exited 0 with bound_estimate 5.9e149
+    # 5e-52 and rose again, and the sweep exited 0 with bound_estimate 5.9e149
     (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4",
       "--L-max", "12"],
-     "Agmon tail norm at L = 8.8 is 2.82e-47, not below 6.01e-49 at L = 8"),
+     "Agmon tail norm at L = 10.4 is 5.93e-52, not below 4.46e-52 at L = 9.6"),
 ]
 
 

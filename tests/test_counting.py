@@ -429,6 +429,32 @@ def test_transverse_levels_match_the_square_well_oracle():
     assert abs(lam[0] - square_well_even_level(4.0, 1.0)) < 1e-8
 
 
+def test_model_solves_each_box_once(monkeypatch):
+    # with R_fixed every energy shares the box (-delta R, delta R), whose
+    # levels used to be re-solved at each of the 40 energies
+    pot = PotentialSpec(family="gaussian_well", depth=2.0, width=0.5)
+    curve = build_curve(CurveSpec(kind="latitude_circle", theta=math.pi / 4))
+    calls = []
+    solve = threshold.box_levels
+
+    def counted(spec, half_width, k):
+        calls.append(half_width)
+        return solve(spec, half_width, k)
+
+    monkeypatch.setattr(threshold, "box_levels", counted)
+    fixed = assemble_model(curve, pot, R_fixed=200.0,
+                           E_grid=np.logspace(-6, -12, 40))
+    assert calls == [0.05 * 200.0]
+    assert fixed.N.shape == (40,)
+    # R = K_delta |ln E| gives each energy its own box, besides a hard
+    # wall's eps0 box (-a, a)
+    calls.clear()
+    assemble_model(curve, PotentialSpec(family="hard_wall", half_width=1.0),
+                   E_grid=np.logspace(-3, -10, 15))
+    assert calls[0] == 1.0
+    assert len(calls) == len(set(calls)) == 16
+
+
 def test_model_uses_closed_form_threshold(small_model):
     assert small_model.params["eps0"] == (math.pi / 2.0) ** 2
 

@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conebound import (Grid1D, PreconditionError, assemble, count_below,
-                       lowest_eigenvalues, oscillation_count)
+from scipy.linalg import eig_banded, eigh_tridiagonal
+
+from conebound import (Grid1D, PotentialSpec, PreconditionError, assemble,
+                       count_below, lowest_eigenvalues, oscillation_count,
+                       spectral1d)
+from conebound.threshold import _interval_op
+
+from _oracles import longdouble_levels
 
 
 def _free_op(a, b, n, kind):
@@ -400,3 +406,158 @@ def test_lowest_eigenvalues_k_range():
         lowest_eigenvalues(op, 0)
     with pytest.raises(PreconditionError):
         lowest_eigenvalues(op, 33)
+
+
+# ------------------------------------------------ certified k <= 2 route
+
+
+def _tol(op):
+    # the certificate's resolution: 16 eps times Gershgorin's bound on ||T||
+    return 16.0 * np.finfo(float).eps * (np.abs(op.diag).max()
+                                         + 2.0 * np.abs(op.offdiag).max())
+
+
+def _bisected(op, k, want_vectors):
+    out = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=not want_vectors,
+                           select="i", select_range=(0, k - 1))
+    return out if want_vectors else (out, None)
+
+
+@pytest.mark.parametrize("spec, n, kind", [
+    (PotentialSpec(family="square_well", depth=4.0, half_width=1.0), 767,
+     "dirichlet"),
+    (PotentialSpec(family="confining", p=2.0), 1536, "neumann"),
+    (PotentialSpec(family="confining", p=2.0), 4096, "dirichlet")],
+    ids=["square-well-767-D", "confining-1536-N", "confining-4096-D"])
+def test_certified_levels_are_no_farther_from_the_truth(spec, n, kind):
+    # operators the threshold layer solves (a sweep length at h = 1/32 and
+    # 1/64, and compute_threshold's fine grid), against long-double Sturm
+    # bisection on the same matrix
+    op = _interval_op(spec, 12.0, n, kind)
+    truth = longdouble_levels(op.diag, op.offdiag, 2)
+    new = lowest_eigenvalues(op, 2, want_vectors=False).values
+    old = _bisected(op, 2, False)[0]
+    assert np.all(np.abs(new - truth) <= np.abs(old - truth))
+    assert np.all(np.abs(new - truth) < _tol(op))
+
+
+@pytest.mark.parametrize("centre", [6.5, 7.0])
+def test_double_well_below_the_resolution(centre):
+    # symmetric wells at +-centre split lambda_2 - lambda_1 by 2.3e-11 and
+    # 3.2e-12, below the certificate's resolution 1.0e-10: each level must
+    # certify within it or the solve must fall back to bisection
+    grid = Grid1D.make(-12.0, 12.0, 2047, "dirichlet")
+    x = grid.nodes()
+    op = assemble(-8.0 * (np.exp(-2.0 * (x - centre) ** 2)
+                          + np.exp(-2.0 * (x + centre) ** 2)), grid)
+    ref = _bisected(op, 2, False)[0]
+    assert 0.0 < ref[1] - ref[0] < _tol(op)
+    res = lowest_eigenvalues(op, 2)
+    # bisection's own error is a few eps ||T||, far inside the resolution
+    assert np.all(np.abs(res.values - ref) < 1.25 * _tol(op))
+    assert res.values[0] < res.values[1]
+    # stein's vectors at those values span the pair's plane orthonormally
+    phi = res.vectors * math.sqrt(grid.h)
+    assert np.allclose(phi.T @ phi, np.eye(2), atol=1e-10)
+    tphi = op.diag[:, None] * phi
+    tphi[1:] += op.offdiag[:, None] * phi[:-1]
+    tphi[:-1] += op.offdiag[:, None] * phi[1:]
+    assert np.max(np.abs(tphi - phi * res.values)) < _tol(op)
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(spectral1d, "eigh_tridiagonal", counted)
+    return calls
+
+
+def _harmonic_op(kind):
+    grid = Grid1D.make(-6.0, 6.0, 300, kind)
+    x = grid.nodes()
+    return assemble(x * x + 0.5 * np.sin(x), grid)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_failed_certificates_fall_back_to_bisection(monkeypatch, kind, k):
+    op = _harmonic_op(kind)
+    ref, ref_vecs = _bisected(op, k, True)
+    calls = _counting_solves(monkeypatch)
+    assert np.allclose(lowest_eigenvalues(op, k).values, ref, rtol=0,
+                       atol=_tol(op))
+    assert calls == []
+    failures = [("dpttrf", lambda d, e: (d, e, 1))]
+    if k == 2:
+        # dgttrf finding rho singular stops the iteration unconverged, and
+        # a Sturm count other than 2 leaves lambda_2 unidentified
+        failures += [("dgttrf", lambda dl, d, du: (dl, d, du, dl, d, 1)),
+                     ("_sturm_count", lambda d, e, sigma: 3)]
+    for name, fail in failures:
+        with monkeypatch.context() as m:
+            m.setattr(spectral1d, name, fail)
+            res = lowest_eigenvalues(op, k)
+        assert calls == [op.grid.n], name
+        calls.clear()
+        assert np.array_equal(res.values, ref)
+        assert np.array_equal(np.abs(res.vectors),
+                              np.abs(ref_vecs) / math.sqrt(op.grid.h))
+
+
+def test_iteration_that_lands_on_lambda_3_falls_back(monkeypatch):
+    # from the odd start, Rayleigh-quotient iteration on this well converges
+    # to lambda_3 = -0.157; the Sturm count at rho + ||r|| is 3, not 2
+    op = _well_op(-6.0, 6.0, 300, "neumann")
+    ref = _bisected(op, 3, False)[0]
+    assert ref[1] < -0.25 < ref[2] < -0.15
+    calls = _counting_solves(monkeypatch)
+    res = lowest_eigenvalues(op, 2, want_vectors=False)
+    assert calls == [300]
+    assert np.array_equal(res.values, _bisected(op, 2, False)[0])
+
+
+def test_more_levels_and_circles_take_the_old_routes(monkeypatch):
+    # k > 2 and periodic operators never reach the certified route, and
+    # give what bisection and the band solve gave, bit for bit
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified route taken")
+
+    monkeypatch.setattr(spectral1d, "_certified", refuse)
+    for kind in ("dirichlet", "neumann"):
+        op = _well_op(-5.0, 5.0, 81, kind)
+        vals, vecs = _bisected(op, 3, True)
+        res = lowest_eigenvalues(op, 3)
+        assert np.array_equal(res.values, vals)
+        assert np.array_equal(np.abs(res.vectors),
+                              np.abs(vecs) / math.sqrt(op.grid.h))
+    op = _well_op(-5.0, 5.0, 81, "periodic")
+    band, order = spectral1d._periodic_band(op)
+    for k in (1, 2):
+        vals, vecs = eig_banded(band, select="i", select_range=(0, k - 1))
+        res = lowest_eigenvalues(op, k)
+        assert np.array_equal(res.values, vals)
+        assert np.array_equal(np.abs(res.vectors),
+                              np.abs(vecs[np.argsort(order)])
+                              / math.sqrt(op.grid.h))
+
+
+def test_solver_and_count_share_no_code(monkeypatch):
+    # criterion 8 checks count_below against the shooting counter, so the
+    # solver must not count with count_below, nor count_below solve
+    op = _harmonic_op("dirichlet")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called across the independence line")
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral1d, "count_below", refuse)
+        lowest_eigenvalues(op, 2)
+    for name in ("lowest_eigenvalues", "_solve_sorted", "_certified",
+                 "dpttrf", "dgttrf", "dstein", "eigh_tridiagonal"):
+        monkeypatch.setattr(spectral1d, name, refuse)
+    want = int(np.sum(_dense_eigvalsh(op) <= 10.0))
+    assert count_below(op, 10.0) == want == 5

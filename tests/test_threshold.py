@@ -335,20 +335,60 @@ def test_sweep_rejects_confining_overflow_at_its_longest_length():
 
 def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
     # the sweeps read raw values and vectors, so each length costs one solve
-    # per closure; compute_threshold's extrapolation adds the half grids
+    # per closure; compute_threshold's extrapolation adds the half grids.
+    # Every solve takes the certified route, and none falls back to
+    # bisection
     calls = []
-    solve = spectral1d.eigh_tridiagonal
+    solve = spectral1d._certified
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return solve(*args, **kwargs)
+    def counted(op, *args):
+        calls.append(op.grid.n)
+        return solve(op, *args)
 
-    monkeypatch.setattr(spectral1d, "eigh_tridiagonal", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate failed")
+
+    monkeypatch.setattr(spectral1d, "_certified", counted)
+    monkeypatch.setattr(spectral1d, "eigh_tridiagonal", refuse)
     truncation_sweep(SQUARE, L_GRID[:5])
     assert len(calls) == 10
     calls.clear()
     compute_threshold(SQUARE)
     assert calls == [4096, 2048, 4096, 2048]
+
+
+@pytest.mark.parametrize("spec, h", [(SQUARE, 1.0 / 32.0),
+                                     (PotentialSpec(family="confining", p=2.0),
+                                      1.0 / 64.0)],
+                         ids=["square_well", "confining"])
+def test_warm_started_sweep_matches_cold_solves(spec, h):
+    # each length starts from the one before; that moves its levels by
+    # rounding only, within the certificate's 16 eps ||T||
+    sweep = truncation_sweep(spec, L_GRID, h)
+    for i, L in enumerate(L_GRID):
+        n = int(round(2.0 * L / h))
+        for kind, size, lam1, lam2 in (
+                ("neumann", n, sweep.lam1_N, sweep.lam2_N),
+                ("dirichlet", n - 1, sweep.lam1_D, sweep.lam2_D)):
+            op = threshold._interval_op(spec, L, size, kind)
+            tol = 16.0 * np.finfo(float).eps * (
+                np.abs(op.diag).max() + 2.0 * np.abs(op.offdiag).max())
+            cold = lowest_eigenvalues(op, 2, want_vectors=False).values
+            assert np.all(np.abs(cold - [lam1[i], lam2[i]]) < 2.0 * tol)
+
+
+def test_harmonic_sweep_tails_match_the_closed_form():
+    # the ground state of x^2 is pi^(-1/4) exp(-x^2 / 2), whose norm over
+    # L - 1 < |x| < L is sqrt(erfc(L - 1) - erfc(L)); down to 1e-38 at
+    # L = 14, the sweep's (LAPACK stein) ground states follow it within 10%
+    from scipy.special import erfc
+
+    spec = PotentialSpec(family="confining", p=2.0)
+    sweep = truncation_sweep(spec, L_GRID, 1.0 / 64.0)
+    tails = agmon_norms(spec, sweep, 0.5, 2.0).tail_norms
+    L = np.array(L_GRID)
+    exact = np.sqrt(erfc(L - 1.0) - erfc(L))
+    assert np.all(np.abs(tails / exact - 1.0) < 0.1)
 
 
 @pytest.mark.parametrize("spec, solves", [
