@@ -59,8 +59,8 @@ def write_csv(path, header, columns) -> None:
     """Columns of int/float values, formatted for exact round-trip."""
     cells = [_format_column(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))])
+                 + "\n")
 
 
 def parallel_map(fn, items):

@@ -43,7 +43,7 @@ from scipy.linalg import eigh
 
 from . import spectral1d
 from .errors import PreconditionError
-from .geometry import SampledCurve
+from .geometry import SampledCurve, _pchip
 
 # an eigenvalue closer to zero than this multiple of its error estimate has
 # an ambiguous sign; k_S is then reported with an inclusion/exclusion interval
@@ -90,14 +90,15 @@ def _kappa_on_grid(curve: SampledCurve, n: int) -> np.ndarray:
         # every node is a sample, where the interpolant below returns the
         # sample itself, bit for bit: take the samples
         return curve.kappa[::curve.n_samples // n]
-    # periodic interpolation of the curvature field onto the operator grid
-    from scipy.interpolate import PchipInterpolator
-
-    s_ext = np.concatenate([curve.s - curve.length, curve.s,
-                            curve.s + curve.length])
-    k_ext = np.concatenate([curve.kappa] * 3)
+    # periodic interpolation of the curvature field onto the operator grid:
+    # the nodes bracketing [0, length) run to the wrapped first sample, and
+    # the cubic's slope at a node reads one neighbour on each side, so two
+    # wrapped samples on each side close the loop
+    s_ext = np.concatenate([curve.s[-2:] - curve.length, curve.s,
+                            curve.s[:2] + curve.length])
+    k_ext = np.concatenate([curve.kappa[-2:], curve.kappa, curve.kappa[:2]])
     target = curve.length * np.arange(n) / n
-    return PchipInterpolator(s_ext, k_ext)(target)
+    return _pchip(s_ext, k_ext, target)
 
 
 def _potential(curve: SampledCurve, n: int) -> np.ndarray:

@@ -13,13 +13,22 @@ at the resampled parameters; tabulated polylines interpolate the coordinates
 directly and renormalize onto the sphere.  The chord table is the accuracy
 bottleneck either way, making the pipeline second order in the dense spacing.
 
+The cubic is `_pchip`: Fritsch & Carlson's monotone slopes (SIAM J. Numer.
+Anal. 17 (1980) 238-246) with the end slopes of Moler's `pchiptx`
+(Numerical Computing with MATLAB, sec. 3.6), in scipy's operation order,
+so it returns the values of scipy's PchipInterpolator bit for bit.  It
+takes slopes only at the nodes that bracket a target, not at all 8n + 1
+nodes of the dense table.  The curvature operator interpolates kappa onto
+its grids with it too.
+
 Orientation convention: latitude presets are traversed so that the geodesic
 curvature of a latitude circle at polar angle theta comes out +cot(theta)
 with the normal n = Gamma x Gamma' pointing toward the south pole side.
 Tabulated curves keep their given orientation.
 
-scipy is imported inside the functions that use it, so that `counting`,
-which needs only `SampledCurve` and `sup_curvature`, stays scipy-free.
+The only scipy this module uses is `scipy.spatial`'s KD-tree in the
+self-intersection check, imported there, so that `counting`, which needs
+only `SampledCurve` and `sup_curvature`, stays scipy-free.
 """
 from __future__ import annotations
 
@@ -94,44 +103,94 @@ class SampledCurve:
         return self.s.shape[0]
 
 
-def _latitude_point(theta: float, u: np.ndarray) -> np.ndarray:
-    # clockwise seen from +z; see module docstring for the sign convention
-    st, ct = math.sin(theta), math.cos(theta)
-    return np.stack([st * np.cos(u), -st * np.sin(u),
-                     np.full_like(u, ct)], axis=1)
-
-
-def _polar_direction(theta: float, u: np.ndarray) -> np.ndarray:
-    # unit tangent of the sphere in the direction of increasing polar angle
-    st, ct = math.sin(theta), math.cos(theta)
-    return np.stack([ct * np.cos(u), -ct * np.sin(u),
-                     np.full_like(u, -st)], axis=1)
-
-
 def _preset_points(spec: CurveSpec, u: np.ndarray) -> np.ndarray:
-    # the latitude or perturbed-latitude map at curve parameters u
+    # the latitude or perturbed-latitude map at curve parameters u: the
+    # latitude point, traversed clockwise seen from +z (see the module
+    # docstring for the sign convention), pushed by the bump along the unit
+    # polar direction (ct cos u, -ct sin u, -st) and put back on the sphere
+    st, ct = math.sin(spec.theta), math.cos(spec.theta)
+    cu, su = np.cos(u), np.sin(u)
+    p = np.empty((u.shape[0], 3))
     if spec.kind == "latitude_circle":
-        return _latitude_point(spec.theta, u)
+        p[:, 0], p[:, 1], p[:, 2] = st * cu, -st * su, ct
+        return p
     bump = spec.amplitude * np.sin(spec.mode * u)
-    p = _latitude_point(spec.theta, u) + bump[:, None] * _polar_direction(spec.theta, u)
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
+    x = st * cu + bump * (ct * cu)
+    y = -st * su + bump * (-ct * su)
+    z = ct + bump * -st
+    r = np.sqrt(x * x + y * y + z * z)
+    p[:, 0], p[:, 1], p[:, 2] = x / r, y / r, z / r
+    return p
 
 
 def _chord_table(points: np.ndarray):
     closed = np.vstack([points, points[:1]])
-    chords = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    if np.min(chords) <= 0.0:
-        raise PreconditionError("curve has repeated consecutive samples")
+    dx, dy, dz = np.diff(closed, axis=0).T
+    chords = np.sqrt(dx * dx + dy * dy + dz * dz)
     sigma = np.concatenate([[0.0], np.cumsum(chords)])
+    # a chord lost to the rounding of the running sum repeats a sample as
+    # surely as a zero chord, and the cubic needs strictly increasing nodes
+    if not np.all(sigma[1:] > sigma[:-1]):
+        raise PreconditionError("curve has repeated consecutive samples")
     return closed, sigma
 
 
+def _end_slope(h0, h1, m0, m1):
+    # Moler's one-sided three-point end slope, held to the data's shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    over = (~flip & (np.sign(m0) != np.sign(m1))
+            & (np.abs(d) > 3.0 * np.abs(m0)))
+    d[flip] = 0.0
+    d[over] = 3.0 * m0[over]
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Monotone cubic through (x, y) at t: PchipInterpolator(x, y)(t) bit
+    for bit, extrapolating from the end pieces.
+
+    Fritsch-Carlson slopes, taken only at the nodes that bracket a target:
+    the weighted harmonic mean of the adjacent chord slopes, zero where one
+    is zero or they differ in sign, and Moler's end slopes.  The Hermite
+    coefficients and the power sum follow scipy's operation order.  x is
+    strictly increasing with at least 3 nodes; y has x's length on axis 0.
+    """
+    m = x.shape[0]
+    yy = y.reshape(m, -1)
+
+    def chord(j):  # widths and slopes of segments j
+        h = (x[j + 1] - x[j])[:, None]
+        return h, (yy[j + 1] - yy[j]) / h
+
+    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, m - 2)
+    k = np.concatenate([i, i + 1])
+    c = np.clip(k, 1, m - 2)
+    hl, ml = chord(c - 1)
+    hr, mr = chord(c)
+    w1, w2 = 2 * hr + hl, hr + 2 * hl
+    flat = (np.sign(mr) != np.sign(ml)) | (mr == 0) | (ml == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(flat, 0.0, 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2)))
+    first, last = k == 0, k == m - 1
+    d[first] = _end_slope(hl[first], hr[first], ml[first], mr[first])
+    d[last] = _end_slope(hr[last], hl[last], mr[last], ml[last])
+    d0, d1 = d[:i.size], d[i.size:]
+    h, slope = chord(i)
+    bend = (d0 + d1 - 2 * slope) / h
+    s = (t - x[i])[:, None]
+    s2 = s * s
+    # the power sum runs up from 0.0 as scipy's does, so even a -0.0 sample
+    # comes out as scipy's +0.0
+    out = ((((0.0 + yy[i]) + d0 * s) + ((slope - d0) / h - bend) * s2)
+           + (bend / h) * (s2 * s))
+    return out.reshape(t.shape + y.shape[1:])
+
+
 def _resample_uniform(points: np.ndarray, n_samples: int) -> np.ndarray:
-    from scipy.interpolate import PchipInterpolator
     closed, sigma = _chord_table(points)
     targets = sigma[-1] * np.arange(n_samples) / n_samples
-    interp = PchipInterpolator(sigma, closed, axis=0)
-    out = interp(targets)
+    out = _pchip(sigma, closed, targets)
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
@@ -142,12 +201,11 @@ def _resample_parametric(spec: CurveSpec, n_dense: int,
     # true curve, so the only resampling error is the smooth O(h^2)
     # parametrization drift of the table, and curvature residuals refine
     # cleanly at 2nd order
-    from scipy.interpolate import PchipInterpolator
     u = np.linspace(0.0, 2.0 * math.pi, n_dense, endpoint=False)
     _, sigma = _chord_table(_preset_points(spec, u))
-    u_of_sigma = PchipInterpolator(sigma, np.append(u, 2.0 * math.pi))
     targets = sigma[-1] * np.arange(n_samples) / n_samples
-    return _preset_points(spec, np.asarray(u_of_sigma(targets)))
+    return _preset_points(spec, _pchip(sigma, np.append(u, 2.0 * math.pi),
+                                       targets))
 
 
 def _periodic_diff4(values: np.ndarray, h: float, order: int) -> np.ndarray:

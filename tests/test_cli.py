@@ -184,7 +184,10 @@ def fd_route_assemble(theta, mode):
 # 1.7e-14 (confining, 1536 Neumann) and 2.0e-12 / 4.5e-12 to 4.9e-14 /
 # 5.5e-14 (confining, 4096 Dirichlet), and the hard-wall sweep's eps0 and
 # gap_delta from 1.5e-13 / 3.7e-13 to 1.6e-15 / 3.9e-15 off the closed-form
-# fd box levels
+# fd box levels.  The last two entries pin the monotone cubic at its other
+# two call sites: a tabulated curve's coordinates, and the curvature field
+# interpolated onto operator grids (1024 and 512 nodes) that do not divide
+# the 1000 samples
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -235,7 +238,27 @@ FROZEN_OUTPUTS = [
      "d1fa1cdbd3b41544ccb45b21723204e146253f4c3b89fff6ce0f232579bcbc87"),
     (fd_route_assemble(*FD_ROUTE_CURVES[1]), "assemble_counts.csv",
      "ef6474deee889df54f0967dbc3b77dd5e4a313a6d40354796772d017b535a925"),
+    (["curve", "--preset", "tabulated", "--input", "points.csv",
+      "--n-samples", "1000"],
+     "curve.csv",
+     "d73536dd8b31ce5e6fec7e4548333fe67e34c47375973ea59de706a54cc772d4"),
+    (["ks", "--preset", "perturbed", "--amplitude", "0.2", "--mode", "5",
+      "--n-samples", "1000"],
+     "ks_report.json",
+     "cfbca0572e0c9796f3dd871aa9bf752baffdfc8b964e34b2006b862761f63349"),
 ]
+
+
+def write_tabulated_points(path):
+    # 2400 samples of a perturbed latitude, uneven in arclength, written at
+    # full precision: the input of the frozen tabulated curve
+    u = np.linspace(0.0, 2.0 * math.pi, 2400, endpoint=False)
+    st, ct = math.sin(1.0), math.cos(1.0)
+    bump = 0.15 * np.sin(4.0 * u)
+    p = np.column_stack([(st + bump * ct) * np.cos(u),
+                         (st + bump * ct) * np.sin(u), ct - bump * st])
+    p /= np.sqrt(np.sum(p * p, axis=1, keepdims=True))
+    np.savetxt(path, p, delimiter=",", header="x,y,z", comments="")
 
 
 @pytest.mark.parametrize("argv, name, digest", FROZEN_OUTPUTS,
@@ -249,8 +272,12 @@ FROZEN_OUTPUTS = [
                               "readme-counting-slope",
                               "perturbed-curve-csv",
                               "fd-route-assemble-pi4-0.2-5",
-                              "fd-route-assemble-0.5-0.2-3"])
-def test_output_bytes_are_frozen(tmp_path, argv, name, digest):
+                              "fd-route-assemble-0.5-0.2-3",
+                              "tabulated-curve-csv",
+                              "ks-perturbed-0.2-5-n1000-report"])
+def test_output_bytes_are_frozen(tmp_path, monkeypatch, argv, name, digest):
+    monkeypatch.chdir(tmp_path)  # the tabulated input is named relative
+    write_tabulated_points("points.csv")
     assert run(argv + ["--out-dir", tmp_path]) == 0
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest

@@ -252,6 +252,24 @@ def test_dividing_grids_subsample_the_interpolant(spec, n_samples):
         assert np.array_equal(got, curve.kappa[::n_samples // n])
 
 
+@pytest.mark.parametrize("n", [512, 777, 1024, 1536])
+def test_non_dividing_grids_match_the_periodic_interpolant(n):
+    # the in-package cubic on the samples wrapped twice at each end returns
+    # scipy's PCHIP through three periods of them, bit for bit
+    from scipy.interpolate import PchipInterpolator
+
+    curve = build_curve(CurveSpec(kind="perturbed_latitude",
+                                  theta=math.pi / 4, amplitude=0.2, mode=5),
+                        1000)
+    s, ell = curve.s, curve.length
+    pchip = PchipInterpolator(np.concatenate([s - ell, s, s + ell]),
+                              np.concatenate([curve.kappa] * 3))
+    want = pchip(ell * np.arange(n) / n)
+    got = curvature_operator._kappa_on_grid(curve, n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def direct_sum_fourier_matrix(q, ell, m_max):
     """The real Fourier matrix with a_k, b_k summed directly over the grid."""
     n = q.shape[0]

@@ -10,7 +10,8 @@ import pytest
 from conebound import (CurveSpec, PreconditionError, build_curve,
                        geodesic_curvature, read_curve_samples, sup_curvature,
                        write_curve_csv)
-from conebound.geometry import _self_intersection_check
+from conebound.geometry import (_chord_table, _end_slope, _pchip,
+                                _preset_points, _self_intersection_check)
 
 
 def latitude(theta, n=1024):
@@ -275,3 +276,92 @@ def test_read_plain_xyz(tmp_path):
             fh.write(",".join(repr(float(v)) for v in p) + "\n")
     got = read_curve_samples(path)
     assert np.allclose(got, pts, atol=1e-15)
+
+
+# ------------------------------------------------------- the monotone cubic
+# scipy's PchipInterpolator is the oracle: _pchip must return its values bit
+# for bit, since every curve digest was frozen with it
+
+
+def pchip_oracle(x, y, t):
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(x, y, axis=0)(t)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [64, 777, 1024, 4096])
+@pytest.mark.parametrize("spec", [
+    CurveSpec(kind="latitude_circle", theta=0.5),
+    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.2,
+              mode=5),
+], ids=["latitude-0.5", "perturbed-0.2-5"])
+def test_pchip_matches_scipy_on_preset_chord_tables(spec, n):
+    # the two tables of the pipeline: the parameter against chord length
+    # (presets) and the three coordinates against it (tabulated curves), at
+    # the uniform targets, every breakpoint and both ends
+    u = np.linspace(0.0, 2.0 * math.pi, 8 * n, endpoint=False)
+    closed, sigma = _chord_table(_preset_points(spec, u))
+    targets = np.concatenate([sigma[-1] * np.arange(n) / n, sigma,
+                              [sigma[0], sigma[-1]]])
+    for y in (np.append(u, 2.0 * math.pi), closed):
+        assert_same_bits(_pchip(sigma, y, targets),
+                         pchip_oracle(sigma, y, targets))
+
+
+def test_pchip_matches_scipy_on_random_tables(rng):
+    # uneven nodes, integer data with flat runs, slopes that change sign,
+    # one and three columns, targets on every node and beyond both ends
+    for trial in range(200):
+        m = int(rng.integers(3, 40))
+        x = np.cumsum(rng.uniform(0.01, 2.0, m)) + rng.normal()
+        y = rng.normal(size=(m, 3) if trial % 2 else m)
+        if trial % 4 < 2:
+            y = np.round(2.0 * y)
+        t = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40), x])
+        assert_same_bits(_pchip(x, y, t), pchip_oracle(x, y, t))
+
+
+@pytest.mark.parametrize("y, end", [
+    ([0.0, 1.0, 5.0, 6.0, 6.5], 0.0),    # the one-sided slope turns: zero
+    ([0.0, 1.0, -9.0, -8.0, -7.5], 3.0),  # it overshoots a turn: 3 m0
+], ids=["zeroed", "capped"])
+def test_pchip_end_slope_branches(y, end):
+    # both shape-preserving branches of Moler's end slope, at either end
+    x = np.arange(5.0)
+    y = np.asarray(y)
+    d = _end_slope(np.array([1.0]), np.array([1.0]),
+                   np.array([y[1] - y[0]]), np.array([y[2] - y[1]]))
+    assert d.tolist() == [end]
+    t = np.linspace(-0.5, 4.5, 41)
+    for ys in (y, -y[::-1]):
+        assert_same_bits(_pchip(x, ys, t), pchip_oracle(x, ys, t))
+        assert_same_bits(_pchip(x, np.column_stack([ys, 2.0 * ys, -ys]), t),
+                         pchip_oracle(x, np.column_stack([ys, 2.0 * ys, -ys]),
+                                      t))
+
+
+def test_pchip_keeps_scipy_sign_of_zero():
+    # at the node holding -0.0 the slopes make every term of the power sum
+    # -0.0 (the quadratic and cubic coefficients are negative there), and
+    # scipy's sum, which starts from 0.0, returns +0.0
+    x = np.arange(5.0)
+    y = np.array([1.0, 0.25, -0.0, -1.0, -20.0])
+    want = pchip_oracle(x, y, x)
+    assert not np.signbit(want[2])
+    assert_same_bits(_pchip(x, y, x), want)
+
+
+def test_sample_repeated_to_rounding_rejected():
+    # a chord below the rounding of the running chord sum leaves two equal
+    # nodes in the table, where no cubic through the nodes exists
+    u = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    pts = np.column_stack([np.cos(u), np.sin(u), np.zeros_like(u)])
+    pts = np.insert(pts, 50, pts[50], axis=0)
+    pts[51, 0] = np.nextafter(pts[51, 0], 2.0)
+    with pytest.raises(PreconditionError, match="repeated consecutive"):
+        build_curve(CurveSpec(kind="tabulated", samples=pts), 128)

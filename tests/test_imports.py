@@ -89,14 +89,26 @@ print(json.dumps([code, [m for m in sys.modules
     assert loaded == [0, []]
 
 
-def test_agmon_sweep_loads_no_scipy_interpolate(tmp_path):
-    # the Agmon weight integrates and interpolates in numpy
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--sweep", "--agmon"],
+    ["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3"],
+    ["ks", "--preset", "latitude", "--theta", "0.5", "--n-samples", "2048",
+     "--n-fd", "2048", "--n-fourier", "1024"],
+    ["ks", "--preset", "perturbed", "--amplitude", "0.2", "--mode", "5",
+     "--n-samples", "1000"],
+    ["assemble", "--preset", "latitude", "--theta", "0.7854", "--family",
+     "hard_wall", "--a", "1"],
+], ids=["threshold-agmon", "curve", "ks-dividing", "ks-non-dividing",
+         "assemble"])
+def test_commands_load_no_scipy_interpolate(tmp_path, argv):
+    # the Agmon weight integrates and interpolates in numpy; the preset
+    # resampling and the curvature field on operator grids that do not
+    # divide the samples use the package's own monotone cubic
     loaded = fresh(f"""
 import contextlib, io, json, sys
 import conebound.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = conebound.cli.main(["threshold", "--sweep", "--agmon",
-                               "--out-dir", {str(tmp_path)!r}])
+    code = conebound.cli.main({argv + ["--out-dir", str(tmp_path)]!r})
 print(json.dumps([code, [m for m in sys.modules
                          if m.startswith("scipy.interpolate")]]))
 """)
