@@ -1,8 +1,10 @@
 """Deterministic serialization and small execution helpers.
 
 Numbers are written with shortest round-trip decimal precision, so identical
-inputs produce byte-identical CSV/JSON artifacts.  Run metadata (timings and
-the like) is kept out of data files by the CLI layer.
+inputs produce byte-identical CSV/JSON artifacts.  CSV rows are formatted and
+written in fixed blocks, so a long table never holds all its cell strings at
+once.  Run metadata (timings and the like) is kept out of data files by the
+CLI layer.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import hashlib
 import json
 
 import numpy as np
+
+_CSV_BLOCK = 512  # rows formatted per write
 
 
 def jsonable(obj):
@@ -56,11 +60,19 @@ def _format_column(values) -> list:
 
 
 def write_csv(path, header, columns) -> None:
-    """Columns of int/float values, formatted for exact round-trip."""
-    cells = [_format_column(c) for c in columns]
+    """Columns of int/float values, formatted for exact round-trip.
+
+    Rows are formatted and written _CSV_BLOCK at a time, so only one block's
+    cell strings are held at once; each column's dtype, which picks its
+    format, is that of the whole column.
+    """
+    columns = [np.asarray(c) for c in columns]
+    rows = min((c.shape[0] for c in columns), default=0)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))])
-                 + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, _CSV_BLOCK):
+            cells = [_format_column(c[lo:lo + _CSV_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def parallel_map(fn, items):

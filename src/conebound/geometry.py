@@ -12,6 +12,10 @@ resampling.  For analytic presets the monotone interpolant inverts the table
 at the resampled parameters; tabulated polylines interpolate the coordinates
 directly and renormalize onto the sphere.  The chord table is the accuracy
 bottleneck either way, making the pipeline second order in the dense spacing.
+A preset's table is summed in blocks of n_samples chords, each block
+starting from the last one's total, so only the parameters and the table
+are held at full 8n + 1 length; np.cumsum adds in order, so the blocked
+table is the one-shot table bit for bit.
 
 The cubic is `_pchip`: Fritsch & Carlson's monotone slopes (SIAM J. Numer.
 Anal. 17 (1980) 238-246) with the end slopes of Moler's `pchiptx`
@@ -123,16 +127,21 @@ def _preset_points(spec: CurveSpec, u: np.ndarray) -> np.ndarray:
     return p
 
 
-def _chord_table(points: np.ndarray):
-    closed = np.vstack([points, points[:1]])
-    dx, dy, dz = np.diff(closed, axis=0).T
+def _running_chords(path: np.ndarray, carry: float = 0.0) -> np.ndarray:
+    # carry, then carry plus the running sum of the chords along the path
+    dx, dy, dz = np.diff(path, axis=0).T
     chords = np.sqrt(dx * dx + dy * dy + dz * dz)
-    sigma = np.concatenate([[0.0], np.cumsum(chords)])
+    sigma = np.cumsum(np.concatenate([[carry], chords]))
     # a chord lost to the rounding of the running sum repeats a sample as
     # surely as a zero chord, and the cubic needs strictly increasing nodes
     if not np.all(sigma[1:] > sigma[:-1]):
         raise PreconditionError("curve has repeated consecutive samples")
-    return closed, sigma
+    return sigma
+
+
+def _chord_table(points: np.ndarray):
+    closed = np.vstack([points, points[:1]])
+    return closed, _running_chords(closed)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -194,15 +203,23 @@ def _resample_uniform(points: np.ndarray, n_samples: int) -> np.ndarray:
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def _resample_parametric(spec: CurveSpec, n_dense: int,
-                         n_samples: int) -> np.ndarray:
+def _resample_parametric(spec: CurveSpec, n_samples: int) -> np.ndarray:
     # invert the chord-length table u(sigma) with a monotone cubic and
     # evaluate the analytic map there: the output points lie exactly on the
     # true curve, so the only resampling error is the smooth O(h^2)
     # parametrization drift of the table, and curvature residuals refine
-    # cleanly at 2nd order
+    # cleanly at 2nd order.  The table is summed in blocks (see the module
+    # docstring); the last block closes the loop at u = 0, as
+    # _chord_table's closing row does
+    n_dense = _FINE_FACTOR * n_samples
     u = np.linspace(0.0, 2.0 * math.pi, n_dense, endpoint=False)
-    _, sigma = _chord_table(_preset_points(spec, u))
+    sigma = np.empty(n_dense + 1)
+    sigma[0] = 0.0
+    for lo in range(0, n_dense, n_samples):
+        hi = lo + n_samples
+        block = u.take(np.arange(lo, hi + 1), mode="wrap")
+        sigma[lo:hi + 1] = _running_chords(_preset_points(spec, block),
+                                           sigma[lo])
     targets = sigma[-1] * np.arange(n_samples) / n_samples
     return _preset_points(spec, _pchip(sigma, np.append(u, 2.0 * math.pi),
                                        targets))
@@ -210,8 +227,9 @@ def _resample_parametric(spec: CurveSpec, n_dense: int,
 
 def _periodic_diff4(values: np.ndarray, h: float, order: int) -> np.ndarray:
     """4th-order periodic central difference, first or second derivative."""
-    vm2, vm1 = np.roll(values, 2, axis=0), np.roll(values, 1, axis=0)
-    vp1, vp2 = np.roll(values, -1, axis=0), np.roll(values, -2, axis=0)
+    # four shifted views of one copy padded by two wrapped rows at each end
+    padded = np.concatenate([values[-2:], values, values[:2]])
+    vm2, vm1, vp1, vp2 = (padded[j:j + values.shape[0]] for j in (0, 1, 3, 4))
     if order == 1:
         return (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
     if order == 2:
@@ -279,8 +297,7 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
             gamma = _resample_uniform(np.asarray(spec.samples, dtype=float),
                                       n_samples)
         else:
-            gamma = _resample_parametric(spec, _FINE_FACTOR * n_samples,
-                                         n_samples)
+            gamma = _resample_parametric(spec, n_samples)
     except (MemoryError, ValueError) as exc:
         raise PreconditionError(
             f"cannot allocate a curve of n_samples = {n_samples:.6g}") from exc

@@ -9,7 +9,9 @@ and circles (periodic), with three independent spectral probes:
   iterations (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998):
   inverse iteration at lower shifts that LAPACK pttrf proves, and
   Rayleigh-quotient iteration deflated against the ground state whose index
-  one Sturm count proves; their vectors come from LAPACK stein.  More
+  one Sturm count proves (an iteration that lands on a higher level is
+  retried once from inverse iteration just above lambda_1, deflated against
+  that level too); their vectors come from LAPACK stein.  More
   levels, and any failed certificate, fall back to bisection plus inverse
   iteration (LAPACK stebz/stein); the periodic matrix, whose corner entries
   close the circle, is reordered into a symmetric band of half-bandwidth 2
@@ -47,6 +49,8 @@ _OFFSETS = {"dirichlet": 1.0, "neumann": 0.5, "periodic": 0.0}
 _EPS = np.finfo(float).eps
 # iteration steps before a solve falls back to bisection
 _MAX_STEPS = 30
+# inverse-iteration steps that start lambda_2's one retry
+_RETRY_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -219,6 +223,23 @@ def _ground(d, e, x, tol, hint):
     return None
 
 
+def _rqi(d, e, x, basis, tol):
+    """Rayleigh-quotient iteration from x, kept orthogonal to the unit
+    vectors in basis: (rho, ||r||, unit x) once ||r|| <= tol, or as left
+    after _MAX_STEPS steps or a singular dgttrf."""
+    for _ in range(_MAX_STEPS):
+        for v in basis:
+            x = x - _dot(v, x) * v
+        x, rho, res = _rayleigh(d, e, x)
+        if res <= tol:
+            break
+        lu = dgttrf(e, d - rho, e)
+        if lu[-1]:  # rho is an eigenvalue to working precision
+            break
+        x = dgttrs(*lu[:-1], x)[0]
+    return rho, res, x
+
+
 def _second(d, e, x, rho1, x1, tol):
     """lambda_2 and its unit vector by Rayleigh-quotient iteration from x,
     deflated against the ground state x1, or None.
@@ -227,19 +248,34 @@ def _second(d, e, x, rho1, x1, tol):
     rho - ||r|| > rho1 >= lambda_1 it is not lambda_1, and when exactly two
     eigenvalues are <= rho + ||r|| (one Sturm count) it is lambda_2.  The
     first test also keeps the returned pair strictly ascending.
+
+    An iteration the count refuses has mostly found a higher level.  The
+    one retry deflates that level's vector too, when it converged, and
+    starts from _RETRY_STEPS steps of inverse iteration from x at the shift
+    rho1 + 1e6 tol (about 3.6e-9 ||T||): just above lambda_1, where lambda_2
+    is the nearest level left.  It must pass the same certificate.
     """
-    for _ in range(_MAX_STEPS):
-        x, rho, res = _rayleigh(d, e, x - _dot(x1, x) * x1)
-        if res <= tol:
-            break
-        lu = dgttrf(e, d - rho, e)
-        if lu[-1]:  # rho is an eigenvalue to working precision
-            break
-        x = dgttrs(*lu[:-1], x)[0]
-    if not (res <= tol and rho - res > rho1
-            and _sturm_count(d, e, rho + res) == 2):
+    basis = [x1]
+    rho, res, y = _rqi(d, e, x, basis, tol)
+    if _is_second(d, e, rho, res, rho1, tol):
+        return rho, y
+    if res <= tol and rho - res > rho1:
+        basis.append(y)
+    lu = dgttrf(e, d - (rho1 + 1e6 * tol), e)
+    if lu[-1]:
         return None
-    return rho, x
+    for _ in range(_RETRY_STEPS):
+        for v in basis:
+            x = x - _dot(v, x) * v
+        x = dgttrs(*lu[:-1], x)[0]
+        x = x / math.sqrt(_dot(x, x))
+    rho, res, y = _rqi(d, e, x, basis, tol)
+    return (rho, y) if _is_second(d, e, rho, res, rho1, tol) else None
+
+
+def _is_second(d, e, rho, res, rho1, tol) -> bool:
+    return (res <= tol and rho - res > rho1
+            and _sturm_count(d, e, rho + res) == 2)
 
 
 def _certified(op: Operator1D, k: int, start):
@@ -334,7 +370,8 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
     lambda_2 from Rayleigh-quotient iteration deflated against the ground
     state (dgttrf/dgttrs), each certified within 16 eps ||T|| by its
     Rayleigh quotient, its residual, a dpttrf success and one Sturm count;
-    vectors are LAPACK stein's inverse iteration at those values.  Any
+    vectors are LAPACK stein's inverse iteration at those values.  A
+    lambda_2 the count refuses is tried once more before bisection.  Any
     other operator or k, and any failed certificate, takes Sturm-sequence
     bisection plus inverse iteration (LAPACK stebz/stein; the periodic
     band solve is sbevx).

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conebound import cli
-from conebound._serial import canonical_json, sha256_hex
+from conebound._serial import canonical_json, sha256_hex, write_csv
 
 
 def run(args):
@@ -454,6 +454,23 @@ def test_reproducible_bytes(tmp_path):
                     "--out-dir", d]) == 0
     assert (a / "ks_report.json").read_bytes() == \
         (b / "ks_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513])
+def test_streamed_csv_is_the_one_shot_join(tmp_path, rows):
+    # rows go out in blocks of 512, and each column keeps the format its
+    # whole dtype picks: the list column below is float even where its
+    # first block holds only integers
+    rng = np.random.default_rng(rows)
+    wide = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    mixed = list(range(rows - 1)) + [0.5]
+    header = ["x", "N", "m"]
+    write_csv(tmp_path / "t.csv", header, [wide, np.arange(rows) - 3, mixed])
+    cells = [[repr(v) for v in wide.tolist()],
+             [str(v - 3) for v in range(rows)],
+             [repr(float(v)) for v in mixed]]
+    want = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv", [KS_LATITUDE, README_ASSEMBLE],

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conebound import (CurveSpec, PreconditionError, build_curve,
+from conebound import (CurveSpec, PreconditionError, build_curve, geometry,
                        geodesic_curvature, read_curve_samples, sup_curvature,
                        write_curve_csv)
 from conebound.geometry import (_chord_table, _end_slope, _pchip,
@@ -226,6 +226,26 @@ def test_simplicity_check_memory_is_linear():
     assert peak < 32 * 2**20
 
 
+def test_curve_build_and_write_hold_bounded_memory(tmp_path):
+    # the dense chord table is summed in blocks of n chords and the CSV is
+    # written in blocks of rows, so neither holds a whole table's
+    # temporaries at once; the warm-up build keeps the KD-tree's first
+    # import out of the count
+    perturbed(math.pi / 4, 0.1, 3, 64)
+    tracemalloc.start()
+    try:
+        c = perturbed(math.pi / 4, 0.1, 3, 4096)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write_curve_csv(c, tmp_path / "curve.csv")
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 2 * 2**20
+    assert write_peak < 2**20
+
+
 def test_spec_validation():
     with pytest.raises(PreconditionError):
         CurveSpec(kind="latitude_circle", theta=0.0).validate()
@@ -311,6 +331,27 @@ def test_pchip_matches_scipy_on_preset_chord_tables(spec, n):
     for y in (np.append(u, 2.0 * math.pi), closed):
         assert_same_bits(_pchip(sigma, y, targets),
                          pchip_oracle(sigma, y, targets))
+
+
+@pytest.mark.parametrize("n", [64, 777, 1024, 4096])
+@pytest.mark.parametrize("spec", [
+    CurveSpec(kind="latitude_circle", theta=0.5),
+    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.1,
+              mode=3),
+], ids=["latitude-0.5", "perturbed-0.1-3"])
+def test_blocked_chord_table_is_the_one_shot_table(monkeypatch, spec, n):
+    # the table the preset resampler hands the cubic, summed block by
+    # block, against the one-shot table of the same 8n parameters
+    tables = []
+
+    def recorded(x, y, t):
+        tables.append(x)
+        return _pchip(x, y, t)
+
+    monkeypatch.setattr(geometry, "_pchip", recorded)
+    build_curve(spec, n)
+    u = np.linspace(0.0, 2.0 * math.pi, 8 * n, endpoint=False)
+    assert_same_bits(tables[0], _chord_table(_preset_points(spec, u))[1])
 
 
 def test_pchip_matches_scipy_on_random_tables(rng):

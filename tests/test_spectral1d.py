@@ -482,6 +482,19 @@ def _harmonic_op(kind):
     return assemble(x * x + 0.5 * np.sin(x), grid)
 
 
+def _counting_attempts(monkeypatch):
+    # the Rayleigh quotients at which lambda_2's attempts stopped
+    rqi, stops = spectral1d._rqi, []
+
+    def counted(*args):
+        out = rqi(*args)
+        stops.append(out[0])
+        return out
+
+    monkeypatch.setattr(spectral1d, "_rqi", counted)
+    return stops
+
+
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_failed_certificates_fall_back_to_bisection(monkeypatch, kind, k):
@@ -491,16 +504,19 @@ def test_failed_certificates_fall_back_to_bisection(monkeypatch, kind, k):
     assert np.allclose(lowest_eigenvalues(op, k).values, ref, rtol=0,
                        atol=_tol(op))
     assert calls == []
-    failures = [("dpttrf", lambda d, e: (d, e, 1))]
+    failures = [("dpttrf", lambda d, e: (d, e, 1), 0)]
     if k == 2:
-        # dgttrf finding rho singular stops the iteration unconverged, and
-        # a Sturm count other than 2 leaves lambda_2 unidentified
-        failures += [("dgttrf", lambda dl, d, du: (dl, d, du, dl, d, 1)),
-                     ("_sturm_count", lambda d, e, sigma: 3)]
-    for name, fail in failures:
+        # dgttrf finding rho singular stops the iteration unconverged and
+        # refuses the retry's shift; a Sturm count other than 2 leaves
+        # lambda_2 unidentified on both attempts
+        failures += [("dgttrf", lambda dl, d, du: (dl, d, du, dl, d, 1), 1),
+                     ("_sturm_count", lambda d, e, sigma: 3, 2)]
+    for name, fail, attempts in failures:
         with monkeypatch.context() as m:
+            stops = _counting_attempts(m)
             m.setattr(spectral1d, name, fail)
             res = lowest_eigenvalues(op, k)
+        assert len(stops) == attempts, name
         assert calls == [op.grid.n], name
         calls.clear()
         assert np.array_equal(res.values, ref)
@@ -508,16 +524,20 @@ def test_failed_certificates_fall_back_to_bisection(monkeypatch, kind, k):
                               np.abs(ref_vecs) / math.sqrt(op.grid.h))
 
 
-def test_iteration_that_lands_on_lambda_3_falls_back(monkeypatch):
+def test_iteration_that_lands_on_lambda_3_retries(monkeypatch):
     # from the odd start, Rayleigh-quotient iteration on this well converges
-    # to lambda_3 = -0.157; the Sturm count at rho + ||r|| is 3, not 2
+    # to lambda_3 = -0.157 and the Sturm count at rho + ||r|| is 3, not 2;
+    # the retry, deflated against that level and started by inverse
+    # iteration just above lambda_1, certifies lambda_2 with no bisection
     op = _well_op(-6.0, 6.0, 300, "neumann")
     ref = _bisected(op, 3, False)[0]
     assert ref[1] < -0.25 < ref[2] < -0.15
     calls = _counting_solves(monkeypatch)
+    stops = _counting_attempts(monkeypatch)
     res = lowest_eigenvalues(op, 2, want_vectors=False)
-    assert calls == [300]
-    assert np.array_equal(res.values, _bisected(op, 2, False)[0])
+    assert calls == []
+    assert len(stops) == 2 and abs(stops[0] - ref[2]) < _tol(op)
+    assert np.all(np.abs(res.values - ref[:2]) <= 2.0 * _tol(op))
 
 
 def test_more_levels_and_circles_take_the_old_routes(monkeypatch):
