@@ -170,7 +170,8 @@ def cmd_curve(block, args, out_dir):
     summary = {"ell": curve.length,
                "kappa_inf": geometry.sup_curvature(curve),
                "kappa_mean": float(np.mean(curve.kappa)),
-               "n_samples": curve.n_samples, "deriv_error": curve.deriv_error}
+               "n_samples": curve.n_samples,
+               "spectral_tail": curve.spectral_tail}
     return cfg, summary, ["curve.csv", "curve_summary.json"], \
         f"ell = {curve.length:.6g}, kappa_inf = {summary['kappa_inf']:.6g}"
 

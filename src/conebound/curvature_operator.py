@@ -7,7 +7,9 @@ Its strictly negative eigenvalues lambda_j determine the constant
 the universal slope of the logarithmic eigenvalue-counting law.  Two
 independent discretizations are kept: periodic finite differences (with
 Richardson extrapolation) and a truncated real Fourier basis
-{1, sqrt2 cos, sqrt2 sin}.  Both are diagonal in the same real modes up to
+{1, sqrt2 cos, sqrt2 sin}.  Each reads kappa on its own uniform grid, at
+the nodes of the trigonometric interpolant of the curve's samples
+(`_kappa_on_grid`).  Both are diagonal in the same real modes up to
 their kinetic symbols, (2 sin(pi m/n)/h)^2 on the grid's own DFT modes for
 fd and (2pi m/ell)^2 for Fourier, and kappa^2/4 couples the modes through
 the cosine and sine sums of its samples, taken from one FFT.  So the two
@@ -43,7 +45,7 @@ from scipy.linalg import eigh
 
 from . import spectral1d
 from .errors import PreconditionError
-from .geometry import SampledCurve, _pchip
+from .geometry import SampledCurve
 
 # an eigenvalue closer to zero than this multiple of its error estimate has
 # an ambiguous sign; k_S is then reported with an inclusion/exclusion interval
@@ -86,19 +88,17 @@ def _require_kappa(curve: SampledCurve) -> None:
 
 
 def _kappa_on_grid(curve: SampledCurve, n: int) -> np.ndarray:
-    if curve.n_samples % n == 0:
-        # every node is a sample, where the interpolant below returns the
-        # sample itself, bit for bit: take the samples
-        return curve.kappa[::curve.n_samples // n]
-    # periodic interpolation of the curvature field onto the operator grid:
-    # the nodes bracketing [0, length) run to the wrapped first sample, and
-    # the cubic's slope at a node reads one neighbour on each side, so two
-    # wrapped samples on each side close the loop
-    s_ext = np.concatenate([curve.s[-2:] - curve.length, curve.s,
-                            curve.s[:2] + curve.length])
-    k_ext = np.concatenate([curve.kappa[-2:], curve.kappa, curve.kappa[:2]])
-    target = curve.length * np.arange(n) / n
-    return _pchip(s_ext, k_ext, target)
+    """The trigonometric interpolant of the m curvature samples on n uniform
+    nodes: a grid that divides the samples reads them, any other is
+    zero-padded to n q > m nodes, q least, and every q-th kept."""
+    m = curve.n_samples
+    if m % n == 0:
+        return curve.kappa[::m // n]
+    q = -(-m // n)
+    spec = np.fft.rfft(curve.kappa)
+    if m % 2 == 0:
+        spec[-1] *= 0.5  # padded, the Nyquist row stands for two modes
+    return np.fft.irfft(spec, n * q)[::q] * (n * q / m)
 
 
 def _potential(curve: SampledCurve, n: int) -> np.ndarray:

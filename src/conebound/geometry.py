@@ -1,29 +1,18 @@
-"""Smooth loops on the unit sphere: presets, arc-length resampling, curvature.
+"""Smooth loops on the unit sphere: presets, arclength sampling, curvature.
 
-A curve is handed around as a SampledCurve: positions Gamma(s_i) on a uniform
-arc-length grid and the geodesic curvature kappa = <Gamma x Gamma'', Gamma'>,
-its derivatives taken by 4th-order periodic central differences on the
-uniform grid.
+A curve is handed around as a SampledCurve: positions Gamma(s_i) at n equal
+steps of arclength, the geodesic curvature kappa = <Gamma x Gamma'', Gamma'>
+there, the true length, and the spectral tail of the samples it came from.
 
-Resampling pipeline: a dense sample of the curve, a cumulative chord-length
-table, monotone cubic (PCHIP) interpolation against chord length, uniform
-resampling.  For analytic presets the monotone interpolant inverts the table
-(parameter as a function of chord length) and the preset map is re-evaluated
-at the resampled parameters; tabulated polylines interpolate the coordinates
-directly and renormalize onto the sphere.  The chord table is the accuracy
-bottleneck either way, making the pipeline second order in the dense spacing.
-A preset's table is summed in blocks of n_samples chords, each block
-starting from the last one's total, so only the parameters and the table
-are held at full 8n + 1 length; np.cumsum adds in order, so the blocked
-table is the one-shot table bit for bit.
-
-The cubic is `_pchip`: Fritsch & Carlson's monotone slopes (SIAM J. Numer.
-Anal. 17 (1980) 238-246) with the end slopes of Moler's `pchiptx`
-(Numerical Computing with MATLAB, sec. 3.6), in scipy's operation order,
-so it returns the values of scipy's PchipInterpolator bit for bit.  It
-takes slopes only at the nodes that bracket a target, not at all 8n + 1
-nodes of the dense table.  The curvature operator interpolates kappa onto
-its grids with it too.
+Every curve takes one spectral route from samples at equal steps of a
+smooth periodic parameter u: a preset's map at 2n steps, or tabulated rows
+as given.  Their FFT, less coefficients below 1e-15 of the largest, gives
+the speed and kappa = <gamma x gamma_uu, gamma_u> / |gamma_u|^3 in u, and
+the speed's Fourier series the length L and s(u) (Trefethen & Weideman,
+SIAM Rev. 56 (2014) 385-458).  Newton's method on Lagrange interpolation
+of those tables solves s(u_i) = i L / n.  The spectral tail, the largest
+coefficient in the top quarter of the samples' spectrum over the largest,
+says how well they resolve the loop; above 1e-10 it is refused.
 
 Orientation convention: latitude presets are traversed so that the geodesic
 curvature of a latitude circle at polar angle theta comes out +cot(theta)
@@ -38,16 +27,25 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._serial import write_csv
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, ConvergenceError, PreconditionError
 
-_FINE_FACTOR = 8  # dense samples per output sample in the resampling pipeline
+_PRESET_SAMPLES = 2  # preset map samples per output sample
+_DROP = 1e-15  # Fourier coefficients below this share of the largest go
+_TAIL_BOUND = 1e-10  # largest spectral tail of a resolved curve
+_TABLE_ROWS = 32  # rows of the tables in u per retained Fourier mode
+_STENCIL = 12  # nodes of the Lagrange interpolation on those tables
+_BLOCK = 512  # points interpolated at a time, to bound working memory
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 8.0 * np.finfo(float).eps  # arclength residual, per unit length
+# 1 / prod_{l != k} (k - l) on the stencil's nodes 0 .. _STENCIL - 1
+_LAGRANGE = np.array([(-1.0) ** (_STENCIL - 1 - k) * math.comb(
+    _STENCIL - 1, k) for k in range(_STENCIL)]) / math.factorial(_STENCIL - 1)
 
 _KINDS = ("latitude_circle", "perturbed_latitude", "tabulated")
 
@@ -100,7 +98,7 @@ class SampledCurve:
     gamma: np.ndarray
     kappa: np.ndarray
     length: float
-    deriv_error: float  # estimated curvature error of the differencing stage
+    spectral_tail: float  # largest top-quarter Fourier coefficient, relative
 
     @property
     def n_samples(self) -> int:
@@ -127,120 +125,92 @@ def _preset_points(spec: CurveSpec, u: np.ndarray) -> np.ndarray:
     return p
 
 
-def _running_chords(path: np.ndarray, carry: float = 0.0) -> np.ndarray:
-    # carry, then carry plus the running sum of the chords along the path
-    dx, dy, dz = np.diff(path, axis=0).T
-    chords = np.sqrt(dx * dx + dy * dy + dz * dz)
-    sigma = np.cumsum(np.concatenate([[carry], chords]))
-    # a chord lost to the rounding of the running sum repeats a sample as
-    # surely as a zero chord, and the cubic needs strictly increasing nodes
-    if not np.all(sigma[1:] > sigma[:-1]):
+def _coefficients(points: np.ndarray):
+    """Fourier coefficients of samples at equal steps of u, less those below
+    _DROP of the largest, through the highest kept; and the spectral tail."""
+    n = points.shape[0]
+    coef = np.fft.rfft(points, axis=0) / n
+    mag = np.abs(coef)
+    size = np.max(mag, axis=1)
+    top = float(np.max(size))
+    coef[mag < _DROP * top] = 0.0
+    kept = int(np.flatnonzero(size >= _DROP * top)[-1])
+    if n % 2 == 0 and kept == n // 2:
+        coef[kept] *= 0.5  # the Nyquist row stands for two modes
+    return coef[:kept + 1], float(np.max(size[3 * (n // 2) // 4:])) / top
+
+
+def _interpolate(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The _STENCIL-point Lagrange interpolant at u of a periodic table of
+    rows at u_j = 2 pi j / rows, _BLOCK points at a time."""
+    m = table.shape[0]
+    # window j of a column is the stencil of a point in [u_j, u_{j+1}):
+    # rows j + 1 - _STENCIL / 2 .. j + _STENCIL / 2, node k offsets[k] back
+    windows = np.lib.stride_tricks.sliding_window_view(
+        table.T[:, np.arange(1 - _STENCIL // 2, m + _STENCIL // 2) % m],
+        _STENCIL, axis=1)
+    offsets = (_STENCIL // 2 - 1 - np.arange(_STENCIL))[:, None]
+    out = np.empty((u.shape[0], table.shape[1]))
+    for lo in range(0, u.shape[0], _BLOCK):
+        x = u[lo:lo + _BLOCK] * (m / (2.0 * math.pi))
+        start = np.floor(x)
+        # barycentric weights (Higham, IMA J. Numer. Anal. 24 (2004)
+        # 547-556); a node hit to rounding is moved off it, by 1e-300 or by
+        # an ulp below the next, which leaves it weight 1 and the others 0
+        d = np.clip(x - start, 1e-300, np.nextafter(1.0, 0.0)) + offsets
+        weights = _LAGRANGE[:, None] / d * np.prod(d, axis=0)
+        out[lo:lo + _BLOCK] = np.einsum(
+            "cij,ji->ic", windows[:, start.astype(np.intp) % m], weights)
+    return out
+
+
+def _spectral_curve(points: np.ndarray, n: int,
+                    spec: Optional[CurveSpec] = None):
+    """(gamma, kappa, length, tail) at n equal steps of arclength along the
+    loop sampled by points at equal steps of a smooth periodic parameter u;
+    gamma is spec's map there, or the points' trigonometric interpolant."""
+    # a sample repeating the one before to rounding is no step of a parameter
+    chords = np.linalg.norm(np.diff(points, axis=0, append=points[:1]), axis=1)
+    if not np.all(chords > np.finfo(float).eps * np.sum(chords)):
         raise PreconditionError("curve has repeated consecutive samples")
-    return sigma
-
-
-def _chord_table(points: np.ndarray):
-    closed = np.vstack([points, points[:1]])
-    return closed, _running_chords(closed)
-
-
-def _end_slope(h0, h1, m0, m1):
-    # Moler's one-sided three-point end slope, held to the data's shape
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    flip = np.sign(d) != np.sign(m0)
-    over = (~flip & (np.sign(m0) != np.sign(m1))
-            & (np.abs(d) > 3.0 * np.abs(m0)))
-    d[flip] = 0.0
-    d[over] = 3.0 * m0[over]
-    return d
-
-
-def _pchip(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Monotone cubic through (x, y) at t: PchipInterpolator(x, y)(t) bit
-    for bit, extrapolating from the end pieces.
-
-    Fritsch-Carlson slopes, taken only at the nodes that bracket a target:
-    the weighted harmonic mean of the adjacent chord slopes, zero where one
-    is zero or they differ in sign, and Moler's end slopes.  The Hermite
-    coefficients and the power sum follow scipy's operation order.  x is
-    strictly increasing with at least 3 nodes; y has x's length on axis 0.
-    """
-    m = x.shape[0]
-    yy = y.reshape(m, -1)
-
-    def chord(j):  # widths and slopes of segments j
-        h = (x[j + 1] - x[j])[:, None]
-        return h, (yy[j + 1] - yy[j]) / h
-
-    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, m - 2)
-    k = np.concatenate([i, i + 1])
-    c = np.clip(k, 1, m - 2)
-    hl, ml = chord(c - 1)
-    hr, mr = chord(c)
-    w1, w2 = 2 * hr + hl, hr + 2 * hl
-    flat = (np.sign(mr) != np.sign(ml)) | (mr == 0) | (ml == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(flat, 0.0, 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2)))
-    first, last = k == 0, k == m - 1
-    d[first] = _end_slope(hl[first], hr[first], ml[first], mr[first])
-    d[last] = _end_slope(hr[last], hl[last], mr[last], ml[last])
-    d0, d1 = d[:i.size], d[i.size:]
-    h, slope = chord(i)
-    bend = (d0 + d1 - 2 * slope) / h
-    s = (t - x[i])[:, None]
-    s2 = s * s
-    # the power sum runs up from 0.0 as scipy's does, so even a -0.0 sample
-    # comes out as scipy's +0.0
-    out = ((((0.0 + yy[i]) + d0 * s) + ((slope - d0) / h - bend) * s2)
-           + (bend / h) * (s2 * s))
-    return out.reshape(t.shape + y.shape[1:])
-
-
-def _resample_uniform(points: np.ndarray, n_samples: int) -> np.ndarray:
-    closed, sigma = _chord_table(points)
-    targets = sigma[-1] * np.arange(n_samples) / n_samples
-    out = _pchip(sigma, closed, targets)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
-def _resample_parametric(spec: CurveSpec, n_samples: int) -> np.ndarray:
-    # invert the chord-length table u(sigma) with a monotone cubic and
-    # evaluate the analytic map there: the output points lie exactly on the
-    # true curve, so the only resampling error is the smooth O(h^2)
-    # parametrization drift of the table, and curvature residuals refine
-    # cleanly at 2nd order.  The table is summed in blocks (see the module
-    # docstring); the last block closes the loop at u = 0, as
-    # _chord_table's closing row does
-    n_dense = _FINE_FACTOR * n_samples
-    u = np.linspace(0.0, 2.0 * math.pi, n_dense, endpoint=False)
-    sigma = np.empty(n_dense + 1)
-    sigma[0] = 0.0
-    for lo in range(0, n_dense, n_samples):
-        hi = lo + n_samples
-        block = u.take(np.arange(lo, hi + 1), mode="wrap")
-        sigma[lo:hi + 1] = _running_chords(_preset_points(spec, block),
-                                           sigma[lo])
-    targets = sigma[-1] * np.arange(n_samples) / n_samples
-    return _preset_points(spec, _pchip(sigma, np.append(u, 2.0 * math.pi),
-                                       targets))
-
-
-def _periodic_diff4(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """4th-order periodic central difference, first or second derivative."""
-    # four shifted views of one copy padded by two wrapped rows at each end
-    padded = np.concatenate([values[-2:], values, values[:2]])
-    vm2, vm1, vp1, vp2 = (padded[j:j + values.shape[0]] for j in (0, 1, 3, 4))
-    if order == 1:
-        return (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
-    if order == 2:
-        return (-vm2 + 16.0 * vm1 - 30.0 * values + 16.0 * vp1 - vp2) / (12.0 * h * h)
-    raise ValueError(order)
-
-
-def _kappa_from_positions(gamma: np.ndarray, h: float) -> np.ndarray:
-    d1 = _periodic_diff4(gamma, h, 1)
-    d2 = _periodic_diff4(gamma, h, 2)
-    return np.einsum("ij,ij->i", np.cross(gamma, d2), d1)
+    coef, tail = _coefficients(points)
+    if tail > _TAIL_BOUND:
+        raise PreconditionError(
+            f"the samples do not resolve the curve: spectral tail "
+            f"{tail:.3e} exceeds {_TAIL_BOUND:g}; sample it more finely")
+    m = max(_TABLE_ROWS * coef.shape[0], 2 * _STENCIL)
+    k = np.arange(coef.shape[0])[:, None]
+    gamma = np.fft.irfft(coef, m, axis=0) * m
+    gamma_u = np.fft.irfft(1j * k * coef, m, axis=0) * m
+    gamma_uu = np.fft.irfft(-(k * k) * coef, m, axis=0) * m
+    speed = np.sqrt(np.einsum("ij,ij->i", gamma_u, gamma_u))
+    kappa = np.einsum("ij,ij->i", np.cross(gamma, gamma_uu),
+                      gamma_u) / speed ** 3
+    # s(u) = length u / 2 pi + wave(u), wave from the speed's series
+    series = np.fft.rfft(speed) / m
+    length = 2.0 * math.pi * float(series[0].real)
+    series[0] = series[-1] = 0.0
+    series[1:] /= 1j * np.arange(1, series.shape[0])
+    wave = np.fft.irfft(series, m) * m
+    wave -= wave[0]
+    table = np.column_stack([wave, speed, kappa] + [gamma] * (spec is None))
+    # Newton steps on the interpolated s(u), from the inverse of the table
+    # read linearly, until the residual is rounding
+    target = length * np.arange(n) / n
+    u = np.interp(target, np.append(length * np.arange(m) / m + wave, length),
+                  2.0 * math.pi * np.arange(m + 1) / m)
+    for _ in range(_NEWTON_STEPS):
+        at_u = _interpolate(table, u)
+        r = length * u / (2.0 * math.pi) + at_u[:, 0] - target
+        if np.max(np.abs(r)) <= _NEWTON_TOL * length:
+            break
+        u = u - r / at_u[:, 1]
+    else:
+        raise ConvergenceError(f"arclength inversion left a residual of "
+                               f"{np.max(np.abs(r)):.3e}")
+    gamma = at_u[:, 3:] / np.linalg.norm(at_u[:, 3:], axis=1, keepdims=True) \
+        if spec is None else _preset_points(spec, u)
+    return gamma, at_u[:, 2], length, tail
 
 
 def _self_intersection_check(gamma: np.ndarray, h: float) -> None:
@@ -262,9 +232,16 @@ def _self_intersection_check(gamma: np.ndarray, h: float) -> None:
 
 
 def geodesic_curvature(curve: SampledCurve) -> np.ndarray:
-    """Curvature field <Gamma x Gamma'', Gamma'> recomputed from positions."""
-    h = curve.length / curve.n_samples
-    return _kappa_from_positions(curve.gamma, h)
+    """Curvature field <Gamma x Gamma'', Gamma'> recomputed from the
+    positions by 4th-order periodic central differences: a check on the
+    stored field, which it misses by O(h^4)."""
+    g, h = curve.gamma, curve.length / curve.n_samples
+    # four shifted views of one copy padded by two wrapped rows at each end
+    padded = np.concatenate([g[-2:], g, g[:2]])
+    vm2, vm1, vp1, vp2 = (padded[j:j + g.shape[0]] for j in (0, 1, 3, 4))
+    d1 = (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
+    d2 = (-vm2 + 16.0 * vm1 - 30.0 * g + 16.0 * vp1 - vp2) / (12.0 * h * h)
+    return np.einsum("ij,ij->i", np.cross(g, d2), d1)
 
 
 def sup_curvature(curve: SampledCurve) -> float:
@@ -284,9 +261,11 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
     Raises
     ------
     PreconditionError
-        For invalid specs, off-sphere tabulated input, a curve that is not
-        simple at the requested resolution, or an n_samples too large to
-        allocate.
+        For invalid specs, off-sphere or repeated tabulated samples, a
+        spectral tail above 1e-10, a curve that is not simple at the
+        requested resolution, or an n_samples too large to allocate.
+    ConvergenceError
+        If the arclength inversion does not reach rounding.
     """
     spec.validate()
     if n_samples < 64:
@@ -294,39 +273,18 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
 
     try:
         if spec.kind == "tabulated":
-            gamma = _resample_uniform(np.asarray(spec.samples, dtype=float),
-                                      n_samples)
+            points, spec = np.asarray(spec.samples, dtype=float), None
         else:
-            gamma = _resample_parametric(spec, n_samples)
+            points = _preset_points(spec, np.linspace(
+                0.0, 2.0 * math.pi, _PRESET_SAMPLES * n_samples,
+                endpoint=False))
+        gamma, kappa, length, tail = _spectral_curve(points, n_samples, spec)
     except (MemoryError, ValueError) as exc:
         raise PreconditionError(
             f"cannot allocate a curve of n_samples = {n_samples:.6g}") from exc
-
-    # the declared length is the chord total of the output polygon, so the
-    # stored s-grid and the grid actually traced agree to rounding
-    _, sigma_out = _chord_table(gamma)
-    length = float(sigma_out[-1])
     h = length / n_samples
-    s = h * np.arange(n_samples)
-
     _self_intersection_check(gamma, h)
-
-    kappa = _kappa_from_positions(gamma, h)
-
-    # coarse-grid replay of the differencing stage gives an error estimate;
-    # too-coarse grids are flagged, not rejected
-    if n_samples % 2 == 0:
-        kappa_half = _kappa_from_positions(gamma[::2], 2.0 * h)
-        deriv_error = float(np.max(np.abs(kappa_half - kappa[::2]))) / 15.0
-    else:
-        deriv_error = float("nan")
-    scale = max(1.0, float(np.max(np.abs(kappa))))
-    if deriv_error > 0.01 * scale:
-        warnings.warn(
-            f"curvature differencing error estimate {deriv_error:.3e} is "
-            f"large; consider more samples", stacklevel=2)
-
-    return SampledCurve(s, gamma, kappa, length, deriv_error)
+    return SampledCurve(h * np.arange(n_samples), gamma, kappa, length, tail)
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

@@ -48,6 +48,37 @@ def test_curve_equator_example(tmp_path):
     assert doc["ell"] == pytest.approx(2.0 * math.pi, rel=1e-4)
 
 
+def test_odd_sample_counts_report_the_spectral_tail(tmp_path):
+    # the tail is read off the map's samples, so an odd n reports one (the
+    # differencing replay it replaced needed an even n and wrote "nan"),
+    # and n only picks the nodes: the length does not move with it
+    docs = []
+    for n in (1000, 1001):
+        assert run(["curve", "--preset", "perturbed", "--amplitude", "0.1",
+                    "--mode", "3", "--n-samples", n,
+                    "--out-dir", tmp_path / str(n)]) == 0
+        docs.append(load(tmp_path / str(n) / "curve_summary.json"))
+    for doc in docs:
+        assert "deriv_error" not in doc
+        assert 0.0 < doc["spectral_tail"] <= 1e-15
+    assert abs(docs[1]["ell"] - docs[0]["ell"]) <= 1e-13 * docs[0]["ell"]
+
+
+@pytest.mark.parametrize("jitter", [1e-3, 0.2])
+def test_jittered_rows_are_refused_naming_the_tail(tmp_path, capsys, jitter):
+    # rows moved along the curve by up to jitter of a step are no equal
+    # steps of a smooth parameter; the chord-table cubic answered them with
+    # a curvature 2.7% off (1e-3) or meaningless (0.2), and the spectral
+    # tail refuses them
+    step = np.arange(1000) + jitter * np.random.default_rng(7).uniform(
+        -1.0, 1.0, 1000)
+    write_tabulated_points(tmp_path / "rows.csv", 2.0 * math.pi * step / 1000)
+    assert run(["curve", "--preset", "tabulated", "--input",
+                tmp_path / "rows.csv", "--n-samples", "1000",
+                "--out-dir", tmp_path]) == 4
+    assert "spectral tail" in capsys.readouterr().err
+
+
 def test_ks_example(tmp_path):
     assert run(["ks", "--preset", "latitude", "--theta", "0.7854",
                 "--out-dir", tmp_path]) == 0
@@ -184,10 +215,19 @@ def fd_route_assemble(theta, mode):
 # 1.7e-14 (confining, 1536 Neumann) and 2.0e-12 / 4.5e-12 to 4.9e-14 /
 # 5.5e-14 (confining, 4096 Dirichlet), and the hard-wall sweep's eps0 and
 # gap_delta from 1.5e-13 / 3.7e-13 to 1.6e-15 / 3.9e-15 off the closed-form
-# fd box levels.  The last two entries pin the monotone cubic at its other
-# two call sites: a tabulated curve's coordinates, and the curvature field
-# interpolated onto operator grids (1024 and 512 nodes) that do not divide
-# the 1000 samples
+# fd box levels.  The last two entries pin a tabulated curve and the
+# curvature field on operator grids (1024 and 512 nodes) that do not divide
+# the 1000 samples.  Every curve-derived entry (the ks reports, the README
+# assemble summary, the perturbed and tabulated curves) was re-frozen when
+# build_curve moved from the chord-table cubic and 4th-order differences to
+# one spectral pipeline; the counts did not move, and each oracle error
+# fell: latitude 0.5 ks k_S 1.2e-6 -> 0, perturbed 0.1/3 ks k_S 8.0e-6 ->
+# 3.5e-11 (against the resolved Fourier levels), the README assemble
+# predicted_slope 4.7e-6 -> 2.2e-16 (against 1/(4 pi)), the perturbed
+# curve's ell 1.6e-7 -> 2.2e-16 and kappa 1.1e-6 -> 1.6e-14, the tabulated
+# curve's sup|kappa| 2.1e-2 -> 4.4e-14 and length 4.2e-5 -> 2.2e-13, and
+# the perturbed 0.2/5 ks k_S 1.2e-4 -> 4.3e-7 (the 1024-node fd levels' own
+# error)
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -218,22 +258,22 @@ FROZEN_OUTPUTS = [
      "threshold_summary.json",
      "4ee07ee2be8d46aa03ce22c58f88a2b3bf45c5d435e8ae00f96abcb6485a1beb"),
     (KS_LATITUDE, "ks_report.json",
-     "f056a04a39fe988a7d0f0b783eae8274e41166598912e46712220ac09677f440"),
+     "84572c37bd6e87287d0b7972143569646c9af1a3faf304c4bae0111cf125f513"),
     (KS_PERTURBED, "ks_report.json",
-     "e9136561f8a8e9226566ac4b044f4969236d2489a208dd75f08c81cdf3f5296a"),
+     "c1443b765d490cf65484ebc285ca0b2bbd0bb1f5a164176f3973aacce23d6894"),
     (README_ASSEMBLE, "assemble_summary.json",
-     "a430341a0dd8c7802910afa19fb2f0a73d8c3ef8afa4cda416b2c3c9d59aefe6"),
+     "49e9b16eda36063bdcafaf538a8ee5cf518ea7e85e207e900dc0cd885d38c4b2"),
     (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
       "--n-samples", "4096"],
      "curve_summary.json",
-     "148760fb9ee92ffe6d1dce25bb063c5f137b9516ccd570d647045825a331632c"),
+     "319d47226099738656ad90619913447a12c3cdc7c85c9065c4b45054277d0672"),
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "slope.json",
      "da46a749f1ed7b4f641530c925bdf7f169ec4bc20b0ed440380cfcd1b7915b48"),
     (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
       "--n-samples", "4096"],
      "curve.csv",
-     "ef8da7259bb8687cf0f542f5b0615dd14b600e83216ae67a326f92c1ada3a939"),
+     "dfccd8706fd0fcaa51baeda4af831ba6557b87f6aa0776464d0f5a41aea5a4eb"),
     (fd_route_assemble(*FD_ROUTE_CURVES[0]), "assemble_counts.csv",
      "d1fa1cdbd3b41544ccb45b21723204e146253f4c3b89fff6ce0f232579bcbc87"),
     (fd_route_assemble(*FD_ROUTE_CURVES[1]), "assemble_counts.csv",
@@ -241,18 +281,20 @@ FROZEN_OUTPUTS = [
     (["curve", "--preset", "tabulated", "--input", "points.csv",
       "--n-samples", "1000"],
      "curve.csv",
-     "d73536dd8b31ce5e6fec7e4548333fe67e34c47375973ea59de706a54cc772d4"),
+     "af8efe51c461488de9488f6b0190eafda86891478c96d18cba0f724f42d242a0"),
     (["ks", "--preset", "perturbed", "--amplitude", "0.2", "--mode", "5",
       "--n-samples", "1000"],
      "ks_report.json",
-     "cfbca0572e0c9796f3dd871aa9bf752baffdfc8b964e34b2006b862761f63349"),
+     "429de258e3d8aaf31e6fd43159d2a1b684126b0265e64ba1366c047f403417a1"),
 ]
 
 
-def write_tabulated_points(path):
-    # 2400 samples of a perturbed latitude, uneven in arclength, written at
-    # full precision: the input of the frozen tabulated curve
-    u = np.linspace(0.0, 2.0 * math.pi, 2400, endpoint=False)
+def write_tabulated_points(path, u=None):
+    # samples of a perturbed latitude at the parameters u, by default 2400
+    # equal steps, uneven in arclength, written at full precision: the
+    # input of the frozen tabulated curve
+    if u is None:
+        u = np.linspace(0.0, 2.0 * math.pi, 2400, endpoint=False)
     st, ct = math.sin(1.0), math.cos(1.0)
     bump = 0.15 * np.sin(4.0 * u)
     p = np.column_stack([(st + bump * ct) * np.cos(u),
@@ -288,12 +330,13 @@ def test_output_bytes_are_frozen(tmp_path, monkeypatch, argv, name, digest):
 # the Fourier cross-check may move method_diff and nothing else.  Re-frozen
 # with the two reports above when the fd levels moved to the certified
 # low DFT block, which matches the closed-form fd levels the band solve
-# missed (test_fd_route_closed_form_for_constant_curvature)
+# missed (test_fd_route_closed_form_for_constant_curvature), and again with
+# them when the curve moved to the spectral pipeline
 FROZEN_FD_REPORTS = [
     (KS_LATITUDE,
-     "f38edf411056431ad4b007b1983368cf2a0de2a88efaa82609b994fee875d076"),
+     "9d0e9ee6c9d4c063c14a3bb89770e3affdf5c68ccee26226be4f7fcb8ba7b743"),
     (KS_PERTURBED,
-     "4dd3da54a38d925641961a9707c87b11af7868defa2ad4917a9150cdc3a58de4"),
+     "235ab59101935bd4e04de38b2446c822caeba81ef39fe6b9c34048c8a74d7f53"),
 ]
 
 
@@ -999,7 +1042,10 @@ MANY_LEVELS = ["--preset", "perturbed", "--theta", "0.7853981633974483",
 
 def test_too_few_levels_for_k_S_exit_4(tmp_path, capsys):
     # they used to report the k_S of the levels computed: 1.04995 for ks
-    # --k 3 (3 of 5 negative levels), 15.87 for assemble (12 of 16)
+    # --k 3 (3 of 5 negative levels), 15.87 for assemble (12 of 16).  The
+    # 16 levels come from the 1024-node fd band, whose own error on this
+    # sharply bent curve (sup|kappa| = 76) is 1.1e-3 of the resolved
+    # 18.0752; the slope no longer moves with --n-samples
     code = run(["ks", "--preset", "perturbed", "--amplitude", "0.2",
                 "--mode", "5", "--k", "3", "--out-dir", tmp_path / "ks"])
     assert code == 4
@@ -1011,7 +1057,7 @@ def test_too_few_levels_for_k_S_exit_4(tmp_path, capsys):
     assert run(assemble + ["--n-modes", "17", "--out-dir", tmp_path]) == 0
     doc = load(tmp_path / "assemble_summary.json")
     assert len(doc["modes"]) == 16
-    assert doc["predicted_slope"] == pytest.approx(18.0644, rel=1e-5)
+    assert doc["predicted_slope"] == pytest.approx(18.0546, rel=1e-5)
 
 
 @pytest.mark.parametrize("args", [["--a", "20"], ["--a", "1", "--L", "0.5"],

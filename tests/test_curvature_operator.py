@@ -172,6 +172,32 @@ def test_uncertified_ks_levels_are_the_fd_band_levels(case, monkeypatch):
     assert np.array_equal(got.eigenvalues, band.extrapolated)
 
 
+@pytest.mark.parametrize("theta, mode, k_S", [
+    (math.pi / 4, 5, 1.442063668349),
+    (0.5, 3, 0.884888185627),
+], ids=["pi4-0.2-5", "0.5-0.2-3"])
+def test_ks_levels_do_not_move_with_the_samples(theta, mode, k_S):
+    # the spectral curvature is the same field at any n, so the k_S that
+    # assemble reads off the 1024-node fd levels does not move with n
+    # (the chord-table curve moved it by up to 9.5e-5 between these two) and
+    # sits on the value of that route with a resolved curve
+    spec = CurveSpec(kind="perturbed_latitude", theta=theta, amplitude=0.2,
+                     mode=mode)
+    coarse, fine = (curvature_operator.ks_levels(build_curve(spec, n), 12).k_S
+                    for n in (1024, 2048))
+    assert abs(coarse - fine) <= 1e-10 * fine
+    assert abs(fine - k_S) <= 1e-8 * k_S
+
+
+def test_assembled_latitude_k_S_is_the_closed_form():
+    # the certified block on the curve's own samples, from a kappa that is
+    # cot(theta) to rounding: 1/(4 pi) to 1e-12, where the chord-table
+    # curve read 4.7e-6 high
+    got = curvature_operator.ks_levels(latitude(math.pi / 4, 1024), 12)
+    assert got.route == "fourier"
+    assert abs(got.k_S * 4.0 * math.pi - 1.0) <= 1e-12
+
+
 def test_too_few_levels_for_k_S_is_a_precondition_error():
     # 5 of the lowest levels are negative: k = 3 used to sum 3 of them
     curve = build_curve(FOURIER_CURVES["perturbed-0.2-5"][0], 1024)
@@ -214,7 +240,7 @@ def test_k_beyond_basis_size_is_a_precondition_error():
 def constant_curvature_loop(kappa, ell, n):
     # only s, kappa and the length enter the curvature operator
     return SampledCurve(s=ell * np.arange(n) / n, gamma=np.zeros((n, 3)),
-                        kappa=np.full(n, kappa), length=ell, deriv_error=0.0)
+                        kappa=np.full(n, kappa), length=ell, spectral_tail=0.0)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -238,36 +264,25 @@ def test_fourier_route_closed_form_for_constant_curvature(n):
     (CurveSpec(kind="latitude_circle", theta=math.pi / 4), 1024),
 ], ids=["latitude-0.5", "perturbed-0.1-3", "perturbed-0.2-5", "latitude"])
 def test_dividing_grids_subsample_the_interpolant(spec, n_samples):
-    # on a grid whose nodes are samples, the periodic PCHIP through the
-    # samples returns those samples bit for bit, and so must the subsample
-    from scipy.interpolate import PchipInterpolator
-
+    # on a grid whose nodes are samples, the trigonometric interpolant of
+    # the samples returns those samples, bit for bit
     curve = build_curve(spec, n_samples)
-    s, ell = curve.s, curve.length
-    pchip = PchipInterpolator(np.concatenate([s - ell, s, s + ell]),
-                              np.concatenate([curve.kappa] * 3))
     for n in (n_samples // 2, n_samples // 4):
         got = curvature_operator._kappa_on_grid(curve, n)
-        assert np.array_equal(got, pchip(ell * np.arange(n) / n))
         assert np.array_equal(got, curve.kappa[::n_samples // n])
 
 
 @pytest.mark.parametrize("n", [512, 777, 1024, 1536])
 def test_non_dividing_grids_match_the_periodic_interpolant(n):
-    # the in-package cubic on the samples wrapped twice at each end returns
-    # scipy's PCHIP through three periods of them, bit for bit
-    from scipy.interpolate import PchipInterpolator
-
-    curve = build_curve(CurveSpec(kind="perturbed_latitude",
-                                  theta=math.pi / 4, amplitude=0.2, mode=5),
-                        1000)
-    s, ell = curve.s, curve.length
-    pchip = PchipInterpolator(np.concatenate([s - ell, s, s + ell]),
-                              np.concatenate([curve.kappa] * 3))
-    want = pchip(ell * np.arange(n) / n)
-    got = curvature_operator._kappa_on_grid(curve, n)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the trigonometric interpolant of 1000 samples, evaluated on n nodes
+    # that are not samples, is the curve's own field there: the curve built
+    # with n samples reads the same kappa, on coarser and finer grids
+    spec = CurveSpec(kind="perturbed_latitude", theta=math.pi / 4,
+                     amplitude=0.2, mode=5)
+    got = curvature_operator._kappa_on_grid(build_curve(spec, 1000), n)
+    want = build_curve(spec, n).kappa
+    assert np.max(np.abs(got - want)) <= \
+        1e-10 * max(1.0, float(np.max(np.abs(want))))
 
 
 def direct_sum_fourier_matrix(q, ell, m_max):
@@ -342,7 +357,7 @@ def bumped_loop(n):
     s = ell * np.arange(n) / n
     kappa = 1.3 + 0.05 * np.cos(2.0 * math.pi * 70 * s / ell)
     return SampledCurve(s=s, gamma=np.zeros((n, 3)), kappa=kappa, length=ell,
-                        deriv_error=0.0)
+                        spectral_tail=0.0)
 
 
 def full_fourier_levels(curve, n, k):

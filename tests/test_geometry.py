@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conebound import (CurveSpec, PreconditionError, build_curve, geometry,
+from conebound import (ConvergenceError, CurveSpec, PreconditionError,
+                       build_curve, geometry,
                        geodesic_curvature, read_curve_samples, sup_curvature,
                        write_curve_csv)
-from conebound.geometry import (_chord_table, _end_slope, _pchip,
-                                _preset_points, _self_intersection_check)
+from conebound.geometry import _preset_points, _self_intersection_check
 
 
 def latitude(theta, n=1024):
@@ -34,13 +34,24 @@ def viviani_points(n=256):
 # ------------------------------------------------------------ closed forms
 
 
-@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 3])
+@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 3, 0.5,
+                                   math.pi / 2])
 def test_latitude_length_and_curvature(theta):
-    c = latitude(theta)
-    assert c.length == pytest.approx(2.0 * math.pi * math.sin(theta),
-                                     rel=1e-5)
-    cot = 1.0 / math.tan(theta)
-    assert np.max(np.abs(c.kappa - cot)) < 2e-5
+    # the spectral pipeline has no resolution error on a circle: kappa is
+    # cot(theta) and the length 2 pi sin(theta) to rounding at every n
+    for n in (64, 1024, 4096):
+        c = latitude(theta, n)
+        assert np.max(np.abs(c.kappa - 1.0 / math.tan(theta))) <= 1e-13
+        assert abs(c.length - 2.0 * math.pi * math.sin(theta)) <= \
+            1e-13 * c.length
+
+
+def test_latitude_refinement_ratio():
+    # no O(h^2) error is left to shrink under refinement: every level of the
+    # 128 -> 256 -> 512 ladder already sits at rounding against cot(pi/4)
+    res = [np.max(np.abs(latitude(math.pi / 4, n).kappa - 1.0))
+           for n in (128, 256, 512)]
+    assert max(res) <= 1e-13
 
 
 def test_equator_is_a_geodesic():
@@ -62,14 +73,30 @@ def test_unit_sphere_and_uniform_spacing():
     assert np.std(chords) / np.mean(chords) < 1e-4
 
 
+def chord_total(points):
+    return float(np.sum(np.linalg.norm(
+        np.diff(points, axis=0, append=points[:1]), axis=1)))
+
+
 def test_arc_length_consistency():
-    # sum of chords must reproduce the declared length
-    for c in (latitude(math.pi / 3), perturbed(math.pi / 4, 0.05, 3)):
-        chords = np.linalg.norm(np.roll(c.gamma, -1, axis=0) - c.gamma,
-                                axis=1)
-        assert abs(float(np.sum(chords)) - c.length) < 1e-6 * c.length
-        # s-grid is the uniform partition of that length
-        assert np.allclose(np.diff(c.s), c.length / c.n_samples, rtol=1e-12)
+    # the declared length is the true arclength, not the output polygon's
+    # chord total (1.6e-6 short at n = 1024): the chord totals of the map
+    # on 2^15 and 2^16 points, whose error runs in even powers of the
+    # step, Richardson-extrapolate to it within 1e-12
+    u = [np.linspace(0.0, 2.0 * math.pi, 2**p, endpoint=False)
+         for p in (15, 16)]
+    for spec in (CurveSpec(kind="latitude_circle", theta=math.pi / 3),
+                 CurveSpec(kind="perturbed_latitude", theta=math.pi / 4,
+                           amplitude=0.05, mode=3),
+                 CurveSpec(kind="perturbed_latitude", theta=math.pi / 4,
+                           amplitude=0.2, mode=5)):
+        coarse, fine = (chord_total(_preset_points(spec, v)) for v in u)
+        for n in (256, 1024):
+            c = build_curve(spec, n)
+            assert abs(c.length - (4.0 * fine - coarse) / 3.0) <= \
+                1e-12 * c.length
+            # s-grid is the uniform partition of that length
+            assert np.allclose(np.diff(c.s), c.length / n, rtol=1e-12)
 
 
 def test_frame_orthonormality():
@@ -88,33 +115,31 @@ def test_frame_orthonormality():
     assert np.max(np.abs(np.einsum("ij,ij->i", d1, normal))) < 1e-6
     # the module's orientation convention: n points to the south pole side
     assert np.all(normal[:, 2] < 0.0)
-    # the tangent norm carries the O(h^2) chord-parameter bias only
-    assert np.max(np.abs(np.linalg.norm(d1, axis=1) - 1.0)) < 1e-5
+    # samples at equal arclength: the tangent norm carries the O(h^4)
+    # error of the difference alone (1.2e-9 here)
+    assert np.max(np.abs(np.linalg.norm(d1, axis=1) - 1.0)) < 1e-8
 
 
 # ------------------------------------------------------------- convergence
 
 
-def test_latitude_refinement_ratio():
-    cot = 1.0
-    res = [np.max(np.abs(latitude(math.pi / 4, n).kappa - cot))
-           for n in (128, 256, 512)]
-    assert 3.0 < res[0] / res[1] < 5.5
-    assert 3.0 < res[1] / res[2] < 5.5
-
-
-def test_perturbed_refinement_ratio():
-    # residual against an 8x-finer reference drops ~4x per refinement
-    ref = perturbed(math.pi / 4, 0.05, 3, 2048)
-
-    def resid(n):
-        c = perturbed(math.pi / 4, 0.05, 3, n)
-        step = 2048 // n
-        return float(np.max(np.abs(c.kappa - ref.kappa[::step])))
-
-    r = [resid(n) for n in (128, 256, 512)]
-    assert 3.0 < r[0] / r[1] < 5.5
-    assert 3.0 < r[1] / r[2] < 5.5
+@pytest.mark.parametrize("spec", [
+    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.05,
+              mode=3),
+    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.2,
+              mode=5),
+], ids=["perturbed-0.05-3", "perturbed-0.2-5"])
+def test_perturbed_curvature_does_not_move_with_n(spec):
+    # the curvature comes from the map's resolved Fourier series in u, so
+    # the output resolution only picks the nodes: every grid reads the same
+    # field on the nodes it shares with the 4096-sample grid
+    ref = build_curve(spec, 4096)
+    for n in (128, 1024):
+        c = build_curve(spec, n)
+        step = 4096 // n
+        assert np.max(np.abs(c.kappa - ref.kappa[::step])) <= \
+            1e-10 * sup_curvature(ref)
+        assert abs(c.length - ref.length) <= 1e-13 * ref.length
 
 
 def test_perturbed_mean_curvature():
@@ -126,8 +151,13 @@ def test_perturbed_mean_curvature():
 
 
 def test_geodesic_curvature_matches_stored_field():
-    c = perturbed(math.pi / 4, 0.05, 3)
-    assert np.array_equal(geodesic_curvature(c), c.kappa)
+    # the position-based formula is 4th-order central differences of the
+    # samples, at most 25 h^4 off the stored spectral field here (the error
+    # over h^4 reads 18.8 at n = 512 and 1024)
+    for n in (512, 1024):
+        c = perturbed(math.pi / 4, 0.05, 3, n)
+        h = c.length / n
+        assert np.max(np.abs(geodesic_curvature(c) - c.kappa)) <= 25.0 * h**4
 
 
 def test_rotation_invariance(rng):
@@ -138,9 +168,9 @@ def test_rotation_invariance(rng):
     base = perturbed(math.pi / 4, 0.05, 3, 512)
     rot = build_curve(CurveSpec(kind="tabulated",
                                 samples=base.gamma @ q.T), 512)
-    assert abs(rot.length / base.length - 1.0) < 1e-8
+    assert abs(rot.length / base.length - 1.0) < 1e-13
     dev = np.max(np.abs(np.sort(rot.kappa) - np.sort(base.kappa)))
-    assert dev < 5e-3
+    assert dev < 1e-10
 
 
 def test_tabulated_round_trip_of_latitude():
@@ -149,9 +179,56 @@ def test_tabulated_round_trip_of_latitude():
     base = latitude(math.pi / 3, 512)
     c = build_curve(CurveSpec(kind="tabulated", samples=base.gamma), 256)
     cot = 1.0 / math.tan(math.pi / 3)
-    # chord totals at different n differ at O(h^2)
-    assert c.length == pytest.approx(base.length, rel=1e-4)
-    assert abs(float(np.mean(c.kappa)) - cot) < 1e-3
+    assert c.length == pytest.approx(base.length, rel=1e-13)
+    assert np.max(np.abs(c.kappa - cot)) < 1e-13
+
+
+# --------------------------------------------------------- tabulated input
+# rows of the perturbed latitude theta = 1, amplitude 0.15, mode 4, whose
+# preset reads sup|kappa| = 3.2733610324 and length 5.872419641765
+
+
+ROWS_SPEC = CurveSpec(kind="perturbed_latitude", theta=1.0, amplitude=0.15,
+                      mode=4)
+
+
+def rows_of(count, warp=0.0):
+    # the map at count equal steps of u, moved to u + warp sin(u)
+    u = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    return _preset_points(ROWS_SPEC, u + warp * np.sin(u))
+
+
+@pytest.mark.parametrize("count", [600, 1000, 2400])
+def test_tabulated_rows_give_the_preset_curve(count):
+    # the rows are read as equal steps of a smooth parameter, so any count
+    # that resolves the loop gives the preset's curve; the old cubic
+    # through the polyline read sup|kappa| = 5.18, 3.76 and 3.29 here
+    c = build_curve(CurveSpec(kind="tabulated", samples=rows_of(count)), 1000)
+    assert abs(sup_curvature(c) - 3.2733610324) <= 1e-8
+    assert abs(c.length - 5.872419641765) <= 1e-10
+    assert c.spectral_tail <= 1e-15
+    preset = build_curve(ROWS_SPEC, 1000)
+    assert np.max(np.abs(c.kappa - preset.kappa)) <= 1e-10
+    assert np.max(np.abs(c.gamma - preset.gamma)) <= 1e-12
+
+
+def test_smooth_reparametrization_keeps_the_curve():
+    # rows at equal steps of u + 0.3 sin(u), uneven in arclength by a
+    # factor of two, are another smooth parameter of the same loop
+    plain = build_curve(CurveSpec(kind="tabulated", samples=rows_of(1000)),
+                        1000)
+    warped = build_curve(
+        CurveSpec(kind="tabulated", samples=rows_of(1000, 0.3)), 1000)
+    assert abs(warped.length - plain.length) <= 1e-12 * plain.length
+    assert np.max(np.abs(warped.kappa - plain.kappa)) <= 1e-9
+
+
+def test_arclength_inversion_that_does_not_converge_is_an_error(monkeypatch):
+    # one Newton step from the Hermite start leaves a residual on a
+    # perturbed curve above rounding, and the inversion says so
+    monkeypatch.setattr(geometry, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="arclength inversion"):
+        perturbed(math.pi / 4, 0.2, 5)
 
 
 # --------------------------------------------------------------- rejection
@@ -227,10 +304,10 @@ def test_simplicity_check_memory_is_linear():
 
 
 def test_curve_build_and_write_hold_bounded_memory(tmp_path):
-    # the dense chord table is summed in blocks of n chords and the CSV is
-    # written in blocks of rows, so neither holds a whole table's
-    # temporaries at once; the warm-up build keeps the KD-tree's first
-    # import out of the count
+    # the tables in u are sized by the curve's Fourier modes, not by n, the
+    # interpolation runs in blocks of points and the CSV is written in
+    # blocks of rows; the warm-up build keeps the KD-tree's first import
+    # out of the count
     perturbed(math.pi / 4, 0.1, 3, 64)
     tracemalloc.start()
     try:
@@ -296,105 +373,6 @@ def test_read_plain_xyz(tmp_path):
             fh.write(",".join(repr(float(v)) for v in p) + "\n")
     got = read_curve_samples(path)
     assert np.allclose(got, pts, atol=1e-15)
-
-
-# ------------------------------------------------------- the monotone cubic
-# scipy's PchipInterpolator is the oracle: _pchip must return its values bit
-# for bit, since every curve digest was frozen with it
-
-
-def pchip_oracle(x, y, t):
-    from scipy.interpolate import PchipInterpolator
-    return PchipInterpolator(x, y, axis=0)(t)
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("n", [64, 777, 1024, 4096])
-@pytest.mark.parametrize("spec", [
-    CurveSpec(kind="latitude_circle", theta=0.5),
-    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.2,
-              mode=5),
-], ids=["latitude-0.5", "perturbed-0.2-5"])
-def test_pchip_matches_scipy_on_preset_chord_tables(spec, n):
-    # the two tables of the pipeline: the parameter against chord length
-    # (presets) and the three coordinates against it (tabulated curves), at
-    # the uniform targets, every breakpoint and both ends
-    u = np.linspace(0.0, 2.0 * math.pi, 8 * n, endpoint=False)
-    closed, sigma = _chord_table(_preset_points(spec, u))
-    targets = np.concatenate([sigma[-1] * np.arange(n) / n, sigma,
-                              [sigma[0], sigma[-1]]])
-    for y in (np.append(u, 2.0 * math.pi), closed):
-        assert_same_bits(_pchip(sigma, y, targets),
-                         pchip_oracle(sigma, y, targets))
-
-
-@pytest.mark.parametrize("n", [64, 777, 1024, 4096])
-@pytest.mark.parametrize("spec", [
-    CurveSpec(kind="latitude_circle", theta=0.5),
-    CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.1,
-              mode=3),
-], ids=["latitude-0.5", "perturbed-0.1-3"])
-def test_blocked_chord_table_is_the_one_shot_table(monkeypatch, spec, n):
-    # the table the preset resampler hands the cubic, summed block by
-    # block, against the one-shot table of the same 8n parameters
-    tables = []
-
-    def recorded(x, y, t):
-        tables.append(x)
-        return _pchip(x, y, t)
-
-    monkeypatch.setattr(geometry, "_pchip", recorded)
-    build_curve(spec, n)
-    u = np.linspace(0.0, 2.0 * math.pi, 8 * n, endpoint=False)
-    assert_same_bits(tables[0], _chord_table(_preset_points(spec, u))[1])
-
-
-def test_pchip_matches_scipy_on_random_tables(rng):
-    # uneven nodes, integer data with flat runs, slopes that change sign,
-    # one and three columns, targets on every node and beyond both ends
-    for trial in range(200):
-        m = int(rng.integers(3, 40))
-        x = np.cumsum(rng.uniform(0.01, 2.0, m)) + rng.normal()
-        y = rng.normal(size=(m, 3) if trial % 2 else m)
-        if trial % 4 < 2:
-            y = np.round(2.0 * y)
-        t = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40), x])
-        assert_same_bits(_pchip(x, y, t), pchip_oracle(x, y, t))
-
-
-@pytest.mark.parametrize("y, end", [
-    ([0.0, 1.0, 5.0, 6.0, 6.5], 0.0),    # the one-sided slope turns: zero
-    ([0.0, 1.0, -9.0, -8.0, -7.5], 3.0),  # it overshoots a turn: 3 m0
-], ids=["zeroed", "capped"])
-def test_pchip_end_slope_branches(y, end):
-    # both shape-preserving branches of Moler's end slope, at either end
-    x = np.arange(5.0)
-    y = np.asarray(y)
-    d = _end_slope(np.array([1.0]), np.array([1.0]),
-                   np.array([y[1] - y[0]]), np.array([y[2] - y[1]]))
-    assert d.tolist() == [end]
-    t = np.linspace(-0.5, 4.5, 41)
-    for ys in (y, -y[::-1]):
-        assert_same_bits(_pchip(x, ys, t), pchip_oracle(x, ys, t))
-        assert_same_bits(_pchip(x, np.column_stack([ys, 2.0 * ys, -ys]), t),
-                         pchip_oracle(x, np.column_stack([ys, 2.0 * ys, -ys]),
-                                      t))
-
-
-def test_pchip_keeps_scipy_sign_of_zero():
-    # at the node holding -0.0 the slopes make every term of the power sum
-    # -0.0 (the quadratic and cubic coefficients are negative there), and
-    # scipy's sum, which starts from 0.0, returns +0.0
-    x = np.arange(5.0)
-    y = np.array([1.0, 0.25, -0.0, -1.0, -20.0])
-    want = pchip_oracle(x, y, x)
-    assert not np.signbit(want[2])
-    assert_same_bits(_pchip(x, y, x), want)
 
 
 def test_sample_repeated_to_rounding_rejected():

@@ -101,9 +101,9 @@ print(json.dumps([code, [m for m in sys.modules
 ], ids=["threshold-agmon", "curve", "ks-dividing", "ks-non-dividing",
          "assemble"])
 def test_commands_load_no_scipy_interpolate(tmp_path, argv):
-    # the Agmon weight integrates and interpolates in numpy; the preset
-    # resampling and the curvature field on operator grids that do not
-    # divide the samples use the package's own monotone cubic
+    # the Agmon weight integrates and interpolates in numpy; the curve
+    # pipeline and the curvature field on operator grids, dividing the
+    # samples or not, interpolate with numpy's FFT and Lagrange stencils
     loaded = fresh(f"""
 import contextlib, io, json, sys
 import conebound.cli
