@@ -383,11 +383,11 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
     sweep for the shifts it does not certify).  The staircase is fitted
     against |ln E| and compared with the predicted slope sum
     sqrt(-lambda_m) / (2 pi).  The levels lambda_m and that slope come from
-    `curvature_operator.ks_levels` (k = max(12, n_modes)): the certified low
-    Fourier block on the curve's own samples, else the band-solved fd
-    levels on 1024 nodes; params["ks_route"] records which ran, "fourier"
-    or "fd".  A highest level that is not certainly positive is a
-    PreconditionError, as k_S could then miss negative levels.
+    `curvature_operator.ks_levels` (k = max(12, n_modes)): the closed form
+    or certified low Fourier block on the curve's own samples, else the
+    band-solved fd levels on 1024 nodes; params["ks_route"] records which
+    ran, "fourier" or "fd".  A highest level that is not certainly positive
+    is a PreconditionError, as k_S could then miss negative levels.
     """
     from . import curvature_operator, threshold
     if not 0.0 < delta < 0.5:
@@ -421,30 +421,35 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
         raise PreconditionError("delta kappa_inf >= 1; tube map degenerates")
     shrink = (1.0 - delta * kappa_inf) ** 2
 
-    boxes = {}  # channel levels of each box half width delta R, solved once
-
-    def shifts_at(E):
-        R = R_fixed if R_fixed is not None else K_delta * abs(math.log(E))
-        if not (math.isfinite(R) and R > 0.0):
-            raise PreconditionError(
-                f"matching radius R = {R} must be finite and positive")
-        w = delta * R
-        if w not in boxes:
-            boxes[w] = threshold.box_levels(potential, w, _N_CHANNELS)
-        levels = boxes[w]
-        # (level - eps0) first: for the ground channel of a closed-form
-        # family the pair cancels exactly, keeping mu = E R^2 alive at
-        # energies far below one ulp of eps0
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = (levels - eps0 + E) * R * R * shrink
-        if not (np.isfinite(mu).all() and mu.min() > 0.0):
-            raise PreconditionError(
-                f"channel shifts mu in [{mu.min():.3e}, {mu.max():.3e}] at "
-                f"E = {E:.3e}, R = {R:.3e} are not all finite and positive; "
-                f"model outside its near-threshold regime")
-        return mu
-
-    mu = np.array(parallel_map(shifts_at, E_grid))
+    R = (np.full(E_grid.shape[0], R_fixed, dtype=float) if R_fixed is not None
+         else np.array([K_delta * abs(math.log(e)) for e in E_grid.tolist()]))
+    bad_R = np.flatnonzero(~(np.isfinite(R) & (R > 0.0)))
+    live = int(bad_R[0]) if bad_R.size else R.shape[0]
+    # channel levels of each box half width delta R, solved once; Python
+    # floats, so a hard wall's levels overflow into a PreconditionError
+    widths = (delta * R[:live]).tolist()
+    distinct = list(dict.fromkeys(widths))
+    boxes = dict(zip(distinct, parallel_map(
+        lambda w: threshold.box_levels(potential, w, _N_CHANNELS), distinct)))
+    levels = np.array([boxes[w] for w in widths]).reshape(live, _N_CHANNELS)
+    E, R_live = E_grid[:live, None], R[:live, None]
+    # (level - eps0) first: for the ground channel of a closed-form family
+    # the pair cancels exactly, keeping mu = E R^2 alive at energies far
+    # below one ulp of eps0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = (levels - eps0 + E) * R_live * R_live * shrink
+        bad_mu = np.flatnonzero(~(np.isfinite(mu).all(axis=1)
+                                  & (mu.min(axis=1) > 0.0)))
+    if bad_mu.size:
+        i = int(bad_mu[0])
+        raise PreconditionError(
+            f"channel shifts mu in [{mu[i].min():.3e}, {mu[i].max():.3e}] at "
+            f"E = {E_grid[i]:.3e}, R = {R[i]:.3e} are not all finite and "
+            f"positive; model outside its near-threshold regime")
+    if live < R.shape[0]:
+        raise PreconditionError(
+            f"matching radius R = {float(R[live])} must be finite and "
+            f"positive")
     # _counts' live rule at rho0 = 1: a shift counts only below c
     c_max = max(c for _, _, c in retained)
     if not (mu * (1.0 - TIE_SHIFT) < c_max).any():

@@ -13,13 +13,18 @@ the nodes of the trigonometric interpolant of the curve's samples
 their kinetic symbols, (2 sin(pi m/n)/h)^2 on the grid's own DFT modes for
 fd and (2pi m/ell)^2 for Fourier, and kappa^2/4 couples the modes through
 the cosine and sine sums of its samples, taken from one FFT.  So the two
-share one certified solver: only the block of the lowest 64 modes is
-solved as a rule, and the coupling of the block's low eigenvectors to the
-higher modes, read off FFTs, and a bound on the higher modes' spectrum
-certify those levels to the backward error of a solve of the whole matrix
-(a quadratic residual bound, with Cauchy interlacing).  When the
-certificate fails, as for curvature with strong high modes, the whole
-matrix is solved: densely for Fourier, and for fd as the periodic band of
+share one certified solver, which first tries a closed form: the mean c
+of the potential gives a diagonal matrix, c plus the kinetic symbol, and
+Weyl's inequality bounds how far the rest of the potential moves its
+levels.  Constant curvature, as on a latitude circle, passes at any
+number of samples and needs no eigensolve.  Otherwise only the block of
+the lowest 64 modes is solved as a rule, and the coupling of the block's
+low eigenvectors to the higher modes, read off FFTs, and a bound on the
+higher modes' spectrum certify those levels to the backward error of a
+solve of the whole matrix (a quadratic residual bound, with Cauchy
+interlacing).  When both fail, as for curvature with strong high modes
+or a non-constant curvature on 129 samples or fewer, the whole matrix is
+solved: densely for Fourier, and for fd as the periodic band of
 `spectral1d.lowest_eigenvalues` (`_fd_band`), which is also the fd route's
 independent reference in the tests.  Every block and dense eigensolve runs
 on one OpenBLAS thread, so the levels, and every byte of the report, do
@@ -27,8 +32,8 @@ not depend on the thread count OpenBLAS was started with.
 
 `ks_constant` reports the fd k_S with the Fourier value as its
 cross-check.  The assembled model takes its k_S from `ks_levels`: the
-certified low Fourier block on the curve's own samples, else the
-band-solved fd levels, never the dense Fourier solve, an order of
+closed form or certified low Fourier block on the curve's own samples,
+else the band-solved fd levels, never the dense Fourier solve, an order of
 magnitude slower.  Every route reads the same zero band off its levels
 (`_ks_of_levels`), and refuses levels whose highest may be negative.
 """
@@ -76,8 +81,8 @@ class KsReport:
 @dataclass(frozen=True)
 class KsSpectrum(spectral1d.EigResult):
     """`ks_spectrum`'s levels and the solver they come from: "block" when
-    every grid's certified low block gave them, else "band" (fd) or
-    "dense" (Fourier)."""
+    every grid's certified low block, or its closed form, gave them, else
+    "band" (fd) or "dense" (Fourier)."""
 
     solver: str
 
@@ -151,19 +156,18 @@ def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int,
     return out
 
 
-def _norm_bound(q: np.ndarray) -> float:
+def _norm_bound(c: np.ndarray) -> float:
     """Upper bound on ||Q||_2, Q the q part of `_real_fourier_matrix` at
-    m_max = n // 2.
+    m_max = n // 2, from c = |fft(q)| / n, the magnitudes of the discrete
+    Fourier coefficients of q on its n samples.
 
     In the modes exp(2pi i m s/ell), |m| <= m_max, Q is the Hermitian
-    Toeplitz matrix (c_{(m-j) mod n}) of the discrete Fourier coefficients
-    of q, with the same eigenvalues.  Its 2-norm is at most its largest
-    absolute row sum, and each row runs over 2 m_max + 1 consecutive m - j:
-    every residue mod n once, and for even n one residue twice.
+    Toeplitz matrix (c_{(m-j) mod n}) of those coefficients, with the same
+    eigenvalues.  Its 2-norm is at most its largest absolute row sum, and
+    each row runs over 2 m_max + 1 consecutive m - j: every residue mod n
+    once, and for even n one residue twice.
     """
-    n = q.shape[0]
-    c = np.abs(np.fft.fft(q)) / n
-    return float(np.sum(c) + (np.max(c) if n % 2 == 0 else 0.0))
+    return float(np.sum(c) + (np.max(c) if c.shape[0] % 2 == 0 else 0.0))
 
 
 def _high_mode_residuals(q: np.ndarray, vecs: np.ndarray, m_low: int,
@@ -191,39 +195,65 @@ def _high_mode_residuals(q: np.ndarray, vecs: np.ndarray, m_low: int,
 
 def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
     """The k lowest levels of the M = n // 2-mode matrix -d^2/ds^2 + q with
-    kinetic symbol(m) from its _LOW_MODES-mode block, or None when the block
-    cannot certify them.
+    kinetic symbol(m), in closed form when q is constant to within the
+    tolerance below, else from its _LOW_MODES-mode block; None when neither
+    can certify them.
 
     symbol is `_fourier_symbol(ell)` (the default: the truncated Fourier
     basis) or `_fd_symbol(ell, n)` (the periodic fd matrix on the n samples,
     diagonal in the same real DFT modes); either rises with m up to n/2.
-    The block's lowest t Ritz pairs (Lam_j, v_j) couple to the rest of the
-    full matrix only through the residuals r_j of `_high_mode_residuals`.
-    The rest has no eigenvalue below beta_t, the smaller eigenvalue of
-    [[Lam_{t+1}, qb], [qb, h]], where qb bounds ||Q|| and
-    h = symbol(_LOW_MODES + 1) - qb bounds the high modes' block from below.
-    For the first t >= k with beta_t > Lam_t (this closes degenerate
+    Levels are accepted within eps symbol(M), the scale of the whole
+    matrix's norm and so the backward error of the dense or banded solve
+    they replace: eps (2pi M/ell)^2 for the Fourier basis, eps (2n/ell)^2
+    for fd.
+
+    First, with c the mean of q, the matrix is (K + Q(c)) + Q(q - c), and
+    K + Q(c) is diagonal: c + symbol(m) on the cos and sin rows of m < n/2,
+    and for even n the Nyquist rows hold 2c + symbol(M) and symbol(M) (the
+    Fourier basis, whose sin row vanishes on the grid) or c + symbol(M)
+    (fd, whose Nyquist mode (-1)^j is one row).  By Weyl's inequality each
+    level lies within delta = `_norm_bound` of q - c of that diagonal's,
+    read off the FFT of q the block needs anyway.  So when delta is within
+    the tolerance, as for a latitude circle's constant curvature, and the k
+    lowest entries c + symbol(m), m = 0, 1, 1, 2, 2, ... < n/2, lie at or
+    below every Nyquist row, they are the levels.
+
+    Otherwise the block's lowest t Ritz pairs (Lam_j, v_j) couple to the rest
+    of the full matrix only through the residuals r_j of
+    `_high_mode_residuals`.  The rest has no eigenvalue below beta_t, the
+    smaller eigenvalue of [[Lam_{t+1}, qb], [qb, h]], where qb bounds ||Q||
+    and h = symbol(_LOW_MODES + 1) - qb bounds the high modes' block from
+    below.  For the first t >= k with beta_t > Lam_t (this closes degenerate
     cos/sin pairs) the quadratic residual bound of C.-K. Li & R.-C. Li
     (Linear Algebra Appl. 395 (2005) 183-190) and Cauchy interlacing give
-    Lam_j - sum ||r_j||^2 / (beta_t - Lam_t) <= lambda_j <= Lam_j.  The
-    levels are accepted when that gap is within eps symbol(M), the scale
-    of the whole matrix's norm and so the backward error of the dense or
-    banded solve they replace: eps (2pi M/ell)^2 for the Fourier basis,
-    eps (2n/ell)^2 for fd.  For fd at even n the Nyquist mode (-1)^j has norm
-    1, not sqrt2, so its residual comes out sqrt2 too large, which only
-    makes the bound more conservative.  With M <= _LOW_MODES the block is
-    the whole matrix, and this returns None.  The block solve runs on one
-    OpenBLAS thread.
+    Lam_j - sum ||r_j||^2 / (beta_t - Lam_t) <= lambda_j <= Lam_j, accepted
+    when that gap is within the tolerance.  For fd at even n the Nyquist
+    mode (-1)^j has norm 1, not sqrt2, so its residual comes out sqrt2 too
+    large, which only makes the bound more conservative.  With
+    M <= _LOW_MODES the block is the whole matrix, and this returns None.
+    The block solve runs on one OpenBLAS thread.
     """
     symbol = symbol or _fourier_symbol(ell)
-    m_max, m_low = q.shape[0] // 2, _LOW_MODES
+    n = q.shape[0]
+    m_max, m_low = n // 2, _LOW_MODES
+    tol = np.finfo(float).eps * symbol(m_max)
+    spec = np.fft.fft(q)
+    coef = np.abs(spec) / n
+    mean = spec[0].real / n
+    ripple = coef.copy()
+    ripple[0] = 0.0  # the coefficients of q - c
+    if _norm_bound(ripple) <= tol:
+        levels = np.repeat(mean + symbol(np.arange((n + 1) // 2)), 2)[1:k + 1]
+        if levels.shape[0] == k and (
+                n % 2 or levels[-1] <= symbol(m_max) + 2.0 * min(mean, 0.0)):
+            return levels
     if m_max <= m_low:
         return None
     # divide and conquer: every eigenpair, at a third of the default's time
     with _one_blas_thread():
         lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low, symbol),
                          driver="evd")
-    qb = _norm_bound(q)
+    qb = _norm_bound(coef)
     h = symbol(m_low + 1) - qb
     nxt = lam[k:]
     beta = 0.5 * (nxt + h) - np.sqrt((0.5 * (nxt - h)) ** 2 + qb * qb)
@@ -233,7 +263,7 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
     t = k + int(gapped[0])
     r = _high_mode_residuals(q, vecs[:, :t], m_low, m_max)
     shift = float(np.sum(r * r)) / (beta[t - k] - lam[t - 1])
-    return lam[:k] if shift <= np.finfo(float).eps * symbol(m_max) else None
+    return lam[:k] if shift <= tol else None
 
 
 # thread-count entry points of OpenBLAS builds, 64-bit-integer ones first
@@ -334,12 +364,13 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
     method "fd" takes the periodic second-difference operator on n nodes,
     with the Richardson error against n // 2 nodes (`_fd_levels`): its
     symbol (2 sin(pi m/n)/h)^2 is diagonal in the grid's real DFT modes, so
-    each grid's levels come from the certified low block of that basis
-    (`_low_block_levels`) when they can, and from the periodic band solve
-    of `spectral1d.lowest_eigenvalues` otherwise.  method "fourier"
+    each grid's levels come from the closed form or certified low block of
+    that basis (`_low_block_levels`) when they can, and from the periodic
+    band solve of `spectral1d.lowest_eigenvalues` otherwise.  method "fourier"
     diagonalizes in the real truncated Fourier basis
     {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, 0 < m <= n/2,
-    from its certified low block when it can and as a whole otherwise.
+    from its closed form or certified low block when it can and as a whole
+    otherwise.
     Every block and dense solve runs on one OpenBLAS thread.  k may not
     exceed the basis size: n for "fd", 2 (n // 2) + 1 for "fourier".
     """
@@ -414,11 +445,13 @@ def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str,
 def ks_levels(curve: SampledCurve, k: int) -> KsLevels:
     """The k lowest levels and k_S that `assemble_model` uses.
 
-    The certified low Fourier block on the curve's own samples gives them,
-    each within eps (2pi M/ell)^2, M = n_samples // 2, of the dense solve it
-    stands in for, which has that backward error too: twice that is each
-    level's error.  At most 129 samples, or strong curvature modes above
-    64, cannot certify; then the band-solved fd levels on 1024 nodes
+    The closed form or certified low Fourier block on the curve's own
+    samples (`_low_block_levels`) gives them, each within eps (2pi M/ell)^2,
+    M = n_samples // 2, of the dense solve it stands in for, which has that
+    backward error too: twice that is each level's error.  Constant
+    curvature certifies in closed form at any number of samples.  A
+    curvature that varies cannot certify on 129 samples or fewer, nor with
+    strong modes above 64; then the band-solved fd levels on 1024 nodes
     (`_fd_band`) give them, with their Richardson errors, and no fd block is
     tried on the samples the Fourier block just failed on.
     """

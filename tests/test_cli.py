@@ -227,7 +227,12 @@ def fd_route_assemble(theta, mode):
 # curve's ell 1.6e-7 -> 2.2e-16 and kappa 1.1e-6 -> 1.6e-14, the tabulated
 # curve's sup|kappa| 2.1e-2 -> 4.4e-14 and length 4.2e-5 -> 2.2e-13, and
 # the perturbed 0.2/5 ks k_S 1.2e-4 -> 4.3e-7 (the 1024-node fd levels' own
-# error)
+# error).  The latitude ks report was re-frozen, with its FROZEN_FD_REPORTS
+# entry, when a constant potential took its levels in closed form, certified
+# by Weyl's inequality, in place of the block eigensolve: its eigenvalues
+# went from 3.6e-12 to 0 off the closed-form fd levels c + symbol(m) on the
+# mean c of its own potential (1.1e-16 off those of the exact
+# -cot(0.5)^2/4), k_S stayed exactly cot(0.5)/(4 pi) and method_diff 0.0
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -258,7 +263,7 @@ FROZEN_OUTPUTS = [
      "threshold_summary.json",
      "4ee07ee2be8d46aa03ce22c58f88a2b3bf45c5d435e8ae00f96abcb6485a1beb"),
     (KS_LATITUDE, "ks_report.json",
-     "84572c37bd6e87287d0b7972143569646c9af1a3faf304c4bae0111cf125f513"),
+     "299dc181a306041f63f287d1015afb80d513a6c393e9f9c3835aa07cb52447cb"),
     (KS_PERTURBED, "ks_report.json",
      "c1443b765d490cf65484ebc285ca0b2bbd0bb1f5a164176f3973aacce23d6894"),
     (README_ASSEMBLE, "assemble_summary.json",
@@ -330,11 +335,13 @@ def test_output_bytes_are_frozen(tmp_path, monkeypatch, argv, name, digest):
 # the Fourier cross-check may move method_diff and nothing else.  Re-frozen
 # with the two reports above when the fd levels moved to the certified
 # low DFT block, which matches the closed-form fd levels the band solve
-# missed (test_fd_route_closed_form_for_constant_curvature), and again with
-# them when the curve moved to the spectral pipeline
+# missed (test_fd_route_closed_form_for_constant_curvature), again with
+# them when the curve moved to the spectral pipeline, and the latitude
+# entry with its report when constant curvature moved to the closed form
+# (its levels 3.6e-12 -> 0 off the closed-form fd levels)
 FROZEN_FD_REPORTS = [
     (KS_LATITUDE,
-     "9d0e9ee6c9d4c063c14a3bb89770e3affdf5c68ccee26226be4f7fcb8ba7b743"),
+     "c1591add4b000a1b098470f225a1aac7210c34d7de358309acfef971441d8a3a"),
     (KS_PERTURBED,
      "235ab59101935bd4e04de38b2446c822caeba81ef39fe6b9c34048c8a74d7f53"),
 ]
@@ -516,11 +523,16 @@ def test_streamed_csv_is_the_one_shot_join(tmp_path, rows):
     assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
 
 
-@pytest.mark.parametrize("argv", [KS_LATITUDE, README_ASSEMBLE],
-                         ids=["ks", "assemble"])
+@pytest.mark.parametrize("argv", [
+    KS_PERTURBED,
+    ["assemble", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
+     "--family", "hard_wall", "--a", "1.0"],
+], ids=["ks", "assemble"])
 def test_report_does_not_depend_on_blas_threads(tmp_path, argv):
-    # both take levels from a dense eigh.  OpenBLAS reads its thread count
-    # once, when it loads: one fresh interpreter per count
+    # both take levels from a dense eigh of the low block: a latitude's
+    # constant curvature takes the closed form and solves nothing.  OpenBLAS
+    # reads its thread count once, when it loads: one fresh interpreter per
+    # count
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for threads in ("1", "2"):
@@ -534,6 +546,20 @@ def test_report_does_not_depend_on_blas_threads(tmp_path, argv):
     name = SUMMARY[argv[0]]
     assert (tmp_path / "1" / name).read_bytes() == \
         (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [README_ASSEMBLE, KS_LATITUDE],
+                         ids=["readme-assemble", "ks-latitude"])
+def test_latitude_runs_solve_no_eigenproblem(tmp_path, monkeypatch, argv):
+    # a latitude's constant curvature takes its levels in closed form on
+    # every route: no block, dense or fd-basis eigensolve
+    from conebound import curvature_operator
+
+    calls = []
+    monkeypatch.setattr(curvature_operator, "eigh",
+                        lambda *args, **kwargs: calls.append(1))
+    assert run(argv + ["--out-dir", tmp_path]) == 0
+    assert calls == []
 
 
 # one run per command; its summary, fed back as --config, must replay it
@@ -675,8 +701,10 @@ def test_unallocatable_fourier_matrix_is_a_precondition_error(
         return real(q, *args)
 
     monkeypatch.setattr(curvature_operator, "_real_fourier_matrix", no_memory)
-    code = run(["ks", "--preset", "latitude", "--theta", "0.7",
-                "--n-fourier", "100000", "--out-dir", tmp_path])
+    # a non-constant curvature, which the closed form of a latitude's
+    # constant one would answer with no matrix
+    code = run(["ks", "--preset", "perturbed", "--amplitude", "0.1",
+                "--mode", "3", "--n-fourier", "100000", "--out-dir", tmp_path])
     assert code == 4
     assert "dense 100001 x 100001 matrix" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Half-line eigenvalue counting, slope fits, and the assembled model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -616,6 +617,20 @@ def test_model_energy_grid_validation(E_grid, needle):
     with pytest.raises(PreconditionError, match=needle):
         assemble_model(curve, pot, E_grid=E_grid)
 
+
+@pytest.mark.parametrize("K_delta, needle", [
+    (1e200, "channel shifts mu in [inf, inf] at E = 3.000e+00"),
+    (5.0, "matching radius R = 0.0 must be"),
+], ids=["mu-before-R", "R"])
+def test_channel_shift_errors_name_the_first_failing_energy(K_delta, needle):
+    # R = K_delta |ln E| vanishes at E = 1; at K_delta = 1e200, mu overflows
+    # at E = 3 first, and that is the error raised
+    curve = build_curve(CurveSpec(kind="latitude_circle", theta=math.pi / 4),
+                        256)
+    pot = PotentialSpec(family="hard_wall", half_width=1.0)
+    with pytest.raises(PreconditionError, match=re.escape(needle)):
+        assemble_model(curve, pot, K_delta=K_delta,
+                       E_grid=[3.0, 2.0, 1.0, 0.5])
 
 def test_default_energy_grid_shape():
     grid = default_energy_grid()

@@ -143,24 +143,26 @@ def test_perturbation_continuity():
 
 
 def test_block_route_needs_more_than_64_modes():
-    # at 129 samples or fewer the 64-mode block is the whole basis and
-    # certifies nothing; at 256 it gives the closed-form k_S
-    theta = math.pi / 4
-    assert curvature_operator.ks_levels(latitude(theta, 128), 12).route == \
+    # at 129 samples or fewer the 64-mode block of a non-constant curvature
+    # is the whole basis and certifies nothing; at 256 it gives the k_S of
+    # the 1024-sample block
+    assert curvature_operator.ks_levels(perturbed(0.1, 128), 12).route == \
         "fd"
-    block = curvature_operator.ks_levels(latitude(theta, 256), 12)
+    block = curvature_operator.ks_levels(perturbed(0.1, 256), 12)
     assert block.route == "fourier"
-    assert block.k_S == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-4)
+    assert block.k_S == pytest.approx(
+        curvature_operator.ks_levels(perturbed(0.1), 12).k_S, rel=1e-10)
     assert block.k_S_uncertainty == (block.k_S, block.k_S)
 
 
-@pytest.mark.parametrize("case", ["latitude-128", "perturbed-0.2-5"])
+@pytest.mark.parametrize("case", ["perturbed-0.1-3-128", "perturbed-0.2-5"])
 def test_uncertified_ks_levels_are_the_fd_band_levels(case, monkeypatch):
-    # a 128-sample curve has no block to certify, and strong high modes fail
-    # the certificate: one Fourier block attempt at most, then the band
-    # solve on 1024 nodes, bit for bit, with no fd block
-    if case == "latitude-128":
-        curve, tried = latitude(math.pi / 4, 128), []
+    # a 128-sample curve of non-constant curvature has no block to certify,
+    # and strong high modes fail the certificate: one Fourier block attempt
+    # at most, then the band solve on 1024 nodes, bit for bit, with no fd
+    # block
+    if case == "perturbed-0.1-3-128":
+        curve, tried = perturbed(0.1, 128), []
     else:
         curve = build_curve(FOURIER_CURVES[case][0], 1024)
         tried = [129]
@@ -246,13 +248,14 @@ def constant_curvature_loop(kappa, ell, n):
 @pytest.mark.parametrize("n", [512, 1024])
 def test_fourier_route_closed_form_for_constant_curvature(n):
     # q = -kappa^2/4 is constant: lambda = (2 pi m / ell)^2 - kappa^2/4,
-    # m = 0 once and every m >= 1 twice
+    # m = 0 once and every m >= 1 twice, bit for bit
     kappa, ell = 1.3, 3.0
     m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6])
     exact = (2.0 * math.pi * m / ell) ** 2 - 0.25 * kappa * kappa
     curve = constant_curvature_loop(kappa, ell, n)
-    got = ks_spectrum(curve, n, "fourier", k=12).values
-    assert np.max(np.abs(got - exact)) < 1e-9
+    got = ks_spectrum(curve, n, "fourier", k=12)
+    assert got.solver == "block"
+    assert np.array_equal(got.values, exact)
 
 
 @pytest.mark.parametrize("spec, n_samples", [
@@ -308,9 +311,12 @@ def direct_sum_fourier_matrix(q, ell, m_max):
     return out
 
 
-# the curves of the two ks benchmark ops, and a rougher one
+# the curves of the two ks benchmark ops, a non-constant curve at the
+# latitude op's sizes, and a rougher one
 FOURIER_CURVES = {
     "latitude-0.5": (CurveSpec(kind="latitude_circle", theta=0.5), 2048, 1024),
+    "perturbed-0.5-0.05-3": (CurveSpec(kind="perturbed_latitude", theta=0.5,
+                                       amplitude=0.05, mode=3), 2048, 1024),
     "perturbed-0.1-3": (CurveSpec(kind="perturbed_latitude",
                                   theta=math.pi / 4, amplitude=0.1, mode=3),
                         1024, 512),
@@ -320,10 +326,11 @@ FOURIER_CURVES = {
 }
 
 
-# rows of each matrix the route hands eigh: the benchmark curves certify on
-# the 64-mode block, the rougher curve falls back to the full matrix
-EIGH_ROWS = {"latitude-0.5": [129], "perturbed-0.1-3": [129],
-             "perturbed-0.2-5": [129, 1025]}
+# rows of each matrix the route hands eigh: the latitude's constant
+# curvature takes the closed form, the perturbed curves certify on the
+# 64-mode block, the rougher curve falls back to the full matrix
+EIGH_ROWS = {"latitude-0.5": [], "perturbed-0.5-0.05-3": [129],
+             "perturbed-0.1-3": [129], "perturbed-0.2-5": [129, 1025]}
 
 
 def record_eigh_rows(monkeypatch):
@@ -350,12 +357,13 @@ def test_fourier_route_matches_direct_summation(case, monkeypatch):
     assert rows == EIGH_ROWS[case]
 
 
-def bumped_loop(n):
-    # constant curvature plus a mode-70 ripple, which the 64-mode block
-    # leaves out and the constant mode couples to at first order
+def bumped_loop(n, amplitude=0.05, mode=70):
+    # constant curvature plus a ripple; by default of mode 70, which the
+    # 64-mode block leaves out and the constant mode couples to at first
+    # order
     ell = 3.0
     s = ell * np.arange(n) / n
-    kappa = 1.3 + 0.05 * np.cos(2.0 * math.pi * 70 * s / ell)
+    kappa = 1.3 + amplitude * np.cos(2.0 * math.pi * mode * s / ell)
     return SampledCurve(s=s, gamma=np.zeros((n, 3)), kappa=kappa, length=ell,
                         spectral_tail=0.0)
 
@@ -401,7 +409,8 @@ def test_norm_bound_holds(rng, n):
             # the bound is exact for a wave at odd n; the reference norm
             # carries rounding error
             norm = np.linalg.norm(q_part(q, 2.0, m_max), 2)
-            assert norm <= curvature_operator._norm_bound(q) * (1.0 + 1e-12)
+            bound = curvature_operator._norm_bound(np.abs(np.fft.fft(q)) / n)
+            assert norm <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("n", [128, 129, 256, 257])
@@ -460,8 +469,9 @@ def test_openblas_thread_functions_are_found(tmp_path):
         "    during.append(get())\n"
         "    return real_eigh(*args, **kwargs)\n"
         "curvature_operator.eigh = eigh\n"
-        "curve = build_curve(CurveSpec(kind='latitude_circle',\n"
-        "                              theta=math.pi / 4), 256)\n"
+        "curve = build_curve(CurveSpec(kind='perturbed_latitude',\n"
+        "                              theta=math.pi / 4, amplitude=0.1,\n"
+        "                              mode=3), 256)\n"
         "curvature_operator.ks_spectrum(curve, 256, 'fourier', k=4)\n"
         "print(before, during, get())\n")
     src = str(Path(curvature_operator.__file__).resolve().parents[1])
@@ -484,11 +494,11 @@ def test_fourier_solve_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
         return real_eigh(*args, **kwargs)
 
     monkeypatch.setattr(curvature_operator, "eigh", eigh)
-    ks_spectrum(latitude(math.pi / 4, 256), 256, "fourier", k=4)
+    ks_spectrum(perturbed(0.1, 256), 256, "fourier", k=4)
     assert during == [[1] * len(before)]
     ks_spectrum(bumped_loop(256), 256, "fourier", k=4)
     assert during == [[1] * len(before)] * 3
-    curvature_operator.ks_levels(latitude(math.pi / 4, 256), 12)
+    curvature_operator.ks_levels(perturbed(0.1, 256), 12)
     assert during == [[1] * len(before)] * 4
     assert blas_threads() == before
 
@@ -504,13 +514,13 @@ def test_blas_threads_restored_when_the_solve_raises(monkeypatch, error,
 
     monkeypatch.setattr(curvature_operator, "eigh", eigh)
     with pytest.raises(raised):
-        ks_spectrum(latitude(math.pi / 4, 256), 256, "fourier", k=4)
+        ks_spectrum(perturbed(0.1, 256), 256, "fourier", k=4)
     assert blas_threads() == before
 
 
 def test_fourier_route_without_openblas(monkeypatch):
     # no OpenBLAS found: the solve runs on whatever threads there are
-    c = latitude(math.pi / 4, 256)
+    c = perturbed(0.1, 256)
     found = ks_spectrum(c, 256, "fourier", k=8).values
     lookups = []
     monkeypatch.setattr(curvature_operator, "_openblas_threads",
@@ -532,7 +542,118 @@ def test_fd_route_closed_form_for_constant_curvature(n):
     curve = constant_curvature_loop(kappa, ell, n)
     got = ks_spectrum(curve, n, "fd", k=12)
     assert got.solver == "block"
-    assert np.max(np.abs(got.values - exact)) < 1e-11
+    assert np.array_equal(got.values, exact)
+
+
+
+def closed_form_levels(q, symbol, k):
+    """c + symbol(m), m = 0, 1, 1, 2, 2, ..., c the mean of q as the route
+    reads it, off the FFT of q."""
+    c = np.fft.fft(q)[0].real / q.shape[0]
+    return c + symbol(np.repeat(np.arange(k // 2 + 1), 2)[1:k + 1])
+
+
+def dense_levels(q, ell, symbol, k):
+    """The k lowest levels of the whole matrix, solved as the Fourier route's
+    dense fallback solves it."""
+    a = _real_fourier_matrix(q, ell, q.shape[0] // 2, symbol)
+    with curvature_operator._one_blas_thread():
+        return curvature_operator.eigh(a, eigvals_only=True,
+                                       subset_by_index=[0, k - 1])
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+@pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, 0.5,
+                                   math.pi / 3, math.pi / 2])
+def test_latitude_levels_are_the_weyl_closed_form(theta, n, monkeypatch):
+    # a latitude's kappa is cot(theta) to rounding: every route returns
+    # c + symbol(m) bit for bit with no eigensolve, even at 64 samples, where
+    # the 64-mode block is the whole basis.  Weyl's inequality puts them
+    # within eps symbol(M) of the levels of the whole matrix, so within
+    # 2 eps symbol(M) of a dense solve of it, which has that backward error
+    # too (at 2048 samples only for the benchmark's theta = 0.5: each such
+    # solve takes about a second)
+    curve, k, eps = latitude(theta, n), 12, np.finfo(float).eps
+    ell, grid = curve.length, max(n, 128)  # ks_spectrum needs n >= 128
+    rows = record_eigh_rows(monkeypatch)
+    got = curvature_operator.ks_levels(curve, k)
+    fourier = ks_spectrum(curve, grid, "fourier", k=k)
+    fd = ks_spectrum(curve, grid, "fd", k=k)
+    assert rows == []
+    assert (got.route, got.solver, fourier.solver, fd.solver) == \
+        ("fourier", "block", "block", "block")
+    want = 1.0 / (4.0 * math.pi * math.tan(theta))
+    if theta == math.pi / 2:
+        # the great circle's ground level is 0 to rounding: a zero mode
+        assert got.k_S == 0.0 and got.ambiguous[0]
+    else:
+        assert abs(got.k_S - want) <= 1e-15 * want
+
+    # ks_levels reads the curve's own samples: at n >= 128 the matrix of
+    # the Fourier route on n nodes
+    checks = [(curvature_operator._fourier_symbol(ell), grid, fourier.values),
+              (curvature_operator._fd_symbol(ell, grid), grid, fd.values)]
+    if n < grid:
+        checks.append((checks[0][0], n, got.eigenvalues))
+    else:
+        assert np.array_equal(got.eigenvalues, fourier.values)
+    for symbol, nodes, values in checks:
+        q = curvature_operator._potential(curve, nodes)
+        assert np.array_equal(values, closed_form_levels(q, symbol, k))
+        if n < 2048 or theta == 0.5:
+            assert np.max(np.abs(values - dense_levels(q, ell, symbol, k))) \
+                <= 2.0 * eps * symbol(nodes // 2)
+    half = grid // 2
+    coarse = closed_form_levels(curvature_operator._potential(curve, half),
+                                curvature_operator._fd_symbol(ell, half), k)
+    assert np.array_equal(fd.richardson_error, (fd.values - coarse) / 3.0)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_closed_form_stops_below_the_nyquist_rows(n):
+    # at even n the Nyquist rows of a constant q = c read 2c + symbol(M) and
+    # symbol(M) in the Fourier basis but c + symbol(M) for fd: k levels that
+    # reach them take the band and dense solves, which find them
+    kappa, ell = 1.3, 3.0
+    c, curve = -0.25 * kappa * kappa, constant_curvature_loop(kappa, ell, n)
+    fd = ks_spectrum(curve, n, "fd", k=n)
+    assert fd.solver == "band"
+    assert np.array_equal(fd.values, band_fd_levels(curve, n, n).values)
+    top = c + curvature_operator._fd_symbol(ell, n)(n // 2)
+    assert abs(fd.values[-1] - top) <= 1e-9 * top
+    fourier = ks_spectrum(curve, n, "fourier", k=n + 1)
+    assert fourier.solver == "dense"
+    nyquist = curvature_operator._fourier_symbol(ell)(n // 2) + np.array(
+        [2.0 * c, 0.0])
+    assert np.allclose(fourier.values[-2:], nyquist, rtol=1e-12, atol=0.0)
+
+
+def ripple_bound(curve):
+    """delta = `_norm_bound` of q - mean(q), the Weyl margin of the route."""
+    q = curvature_operator._potential(curve, curve.n_samples)
+    coef = np.abs(np.fft.fft(q)) / q.shape[0]
+    coef[0] = 0.0
+    return curvature_operator._norm_bound(coef)
+
+
+def test_ripple_at_the_weyl_tolerance_switches_to_the_block(monkeypatch):
+    # a mode-3 ripple, inside the 64-mode block and with no first-order
+    # effect on the levels, whose delta sits just above eps symbol(M) goes
+    # to the block eigensolve and certifies there; just below, it takes the
+    # closed form.  Both give the same levels to within 2 eps symbol(M)
+    n, k = 1024, 12
+    tol = np.finfo(float).eps * curvature_operator._fourier_symbol(3.0)(n // 2)
+    per_unit = ripple_bound(bumped_loop(n, 1e-6, 3)) / 1e-6
+    below, above = (bumped_loop(n, f * tol / per_unit, 3)
+                    for f in (0.95, 1.05))
+    assert ripple_bound(below) < tol < ripple_bound(above)
+    rows = record_eigh_rows(monkeypatch)
+    closed = ks_spectrum(below, n, "fourier", k=k)
+    assert rows == []
+    block = ks_spectrum(above, n, "fourier", k=k)
+    assert rows == [129]
+    assert closed.solver == block.solver == "block"
+    assert np.max(np.abs(closed.values - block.values)) <= 2.0 * tol
 
 
 def band_fd_levels(curve, n, k):
@@ -546,15 +667,21 @@ def band_fd_levels(curve, n, k):
                                          coarse=op(n // 2))
 
 
-@pytest.mark.parametrize("case", ["latitude-0.5", "perturbed-0.1-3"])
-def test_fd_blocks_match_the_band_solve(case, monkeypatch):
-    # the two ks benchmark curves at their n_fd: both grids certify
+@pytest.mark.parametrize("case, tried", [
+    ("latitude-0.5", []),
+    ("perturbed-0.1-3", [129, 129]),
+    ("perturbed-0.5-0.05-3", [129, 129]),
+], ids=["latitude-0.5", "perturbed-0.1-3", "perturbed-0.5-0.05-3"])
+def test_fd_blocks_match_the_band_solve(case, tried, monkeypatch):
+    # the two ks benchmark curves, and a non-constant one at the latitude's
+    # sizes, at their n_fd: both grids certify, in closed form for the
+    # latitude's constant curvature
     spec, n, _ = FOURIER_CURVES[case]
     curve = build_curve(spec, n)
     ref = band_fd_levels(curve, n, 12)
     rows = record_eigh_rows(monkeypatch)
     got = ks_spectrum(curve, n, "fd", k=12)
-    assert rows == [129, 129]
+    assert rows == tried
     assert got.solver == "block"
     assert np.max(np.abs(got.values - ref.values)) < 5e-8
     assert np.max(np.abs(got.extrapolated - ref.extrapolated)) < 5e-8
@@ -565,8 +692,8 @@ FD_BAND_CASES = {
     "perturbed-0.2-5": (lambda: build_curve(FOURIER_CURVES[
         "perturbed-0.2-5"][0], 1024), 1024, 12, [129]),
     "bumped-256": (lambda: bumped_loop(256), 256, 12, [129]),
-    "n-128": (lambda: latitude(math.pi / 4, 256), 128, 12, []),
-    "k-130": (lambda: latitude(math.pi / 4), 1024, 130, [129]),
+    "n-128": (lambda: perturbed(0.1, 256), 128, 12, []),
+    "k-130": (lambda: perturbed(0.1), 1024, 130, [129]),
 }
 
 
@@ -586,7 +713,7 @@ def test_uncertified_fd_block_falls_back_to_the_band_solve(case,
 
 def test_uncertified_coarse_fd_grid_alone_is_band_solved(monkeypatch):
     # at n = 256 the fine block certifies; the 128-node grid has no block
-    curve = latitude(math.pi / 4, 256)
+    curve = perturbed(0.1, 256)
     fine = band_fd_levels(curve, 256, 12).values
     coarse = band_fd_levels(curve, 128, 12).values
     rows = record_eigh_rows(monkeypatch)
@@ -612,6 +739,6 @@ def test_fd_blocks_run_on_one_blas_thread(monkeypatch, two_blas_threads):
         return real_eigh(*args, **kwargs)
 
     monkeypatch.setattr(curvature_operator, "eigh", eigh)
-    ks_spectrum(latitude(math.pi / 4), 1024, "fd", k=4)
+    ks_spectrum(perturbed(0.1), 1024, "fd", k=4)
     assert during == [[1] * len(before)] * 2
     assert blas_threads() == before
