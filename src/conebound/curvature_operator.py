@@ -20,8 +20,8 @@ levels.  Constant curvature, as on a latitude circle, passes at any
 number of samples and needs no eigensolve.  Otherwise only the block of
 the lowest 64 modes is solved as a rule, and the coupling of the block's
 low eigenvectors to the higher modes, read off FFTs, and a bound on the
-higher modes' spectrum certify those levels to the backward error of a
-solve of the whole matrix (a quadratic residual bound, with Cauchy
+higher modes' spectrum certify those levels to within eps times the
+whole matrix's norm (a quadratic residual bound, with Cauchy
 interlacing).  When both fail, as for curvature with strong high modes
 or a non-constant curvature on 129 samples or fewer, the whole matrix is
 solved: densely for Fourier, and for fd as the periodic band of
@@ -203,8 +203,7 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
     basis) or `_fd_symbol(ell, n)` (the periodic fd matrix on the n samples,
     diagonal in the same real DFT modes); either rises with m up to n/2.
     Levels are accepted within eps symbol(M), the scale of the whole
-    matrix's norm and so the backward error of the dense or banded solve
-    they replace: eps (2pi M/ell)^2 for the Fourier basis, eps (2n/ell)^2
+    matrix's norm: eps (2pi M/ell)^2 for the Fourier basis, eps (2n/ell)^2
     for fd.
 
     First, with c the mean of q, the matrix is (K + Q(c)) + Q(q - c), and
@@ -447,8 +446,10 @@ def ks_levels(curve: SampledCurve, k: int) -> KsLevels:
 
     The closed form or certified low Fourier block on the curve's own
     samples (`_low_block_levels`) gives them, each within eps (2pi M/ell)^2,
-    M = n_samples // 2, of the dense solve it stands in for, which has that
-    backward error too: twice that is each level's error.  Constant
+    M = n_samples // 2, of the whole matrix's level: twice that is each
+    level's error.  A dense LAPACK solve of that matrix is less exact
+    (syevd misses the closed form by up to 4.4 eps (2pi M/ell)^2), so its
+    levels would need a wider zero band; none is taken here.  Constant
     curvature certifies in closed form at any number of samples.  A
     curvature that varies cannot certify on 129 samples or fewer, nor with
     strong modes above 64; then the band-solved fd levels on 1024 nodes

@@ -19,9 +19,14 @@ curvature of a latitude circle at polar angle theta comes out +cot(theta)
 with the normal n = Gamma x Gamma' pointing toward the south pole side.
 Tabulated curves keep their given orientation.
 
-The only scipy this module uses is `scipy.spatial`'s KD-tree in the
-self-intersection check, imported there, so that `counting`, which needs
-only `SampledCurve` and `sup_curvature`, stays scipy-free.
+Every build checks that the samples form a simple loop.  Schur's chord
+comparison (S. S. Chern, "Curves and surfaces in Euclidean space", MAA
+Studies in Mathematics 4, 1967) proves that from a bound on the space
+curvature, sqrt(1 + kappa^2) on the unit sphere, in a few numpy calls.
+The only scipy this module uses is `scipy.spatial`'s KD-tree in the exact
+search that runs when that proof cannot decide, imported there, so that a
+curve the proof certifies loads no scipy, and `counting`, which needs only
+`SampledCurve` and `sup_curvature`, stays scipy-free.
 """
 from __future__ import annotations
 
@@ -43,6 +48,11 @@ _STENCIL = 12  # nodes of the Lagrange interpolation on those tables
 _BLOCK = 512  # points interpolated at a time, to bound working memory
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 8.0 * np.finfo(float).eps  # arclength residual, per unit length
+# the simplicity certificate's space-curvature bound over the one read off
+# the tables, for kappa between their rows and the normalization of
+# tabulated curves; and the most coarse samples it compares pairwise
+_SCHUR_MARGIN = 1.25
+_SCHUR_COARSE = 64
 # 1 / prod_{l != k} (k - l) on the stencil's nodes 0 .. _STENCIL - 1
 _LAGRANGE = np.array([(-1.0) ** (_STENCIL - 1 - k) * math.comb(
     _STENCIL - 1, k) for k in range(_STENCIL)]) / math.factorial(_STENCIL - 1)
@@ -166,9 +176,11 @@ def _interpolate(table: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _spectral_curve(points: np.ndarray, n: int,
                     spec: Optional[CurveSpec] = None):
-    """(gamma, kappa, length, tail) at n equal steps of arclength along the
-    loop sampled by points at equal steps of a smooth periodic parameter u;
-    gamma is spec's map there, or the points' trigonometric interpolant."""
+    """(gamma, kappa, length, tail, bend) at n equal steps of arclength
+    along the loop sampled by points at equal steps of a smooth periodic
+    parameter u; gamma is spec's map there, or the points' trigonometric
+    interpolant, and bend the largest |kappa| on the tables in u and at
+    the samples."""
     # a sample repeating the one before to rounding is no step of a parameter
     chords = np.linalg.norm(np.diff(points, axis=0, append=points[:1]), axis=1)
     if not np.all(chords > np.finfo(float).eps * np.sum(chords)):
@@ -210,7 +222,40 @@ def _spectral_curve(points: np.ndarray, n: int,
                                f"{np.max(np.abs(r)):.3e}")
     gamma = at_u[:, 3:] / np.linalg.norm(at_u[:, 3:], axis=1, keepdims=True) \
         if spec is None else _preset_points(spec, u)
-    return gamma, at_u[:, 2], length, tail
+    bend = max(float(np.max(np.abs(kappa))), float(np.max(np.abs(at_u[:, 2]))))
+    return gamma, at_u[:, 2], length, tail, bend
+
+
+def _simple_by_curvature(gamma: np.ndarray, h: float, bend: float) -> bool:
+    """True when the space-curvature bound K = _SCHUR_MARGIN sqrt(1 +
+    bend^2) proves that samples at arclength steps h of a loop keep every
+    pair at cyclic index gap >= 3 farther apart than 2h; False when it
+    cannot decide.
+
+    Schur: points at arclength sigma <= pi / K apart on an arc of space
+    curvature <= K are at least (2 / K) sin(K sigma / 2) apart, a bound
+    that rises with sigma.  So every gap 3 .. G = floor(pi / (K h)) clears
+    2h when sin(3 K h / 2) > K h.  Every sample lies within arclength
+    q h / 2 of a coarse sample gamma[k q], q = max(1, G // 4), so coarse
+    samples at gap >= G - q farther apart than (2 + q) h clear the gaps
+    above G; past _SCHUR_COARSE coarse samples this is left undecided."""
+    n = gamma.shape[0]
+    bound = _SCHUR_MARGIN * math.sqrt(1.0 + bend * bend)
+    # sin(3x/2) > x needs x < 1, which also turns away a NaN or inf bound
+    if not (bound * h < 1.0 and math.sin(1.5 * bound * h) > bound * h):
+        return False
+    span = int(math.pi / (bound * h))
+    q = max(1, span // 4)
+    idx = np.arange(0, n, q)
+    if idx.shape[0] > _SCHUR_COARSE:
+        return False
+    coarse = gamma[idx]
+    gap = np.abs(idx[:, None] - idx[None, :])
+    far = np.minimum(gap, n - gap) >= span - q
+    d2 = np.sum((coarse[:, None, :] - coarse[None, :, :]) ** 2, axis=2)
+    # the slack covers samples that sit at arclength i h only to rounding
+    # (and, on tabulated curves, to the normalization onto the sphere)
+    return bool(np.all(d2[far] > ((2.0 + q) * h * (1.0 + 1e-9)) ** 2))
 
 
 def _self_intersection_check(gamma: np.ndarray, h: float) -> None:
@@ -278,12 +323,14 @@ def build_curve(spec: CurveSpec, n_samples: int = 1024) -> SampledCurve:
             points = _preset_points(spec, np.linspace(
                 0.0, 2.0 * math.pi, _PRESET_SAMPLES * n_samples,
                 endpoint=False))
-        gamma, kappa, length, tail = _spectral_curve(points, n_samples, spec)
+        gamma, kappa, length, tail, bend = _spectral_curve(
+            points, n_samples, spec)
     except (MemoryError, ValueError) as exc:
         raise PreconditionError(
             f"cannot allocate a curve of n_samples = {n_samples:.6g}") from exc
     h = length / n_samples
-    _self_intersection_check(gamma, h)
+    if not _simple_by_curvature(gamma, h, bend):
+        _self_intersection_check(gamma, h)
     return SampledCurve(h * np.arange(n_samples), gamma, kappa, length, tail)
 
 

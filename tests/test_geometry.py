@@ -11,7 +11,9 @@ from conebound import (ConvergenceError, CurveSpec, PreconditionError,
                        build_curve, geometry,
                        geodesic_curvature, read_curve_samples, sup_curvature,
                        write_curve_csv)
-from conebound.geometry import _preset_points, _self_intersection_check
+from conebound.geometry import (_SCHUR_MARGIN, _coefficients, _preset_points,
+                                _self_intersection_check, _simple_by_curvature,
+                                _spectral_curve)
 
 
 def latitude(theta, n=1024):
@@ -293,10 +295,14 @@ def test_simplicity_check_matches_brute_force(rng):
 
 
 def test_simplicity_check_memory_is_linear():
-    # an n x n x 3 difference array at n = 4096 would peak near 512 MB
+    # an n x n x 3 difference array at n = 4096 would peak near 512 MB; the
+    # curvature certificate passes this curve, so the exact search is called
+    # on its samples directly, after its first import
+    import scipy.spatial  # noqa: F401
+    c = perturbed(math.pi / 4, 0.1, 3, 4096)
     tracemalloc.start()
     try:
-        perturbed(math.pi / 4, 0.1, 3, 4096)
+        _self_intersection_check(c.gamma, c.length / c.n_samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -306,8 +312,8 @@ def test_simplicity_check_memory_is_linear():
 def test_curve_build_and_write_hold_bounded_memory(tmp_path):
     # the tables in u are sized by the curve's Fourier modes, not by n, the
     # interpolation runs in blocks of points and the CSV is written in
-    # blocks of rows; the warm-up build keeps the KD-tree's first import
-    # out of the count
+    # blocks of rows; the warm-up build keeps first-call costs out of the
+    # count
     perturbed(math.pi / 4, 0.1, 3, 64)
     tracemalloc.start()
     try:
@@ -321,6 +327,151 @@ def test_curve_build_and_write_hold_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert build_peak < 2 * 2**20
     assert write_peak < 2**20
+
+
+# ------------------------------------------------ simplicity certificate
+# Schur's chord comparison certifies simplicity from a space-curvature
+# bound; the KD-tree search runs only when it cannot decide
+
+
+def peanut_points(a, rows=1024):
+    # polar radius (1 + a cos(2t)) / 2 in the plane z = 1, put on the
+    # sphere: its waist narrows and bends ever more sharply as a grows, and
+    # its samples stop being simple near a = 0.85
+    t = np.linspace(0.0, 2.0 * math.pi, rows, endpoint=False)
+    r = 0.5 * (1.0 + a * np.cos(2.0 * t))
+    p = np.column_stack([r * np.cos(t), r * np.sin(t), np.ones_like(t)])
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
+def double_wound_points(eps, phase, rows=1024):
+    # twice around the z axis at polar angle pi/3 + eps sin(t): a loop of
+    # low curvature whose two turns cross where sin(t) = 0, at index gap n/2
+    t = np.linspace(0.0, 2.0 * math.pi, rows, endpoint=False) + phase
+    theta = math.pi / 3 + eps * np.sin(t)
+    return np.column_stack([np.sin(theta) * np.cos(2.0 * t),
+                            np.sin(theta) * np.sin(2.0 * t), np.cos(theta)])
+
+
+def space_curvature_sup(points, spec=None):
+    # sup of |r' x r''| / |r'|^3 on a parameter grid 16 times finer than
+    # build_curve's tables: of spec's map, or of the normalized
+    # trigonometric interpolant of the points, differentiated spectrally
+    coef = _coefficients(points)[0]
+    fine = 16 * max(32 * coef.shape[0], 24)
+    if spec is None:
+        r = np.fft.irfft(coef, fine, axis=0) * fine
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+    else:
+        r = _preset_points(spec, np.linspace(0.0, 2.0 * math.pi, fine,
+                                             endpoint=False))
+    c = np.fft.rfft(r, axis=0)
+    k = np.arange(c.shape[0])[:, None]
+    r1 = np.fft.irfft(1j * k * c, fine, axis=0)
+    r2 = np.fft.irfft(-(k * k) * c, fine, axis=0)
+    return float(np.max(np.linalg.norm(np.cross(r1, r2), axis=1)
+                        / np.linalg.norm(r1, axis=1) ** 3))
+
+
+def assert_bound_covers_curvature(spec, n):
+    # build_curve's preset map samples, 2n of them
+    points = _preset_points(spec, np.linspace(0.0, 2.0 * math.pi, 2 * n,
+                                              endpoint=False))
+    bend = _spectral_curve(points, n, spec)[4]
+    assert _SCHUR_MARGIN * math.sqrt(1.0 + bend * bend) > \
+        space_curvature_sup(points, spec)
+
+
+def verdict(call):
+    try:
+        call()
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def test_simplicity_certificate_is_sound(rng):
+    # on loops that cross, nearly cross or bend sharply, rebuilt from
+    # tabulated rows: the certificate passes no samples that come within
+    # 2h, its space-curvature bound holds on a grid finer than the tables,
+    # and build_curve's verdict and message are the exact search's.  The
+    # double-wound loops pass the near-pair test, so only the coarse
+    # far-pair test keeps them from certifying
+    loops = [_random_loop(rng, 1024) for _ in range(6)]
+    loops += [viviani_points(256)]
+    loops += [peanut_points(a) for a in np.linspace(0.0, 0.95, 20)]
+    loops += [double_wound_points(eps, phase)
+              for eps, phase in ((0.02, 0.0), (0.05, 0.3), (0.2, 1.0))]
+    outcomes = set()
+    for rows in loops:
+        for n in (64, 128, 256, 512):
+            try:
+                gamma, _, length, _, bend = _spectral_curve(rows, n)
+            except (PreconditionError, ConvergenceError):
+                continue  # rows that do not resolve a loop build none
+            h = length / n
+            simple = _brute_force_dmin(gamma) > 2.0 * h
+            certified = _simple_by_curvature(gamma, h, bend)
+            assert simple or not certified
+            outcomes.add((certified, simple))
+            assert _SCHUR_MARGIN * math.sqrt(1.0 + bend * bend) > \
+                space_curvature_sup(rows)
+            spec = CurveSpec(kind="tabulated", samples=rows)
+            assert verdict(lambda: build_curve(spec, n)) == \
+                verdict(lambda: _self_intersection_check(gamma, h))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def count_kd_trees(monkeypatch):
+    import scipy.spatial
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return tree(*args, **kwargs)
+
+    tree = scipy.spatial.cKDTree
+    monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
+    return built
+
+
+BENCHMARK_CURVES = [
+    (CurveSpec(kind="latitude_circle", theta=math.pi / 4), 1024),
+    (CurveSpec(kind="latitude_circle", theta=math.pi / 2), 1024),
+    (CurveSpec(kind="latitude_circle", theta=0.5), 2048),
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.1,
+               mode=3), 1024),
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.1,
+               mode=3), 4096),
+]
+
+
+@pytest.mark.parametrize("spec,n", BENCHMARK_CURVES, ids=[
+    "latitude-0.785", "equator", "latitude-0.5-2048", "perturbed-0.1-3",
+    "perturbed-0.1-3-4096"])
+def test_benchmark_curves_are_certified(monkeypatch, spec, n):
+    built = count_kd_trees(monkeypatch)
+    build_curve(spec, n)
+    assert built == []
+    assert_bound_covers_curvature(spec, n)
+
+
+@pytest.mark.parametrize("spec,n", [
+    # sup|kappa| = 76.5: 1366 coarse samples
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.3,
+               mode=8), 4096),
+    # sup|kappa| = 14.1: 147 coarse samples
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.2,
+               mode=5), 1024),
+    # too few samples for the near pairs: K h = 1.7
+    (CurveSpec(kind="perturbed_latitude", theta=math.pi / 4, amplitude=0.2,
+               mode=5), 64),
+], ids=["many-levels", "coarse-set-above-64", "near-pairs-undecided"])
+def test_undecided_curves_take_the_exact_search(monkeypatch, spec, n):
+    built = count_kd_trees(monkeypatch)
+    build_curve(spec, n)
+    assert built == [1]
+    assert_bound_covers_curvature(spec, n)
 
 
 def test_spec_validation():

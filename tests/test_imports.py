@@ -113,3 +113,45 @@ print(json.dumps([code, [m for m in sys.modules
                          if m.startswith("scipy.interpolate")]]))
 """)
     assert loaded == [0, []]
+
+
+SPATIAL = "[m for m in sys.modules if m.startswith('scipy.spatial')]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve"],
+    ["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
+     "--n-samples", "4096"],
+], ids=["latitude", "perturbed-4096"])
+def test_certified_curve_loads_no_scipy(tmp_path, argv):
+    # Schur's chord bound certifies these curves simple, so the KD-tree
+    # search, the only scipy the curve command used, never runs
+    loaded = fresh(f"""
+import contextlib, io, json, sys
+import conebound.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = conebound.cli.main({argv + ["--out-dir", str(tmp_path)]!r})
+print(json.dumps([code, {SCIPY}]))
+""")
+    assert loaded == [0, []]
+
+
+@pytest.mark.parametrize("argv,spatial", [
+    (["ks", "--preset", "latitude"], False),
+    (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
+      "--family", "hard_wall", "--a", "1.0"], False),
+    # sup|kappa| = 14.1 leaves 147 coarse samples: the certificate cannot
+    # decide, and the exact search imports scipy.spatial
+    (["curve", "--preset", "perturbed", "--amplitude", "0.2", "--mode", "5"],
+     True),
+], ids=["ks", "assemble", "curve-undecided"])
+def test_scipy_spatial_loads_only_for_the_exact_search(tmp_path, argv,
+                                                       spatial):
+    loaded = fresh(f"""
+import contextlib, io, json, sys
+import conebound.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = conebound.cli.main({argv + ["--out-dir", str(tmp_path)]!r})
+print(json.dumps([code, bool({SPATIAL})]))
+""")
+    assert loaded == [0, spatial]
