@@ -45,6 +45,10 @@ SWEEP = {"L_min": (float, 4.0, "--L-min"), "L_max": (float, 14.0, "--L-max"),
          "num": (int, 11, "--L-num"), "h": (float, 1.0 / 32.0, "--h")}
 AGMON = {"theta": (float, 0.5, "--agmon-theta"),
          "R": (float, 2.0, "--agmon-R"), "eta": (float, 1.0, "--eta")}
+# what a flag does, where its name does not say
+FLAG_HELP = {"--n-fd": "nodes of the fd levels that k_S falls back to when "
+                       "the Fourier block on the curve's samples cannot "
+                       "certify; a certified curve never reads it"}
 SCHEMAS = {
     "curve": CURVE,
     "ks": {"curve": CURVE, "n_fd": (int, 1024, "--n-fd"),
@@ -281,8 +285,10 @@ def build_parser():
             kind = {"action": "store_true", "default": None} if typ is bool \
                 else {"choices": typ} if isinstance(typ, tuple) \
                 else {"type": typ}
-            parser.add_argument(flag, **kind, help=None if default is None
-                                else f"default {default}")
+            text = None if default is None else f"default {default}"
+            if flag in FLAG_HELP:
+                text = f"{text}; {FLAG_HELP[flag]}"
+            parser.add_argument(flag, **kind, help=text)
 
     top = argparse.ArgumentParser(prog="conebound", description=(
         "spectral toolkit for conical surfaces: cross-section geometry, "

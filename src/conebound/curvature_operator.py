@@ -5,15 +5,14 @@ Its strictly negative eigenvalues lambda_j determine the constant
     k_S = (1/2pi) * sum_j sqrt(-lambda_j),
 
 the universal slope of the logarithmic eigenvalue-counting law.  Two
-independent discretizations are kept: periodic finite differences (with
-Richardson extrapolation) and a truncated real Fourier basis
-{1, sqrt2 cos, sqrt2 sin}.  Each reads kappa on its own uniform grid, at
+discretizations are kept: a truncated real Fourier basis
+{1, sqrt2 cos, sqrt2 sin} and periodic finite differences (with
+Richardson extrapolation).  Each reads kappa on its own uniform grid, at
 the nodes of the trigonometric interpolant of the curve's samples
-(`_kappa_on_grid`).  Both are diagonal in the same real modes up to
-their kinetic symbols, (2 sin(pi m/n)/h)^2 on the grid's own DFT modes for
-fd and (2pi m/ell)^2 for Fourier, and kappa^2/4 couples the modes through
-the cosine and sine sums of its samples, taken from one FFT.  So the two
-share one certified solver, which first tries a closed form: the mean c
+(`_kappa_on_grid`).  The Fourier matrix has the kinetic symbol
+(2pi m/ell)^2 on its diagonal, and kappa^2/4 couples the modes through
+the cosine and sine sums of its samples, taken from one FFT.  Its levels
+come from a certified solver that first tries a closed form: the mean c
 of the potential gives a diagonal matrix, c plus the kinetic symbol, and
 Weyl's inequality bounds how far the rest of the potential moves its
 levels.  Constant curvature, as on a latitude circle, passes at any
@@ -23,18 +22,19 @@ low eigenvectors to the higher modes, read off FFTs, and a bound on the
 higher modes' spectrum certify those levels to within eps times the
 whole matrix's norm (a quadratic residual bound, with Cauchy
 interlacing).  When both fail, as for curvature with strong high modes
-or a non-constant curvature on 129 samples or fewer, the whole matrix is
-solved: densely for Fourier, and for fd as the periodic band of
-`spectral1d.lowest_eigenvalues` (`_fd_band`), which is also the fd route's
-independent reference in the tests.  Every block and dense eigensolve runs
-on one OpenBLAS thread, so the levels, and every byte of the report, do
-not depend on the thread count OpenBLAS was started with.
+or a non-constant curvature on 129 samples or fewer, `ks_spectrum`
+solves the whole Fourier matrix densely.  The fd levels are always the
+periodic band solve of `spectral1d.lowest_eigenvalues` (`_fd_band`).
+Every block and dense eigensolve runs on one OpenBLAS thread, so the
+levels, and every byte of the report, do not depend on the thread count
+OpenBLAS was started with.
 
-`ks_constant` reports the fd k_S with the Fourier value as its
-cross-check.  The assembled model takes its k_S from `ks_levels`: the
-closed form or certified low Fourier block on the curve's own samples,
-else the band-solved fd levels, never the dense Fourier solve, an order of
-magnitude slower.  Every route reads the same zero band off its levels
+k_S has one route, `ks_levels`, which both `ks_constant` (the `ks`
+report) and the assembled model read: the closed form or certified low
+Fourier block on the curve's own samples, else the band-solved fd
+levels, never the dense Fourier solve, an order of magnitude slower.
+`ks_constant` cross-checks that k_S against the Fourier levels on its own
+grid.  Every route reads the same zero band off its levels
 (`_ks_of_levels`), and refuses levels whose highest may be negative.
 """
 from __future__ import annotations
@@ -70,8 +70,8 @@ class KsReport:
     negative_part: np.ndarray
     k_S: float
     k_S_uncertainty: tuple
-    method_diff: float  # relative fd / Fourier k_S difference
-    fd_solver: str  # "block": both fd grids certified their low blocks
+    method_diff: float  # relative difference to the Fourier k_S
+    route: str  # "fourier" or "fd", as `KsLevels.route`
 
     @property
     def verified(self) -> bool:
@@ -81,8 +81,8 @@ class KsReport:
 @dataclass(frozen=True)
 class KsSpectrum(spectral1d.EigResult):
     """`ks_spectrum`'s levels and the solver they come from: "block" when
-    every grid's certified low block, or its closed form, gave them, else
-    "band" (fd) or "dense" (Fourier)."""
+    the certified low block, or its closed form, gave them, else "band"
+    (fd) or "dense" (Fourier)."""
 
     solver: str
 
@@ -117,31 +117,22 @@ def _fourier_symbol(ell: float):
     return lambda m: (2.0 * math.pi * m / ell) ** 2
 
 
-def _fd_symbol(ell: float, n: int):
-    """m -> (2 sin(pi m/n)/h)^2, h = ell/n: the periodic second difference
-    on the n-node grid mode exp(2pi i m j/n), rising on 0 <= m <= n/2."""
-    h = ell / n
-    return lambda m: (2.0 * np.sin(math.pi * m / n) / h) ** 2
-
-
-def _real_fourier_matrix(q: np.ndarray, ell: float, m_max: int,
-                         symbol=None) -> np.ndarray:
+def _real_fourier_matrix(q: np.ndarray, ell: float,
+                         m_max: int) -> np.ndarray:
     """Real symmetric matrix of -d^2/ds^2 + q in modes 0 < m <= m_max.
 
     The basis is {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, in that
     block order.  For real q it spans the same space as exp(2pi i m s/ell),
     |m| <= m_max, and gives the same eigenvalues.  q enters through its
     discrete cosine and sine sums a_k, b_k, k <= 2 m_max, read off one FFT
-    of its samples (k taken mod n).  The kinetic diagonal is symbol(m),
-    `_fourier_symbol(ell)` unless given: with `_fd_symbol(ell, n)` and
-    m_max < n/2 this is the periodic fd matrix on the n samples restricted
-    to those modes, which are orthonormal in the grid's mean inner product.
+    of its samples (k taken mod n).  The kinetic diagonal is
+    `_fourier_symbol(ell)`.
     """
     n = q.shape[0]
     f = np.fft.fft(q)[np.arange(2 * m_max + 1) % n] / n
     a, b = f.real, -f.imag
     m = np.arange(1, m_max + 1)
-    kin = np.diag((symbol or _fourier_symbol(ell))(m))
+    kin = np.diag(_fourier_symbol(ell)(m))
     diff = m[:, None] - m[None, :]
     gap, total = np.abs(diff), m[:, None] + m[None, :]
     cs = b[total] - np.sign(diff) * b[gap]
@@ -193,27 +184,23 @@ def _high_mode_residuals(q: np.ndarray, vecs: np.ndarray, m_low: int,
     return np.concatenate([w.real, -w.imag], axis=1)
 
 
-def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
-    """The k lowest levels of the M = n // 2-mode matrix -d^2/ds^2 + q with
-    kinetic symbol(m), in closed form when q is constant to within the
+def _low_block_levels(q: np.ndarray, ell: float, k: int):
+    """The k lowest levels of the M = n // 2-mode Fourier matrix
+    -d^2/ds^2 + q, in closed form when q is constant to within the
     tolerance below, else from its _LOW_MODES-mode block; None when neither
     can certify them.
 
-    symbol is `_fourier_symbol(ell)` (the default: the truncated Fourier
-    basis) or `_fd_symbol(ell, n)` (the periodic fd matrix on the n samples,
-    diagonal in the same real DFT modes); either rises with m up to n/2.
-    Levels are accepted within eps symbol(M), the scale of the whole
-    matrix's norm: eps (2pi M/ell)^2 for the Fourier basis, eps (2n/ell)^2
-    for fd.
+    symbol is `_fourier_symbol(ell)`, which rises with m.  Levels are
+    accepted within eps symbol(M) = eps (2pi M/ell)^2, the scale of the
+    whole matrix's norm.
 
     First, with c the mean of q, the matrix is (K + Q(c)) + Q(q - c), and
     K + Q(c) is diagonal: c + symbol(m) on the cos and sin rows of m < n/2,
     and for even n the Nyquist rows hold 2c + symbol(M) and symbol(M) (the
-    Fourier basis, whose sin row vanishes on the grid) or c + symbol(M)
-    (fd, whose Nyquist mode (-1)^j is one row).  By Weyl's inequality each
-    level lies within delta = `_norm_bound` of q - c of that diagonal's,
-    read off the FFT of q the block needs anyway.  So when delta is within
-    the tolerance, as for a latitude circle's constant curvature, and the k
+    sin row vanishes on the grid).  By Weyl's inequality each level lies
+    within delta = `_norm_bound` of q - c of that diagonal's, read off the
+    FFT of q the block needs anyway.  So when delta is within the
+    tolerance, as for a latitude circle's constant curvature, and the k
     lowest entries c + symbol(m), m = 0, 1, 1, 2, 2, ... < n/2, lie at or
     below every Nyquist row, they are the levels.
 
@@ -226,13 +213,11 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
     cos/sin pairs) the quadratic residual bound of C.-K. Li & R.-C. Li
     (Linear Algebra Appl. 395 (2005) 183-190) and Cauchy interlacing give
     Lam_j - sum ||r_j||^2 / (beta_t - Lam_t) <= lambda_j <= Lam_j, accepted
-    when that gap is within the tolerance.  For fd at even n the Nyquist
-    mode (-1)^j has norm 1, not sqrt2, so its residual comes out sqrt2 too
-    large, which only makes the bound more conservative.  With
-    M <= _LOW_MODES the block is the whole matrix, and this returns None.
-    The block solve runs on one OpenBLAS thread.
+    when that gap is within the tolerance.  With M <= _LOW_MODES the block
+    is the whole matrix, and this returns None.  The block solve runs on one
+    OpenBLAS thread.
     """
-    symbol = symbol or _fourier_symbol(ell)
+    symbol = _fourier_symbol(ell)
     n = q.shape[0]
     m_max, m_low = n // 2, _LOW_MODES
     tol = np.finfo(float).eps * symbol(m_max)
@@ -250,8 +235,7 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int, symbol=None):
         return None
     # divide and conquer: every eigenpair, at a third of the default's time
     with _one_blas_thread():
-        lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low, symbol),
-                         driver="evd")
+        lam, vecs = eigh(_real_fourier_matrix(q, ell, m_low), driver="evd")
     qb = _norm_bound(coef)
     h = symbol(m_low + 1) - qb
     nxt = lam[k:]
@@ -331,47 +315,18 @@ def _fd_band(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
     return KsSpectrum(res.values, None, res.richardson_error, "band")
 
 
-def _fd_levels(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
-    """The periodic fd levels on n nodes, Richardson-extrapolated against
-    n // 2 nodes; each grid from its certified low DFT block when it can.
-
-    The fine grid's block is tried first.  Only when it certifies is the
-    coarse grid's block tried too, and a coarse grid that does not certify
-    is band-solved alone; when the fine grid does not certify, both grids
-    are band-solved (`_fd_band`), so a curve that cannot certify pays for
-    one failed block at most.
-    """
-    ell, n_c = curve.length, n // 2
-    k_c = min(k, n_c)
-    fine = _low_block_levels(_potential(curve, n), ell, k, _fd_symbol(ell, n))
-    if fine is None:
-        return _fd_band(curve, n, k)
-    coarse, solver = _low_block_levels(_potential(curve, n_c), ell, k_c,
-                                       _fd_symbol(ell, n_c)), "block"
-    if coarse is None:
-        coarse, solver = spectral1d.lowest_eigenvalues(
-            _periodic_op(curve, n_c), k_c, want_vectors=False).values, "band"
-    rich = np.zeros(k)
-    rich[:k_c] = (fine[:k_c] - coarse) / 3.0
-    return KsSpectrum(fine, None, rich, solver)
-
-
 def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
                 k: int = 16) -> KsSpectrum:
     """Low eigenvalues of -d^2/ds^2 - kappa^2/4 on the circle of length ell.
 
     method "fd" takes the periodic second-difference operator on n nodes,
-    with the Richardson error against n // 2 nodes (`_fd_levels`): its
-    symbol (2 sin(pi m/n)/h)^2 is diagonal in the grid's real DFT modes, so
-    each grid's levels come from the closed form or certified low block of
-    that basis (`_low_block_levels`) when they can, and from the periodic
-    band solve of `spectral1d.lowest_eigenvalues` otherwise.  method "fourier"
-    diagonalizes in the real truncated Fourier basis
-    {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, 0 < m <= n/2,
-    from its closed form or certified low block when it can and as a whole
-    otherwise.
-    Every block and dense solve runs on one OpenBLAS thread.  k may not
-    exceed the basis size: n for "fd", 2 (n // 2) + 1 for "fourier".
+    band-solved, with the Richardson error against n // 2 nodes
+    (`_fd_band`).  method "fourier" diagonalizes in the real truncated
+    Fourier basis {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)},
+    0 < m <= n/2, from its closed form or certified low block
+    (`_low_block_levels`) when it can and as a whole otherwise, on one
+    OpenBLAS thread.  k may not exceed the basis size: n for "fd",
+    2 (n // 2) + 1 for "fourier".
     """
     _require_kappa(curve)
     if n < 128:
@@ -383,7 +338,7 @@ def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
             f"got k = {k}")
     ell = curve.length
     if method == "fd":
-        return _fd_levels(curve, n, k)
+        return _fd_band(curve, n, k)
     if method == "fourier":
         try:
             q = _potential(curve, n)
@@ -411,11 +366,9 @@ class KsLevels(NamedTuple):
     k_S: float
     k_S_uncertainty: tuple
     route: str  # "fd" or "fourier", the discretization the levels come from
-    solver: str  # "block" or "band", as `KsSpectrum.solver`
 
 
-def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str,
-                  solver: str) -> KsLevels:
+def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str) -> KsLevels:
     """k_S from the certainly negative levels, with its zero band.
 
     Each level's error is the route's estimate errs plus a floor of
@@ -438,11 +391,11 @@ def _ks_of_levels(vals: np.ndarray, errs: np.ndarray, route: str,
     ks_hi = float(np.sum(np.sqrt(np.abs(vals[(vals < 0.0) | ambiguous])))) \
         / (2.0 * math.pi)
     return KsLevels(vals, ambiguous, neg_certain, ks_point, (ks_point, ks_hi),
-                    route, solver)
+                    route)
 
 
-def ks_levels(curve: SampledCurve, k: int) -> KsLevels:
-    """The k lowest levels and k_S that `assemble_model` uses.
+def ks_levels(curve: SampledCurve, k: int, n_fd: int = 1024) -> KsLevels:
+    """The k lowest levels and k_S, as `ks` and `assemble` report them.
 
     The closed form or certified low Fourier block on the curve's own
     samples (`_low_block_levels`) gives them, each within eps (2pi M/ell)^2,
@@ -452,46 +405,39 @@ def ks_levels(curve: SampledCurve, k: int) -> KsLevels:
     levels would need a wider zero band; none is taken here.  Constant
     curvature certifies in closed form at any number of samples.  A
     curvature that varies cannot certify on 129 samples or fewer, nor with
-    strong modes above 64; then the band-solved fd levels on 1024 nodes
-    (`_fd_band`) give them, with their Richardson errors, and no fd block is
-    tried on the samples the Fourier block just failed on.
+    strong modes above 64; then the band-solved fd levels on n_fd nodes
+    (`ks_spectrum` "fd") give them, with their Richardson errors.
     """
     _require_kappa(curve)
     n, ell = curve.n_samples, curve.length
     vals = _low_block_levels(_potential(curve, n), ell, k)
     if vals is not None:
         err = 2.0 * np.finfo(float).eps * _fourier_symbol(ell)(n // 2)
-        return _ks_of_levels(vals, np.full(k, err), "fourier", "block")
-    fd = _fd_band(curve, 1024, k)
-    return _ks_of_levels(fd.extrapolated, np.abs(fd.richardson_error), "fd",
-                         fd.solver)
+        return _ks_of_levels(vals, np.full(k, err), "fourier")
+    fd = ks_spectrum(curve, n_fd, "fd", k=k)
+    return _ks_of_levels(fd.extrapolated, np.abs(fd.richardson_error), "fd")
 
 
 def ks_constant(curve: SampledCurve, n_fd: int = 1024, n_fourier: int = 512,
                 k: int = 12) -> KsReport:
-    """k_S from the Richardson-extrapolated fd levels, with their Richardson
-    errors, cross-checked against the Fourier levels.
+    """`ks_levels`' k_S, cross-checked against the Fourier levels on
+    n_fourier nodes.
 
     The Fourier values are spectrally accurate for smooth curvature.  The
     report is flagged verified when the two k_S values agree to 1e-4.
     """
-    fd_spec = ks_spectrum(curve, n_fd, "fd", k=k)
-    fd = _ks_of_levels(fd_spec.extrapolated, np.abs(fd_spec.richardson_error),
-                       "fd", fd_spec.solver)
-    fourier = ks_spectrum(curve, n_fourier, "fourier", k=k)
-    fvals = fourier.values
-    # same zero band; the fd error estimates set the noise scale for both
-    f_certain = fvals[(fvals < 0.0) & ~fd.ambiguous]
+    got = ks_levels(curve, k, n_fd)
+    fvals = ks_spectrum(curve, n_fourier, "fourier", k=k).values
+    # same zero band; the error estimates of ks_levels set it for both
+    f_certain = fvals[(fvals < 0.0) & ~got.ambiguous]
     ks_fourier = float(np.sum(np.sqrt(-f_certain))) / (2.0 * math.pi)
-    denom = max(abs(fd.k_S), abs(ks_fourier), 1e-30)
-    diff = abs(fd.k_S - ks_fourier) / denom
-
+    denom = max(abs(got.k_S), abs(ks_fourier), 1e-30)
     return KsReport(
         ell=curve.length,
-        eigenvalues=fd.eigenvalues,
-        negative_part=fd.negative_part,
-        k_S=fd.k_S,
-        k_S_uncertainty=fd.k_S_uncertainty,
-        method_diff=diff,
-        fd_solver=fd.solver,
+        eigenvalues=got.eigenvalues,
+        negative_part=got.negative_part,
+        k_S=got.k_S,
+        k_S_uncertainty=got.k_S_uncertainty,
+        method_diff=abs(got.k_S - ks_fourier) / denom,
+        route=got.route,
     )

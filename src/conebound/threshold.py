@@ -4,17 +4,18 @@ The ground energy eps0 is computed operationally as the Richardson-
 extrapolated first Dirichlet eigenvalue on a truncated interval (-L, L): the
 same discretization is built on n and on n // 2 nodes, each grid averaging
 the piecewise-constant wells over its own cells, and both operators go to
-spectral1d.lowest_eigenvalues.  In the continuum the matching Neumann value bounds it from below; at practical
-L that enclosure is narrower than the grid resolves, so compute_threshold
-records the pair without ordering it.  The truncation study fixes the grid
-spacing h across the whole L-sweep: the discretization bias of lambda_1(L)
-is then the same for every L and cancels in differences, which is what
-makes the exponentially small truncation gaps measurable in double
-precision.  Gap rates are therefore fitted against each family's own
-largest-L value rather than against an external eps0.  The sweep's Neumann
-solves return their ground states too, and agmon_norms weighs those, with
-the sweep's own eps0, for the Agmon decay check (assumption (iii)).
-box_levels owns Q's Dirichlet levels on a box, a hard wall's in closed form.
+spectral1d.lowest_eigenvalues.  In the continuum the matching Neumann value
+bounds it from below; at practical L that enclosure is narrower than the
+grid resolves, so compute_threshold records the pair without ordering it.
+The truncation study fixes the grid spacing h across the whole L-sweep: the
+discretization bias of lambda_1(L) is then the same for every L and cancels
+in differences, which is what makes the exponentially small truncation gaps
+measurable in double precision.  Gap rates are therefore fitted against each
+family's own largest-L value rather than against an external eps0.  The
+sweep's Neumann solves return their ground states too, and agmon_norms
+weighs those, with the sweep's own eps0, for the Agmon decay check
+(assumption (iii)).  box_levels owns Q's Dirichlet levels on a box, a hard
+wall's in closed form.
 
 Potential families (all even in x):
 

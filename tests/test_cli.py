@@ -87,7 +87,8 @@ def test_ks_example(tmp_path):
     assert doc["k_S"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-3)
     assert set(doc) == {"config", "config_sha256", "ell", "eigenvalues",
                         "negative_part", "k_S", "k_S_uncertainty",
-                        "method_diff", "fd_solver"}
+                        "method_diff", "route"}
+    assert doc["route"] == "fourier"
     # the embedded hash matches the embedded config block
     assert doc["config_sha256"] == sha256_hex(canonical_json(doc["config"]))
 
@@ -186,12 +187,12 @@ def fd_route_assemble(theta, mode):
 # re-frozen twice, when the Fourier cross-check moved to one OpenBLAS
 # thread and when it moved to a certified low-mode block: each moved only
 # method_diff, the rounding noise of the Fourier solve.  They were
-# re-frozen a third time, with FROZEN_FD_REPORTS, when the fd levels moved
+# re-frozen a third time, with FROZEN_KS_REPORTS, when the fd levels moved
 # from the periodic band solve to the certified low DFT block: the
 # eigenvalues moved by under 1e-8, k_S by under 2e-9 relative, method_diff
 # fell 56-220x, and fd_solver was added.  The band solve misses the
 # closed-form fd levels of a constant-curvature loop by up to 1e-9, the
-# block by none (test_fd_route_closed_form_for_constant_curvature).  The
+# block by none.  The
 # README assemble summary was
 # re-frozen when assemble took k_S from the certified block in place of
 # the fd levels: predicted_slope, relative_error and the retained lambda
@@ -227,12 +228,22 @@ def fd_route_assemble(theta, mode):
 # curve's ell 1.6e-7 -> 2.2e-16 and kappa 1.1e-6 -> 1.6e-14, the tabulated
 # curve's sup|kappa| 2.1e-2 -> 4.4e-14 and length 4.2e-5 -> 2.2e-13, and
 # the perturbed 0.2/5 ks k_S 1.2e-4 -> 4.3e-7 (the 1024-node fd levels' own
-# error).  The latitude ks report was re-frozen, with its FROZEN_FD_REPORTS
+# error).  The latitude ks report was re-frozen, with its FROZEN_KS_REPORTS
 # entry, when a constant potential took its levels in closed form, certified
 # by Weyl's inequality, in place of the block eigensolve: its eigenvalues
 # went from 3.6e-12 to 0 off the closed-form fd levels c + symbol(m) on the
 # mean c of its own potential (1.1e-16 off those of the exact
-# -cot(0.5)^2/4), k_S stayed exactly cot(0.5)/(4 pi) and method_diff 0.0
+# -cot(0.5)^2/4), k_S stayed exactly cot(0.5)/(4 pi) and method_diff 0.0.
+# The three ks reports were re-frozen, with FROZEN_KS_REPORTS, when ks took
+# its k_S from ks_levels, the route assemble reads, and fd_solver became
+# route: the latitude 0.5 report moved from the closed-form fd levels to
+# the closed-form Fourier levels (eigenvalues 1.3e-9 -> 1.1e-16 relative
+# off the exact -d^2/ds^2 - cot(0.5)^2/4, k_S exactly cot(0.5)/(4 pi)
+# before and after), the perturbed 0.1/3 report from the fd blocks to the
+# certified Fourier block on its samples (k_S 0.11547277170918983 ->
+# 0.11547277171325303, assemble's value; method_diff 3.5e-11 -> 0.0), and
+# the perturbed 0.2/5 report on 1000 samples kept every number bit for bit
+# (the fd band on 1024 nodes, 4.3e-7 off the Hill's-equation k_S)
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -263,9 +274,9 @@ FROZEN_OUTPUTS = [
      "threshold_summary.json",
      "4ee07ee2be8d46aa03ce22c58f88a2b3bf45c5d435e8ae00f96abcb6485a1beb"),
     (KS_LATITUDE, "ks_report.json",
-     "299dc181a306041f63f287d1015afb80d513a6c393e9f9c3835aa07cb52447cb"),
+     "e9cc19da3df315c6ec9a170ab68ee1e0c21e33ff31d97a28702640fedab63d5b"),
     (KS_PERTURBED, "ks_report.json",
-     "c1443b765d490cf65484ebc285ca0b2bbd0bb1f5a164176f3973aacce23d6894"),
+     "c2bb95ea92c6916867f91496b9fb1440731ef7533d299493e1cdb3dd5e006c77"),
     (README_ASSEMBLE, "assemble_summary.json",
      "49e9b16eda36063bdcafaf538a8ee5cf518ea7e85e207e900dc0cd885d38c4b2"),
     (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
@@ -290,7 +301,7 @@ FROZEN_OUTPUTS = [
     (["ks", "--preset", "perturbed", "--amplitude", "0.2", "--mode", "5",
       "--n-samples", "1000"],
      "ks_report.json",
-     "429de258e3d8aaf31e6fd43159d2a1b684126b0265e64ba1366c047f403417a1"),
+     "3861ee637bd63161477992a21147022a00ed5b659cbb43f068bac3b9cc9873b6"),
 ]
 
 
@@ -331,23 +342,21 @@ def test_output_bytes_are_frozen(tmp_path, monkeypatch, argv, name, digest):
 
 
 # sha256 of canonical_json of those ks reports without method_diff: every
-# other field comes from the finite-difference route alone, so a change to
-# the Fourier cross-check may move method_diff and nothing else.  Re-frozen
-# with the two reports above when the fd levels moved to the certified
-# low DFT block, which matches the closed-form fd levels the band solve
-# missed (test_fd_route_closed_form_for_constant_curvature), again with
-# them when the curve moved to the spectral pipeline, and the latitude
-# entry with its report when constant curvature moved to the closed form
-# (its levels 3.6e-12 -> 0 off the closed-form fd levels)
-FROZEN_FD_REPORTS = [
+# other field comes from ks_levels alone, so a change to the Fourier
+# cross-check may move method_diff and nothing else.  Re-frozen with the
+# two reports above each time their levels moved: to the certified low DFT
+# fd block, to the spectral curve pipeline, the latitude entry to the
+# closed form, and both when ks took ks_levels' k_S in place of the fd
+# route's
+FROZEN_KS_REPORTS = [
     (KS_LATITUDE,
-     "c1591add4b000a1b098470f225a1aac7210c34d7de358309acfef971441d8a3a"),
+     "7f7965e9bcb3826a0110e866db1021078331b0d5162d65198423ecebee5b5976"),
     (KS_PERTURBED,
-     "235ab59101935bd4e04de38b2446c822caeba81ef39fe6b9c34048c8a74d7f53"),
+     "de096f78af58132ad1448386ec54f28303d3f12d8b2364bd0be61032b8fae84e"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", FROZEN_FD_REPORTS,
+@pytest.mark.parametrize("argv, digest", FROZEN_KS_REPORTS,
                          ids=["ks-latitude", "ks-perturbed"])
 def test_fd_fields_of_ks_report_are_frozen(tmp_path, argv, digest):
     assert run(argv + ["--out-dir", tmp_path]) == 0
@@ -1061,6 +1070,23 @@ def test_uncertified_assemble_makes_one_block_solve(monkeypatch, theta, mode):
                            E_grid=np.logspace(-3, -8, 10))
     assert rows == [129]
     assert model.params["ks_route"] == "fd"
+
+
+@pytest.mark.parametrize("curve", [
+    ["--preset", "latitude"],
+    ["--preset", "perturbed", "--amplitude", "0.1", "--mode", "3"],
+    ["--preset", "perturbed", "--amplitude", "0.2", "--mode", "5"],
+], ids=["latitude-pi4", "perturbed-0.1-3", "perturbed-0.2-5"])
+def test_ks_and_assemble_report_one_k_S(tmp_path, curve):
+    # both read ks_levels: the closed form, the certified Fourier block on
+    # the curve's samples, and (0.2/5) the fd band, with the same bits
+    assert run(["ks", *curve, "--out-dir", tmp_path / "ks"]) == 0
+    assert run(["assemble", *curve, "--family", "hard_wall", "--a", "1.0",
+                "--out-dir", tmp_path / "assemble"]) == 0
+    ks = load(tmp_path / "ks" / "ks_report.json")
+    summary = load(tmp_path / "assemble" / "assemble_summary.json")
+    assert ks["k_S"] == summary["predicted_slope"]
+    assert ks["route"] == summary["params"]["ks_route"]
 
 
 # a curve with 16 negative levels, 4 more than assemble's default 12 modes

@@ -572,7 +572,7 @@ def test_model_mode_and_channel_validation(n_modes, n_channels):
 def test_model_reads_the_certified_block_levels(monkeypatch, spec):
     # assemble takes its levels from the certified low Fourier block on the
     # curve's own samples, bit for bit, and runs no fd solve; its k_S is
-    # ks_constant's fd k_S to well within either method's error
+    # ks_constant's, bit for bit, as both read ks_levels
     curve = build_curve(spec, 1024)
     methods = []
     ks_spectrum = curvature_operator.ks_spectrum
@@ -594,7 +594,7 @@ def test_model_reads_the_certified_block_levels(monkeypatch, spec):
     for m, lam, _ in model.modes:
         assert lam == levels[m]
     report = curvature_operator.ks_constant(curve)
-    assert abs(model.predicted_slope - report.k_S) <= 1e-8 * report.k_S
+    assert model.predicted_slope == report.k_S
     assert model.params["ell"] == report.ell
     if spec.theta == math.pi / 2:
         # the ground level sits at 0 up to rounding: excluded from k_S as a

@@ -12,7 +12,7 @@ import pytest
 
 from conebound import (CurveSpec, PreconditionError, SampledCurve,
                        build_curve, ks_constant, ks_spectrum)
-from conebound import curvature_operator, spectral1d
+from conebound import curvature_operator
 from conebound.curvature_operator import _real_fourier_matrix
 
 from _oracles import complex_fourier_matrix
@@ -159,19 +159,31 @@ def test_block_route_needs_more_than_64_modes():
 def test_uncertified_ks_levels_are_the_fd_band_levels(case, monkeypatch):
     # a 128-sample curve of non-constant curvature has no block to certify,
     # and strong high modes fail the certificate: one Fourier block attempt
-    # at most, then the band solve on 1024 nodes, bit for bit, with no fd
-    # block
+    # at most, then the band solve on n_fd nodes, bit for bit, through
+    # ks_spectrum, whose "fd" span the benchmark's tracer times
     if case == "perturbed-0.1-3-128":
         curve, tried = perturbed(0.1, 128), []
     else:
         curve = build_curve(FOURIER_CURVES[case][0], 1024)
         tried = [129]
     band = curvature_operator._fd_band(curve, 1024, 12)
-    rows = record_eigh_rows(monkeypatch)
+    rows, calls = record_eigh_rows(monkeypatch), []
+
+    def spy(curve, n, method="fd", k=16):
+        calls.append((n, method))
+        return ks_spectrum(curve, n, method, k)
+
+    monkeypatch.setattr(curvature_operator, "ks_spectrum", spy)
     got = curvature_operator.ks_levels(curve, 12)
     assert rows == tried
-    assert (got.route, got.solver) == ("fd", "band")
+    assert calls == [(1024, "fd")]
+    assert got.route == "fd"
     assert np.array_equal(got.eigenvalues, band.extrapolated)
+    coarse = curvature_operator.ks_levels(curve, 12, n_fd=512)
+    assert calls[1:] == [(512, "fd")]
+    assert np.array_equal(coarse.eigenvalues,
+                          curvature_operator._fd_band(curve, 512, 12)
+                          .extrapolated)
 
 
 @pytest.mark.parametrize("theta, mode, k_S", [
@@ -214,7 +226,7 @@ def test_too_few_levels_for_k_S_is_a_precondition_error():
 def test_report_serialization_shape():
     doc = asdict(ks_constant(latitude(math.pi / 3)))
     assert set(doc) == {"ell", "eigenvalues", "negative_part", "k_S",
-                        "k_S_uncertainty", "method_diff", "fd_solver"}
+                        "k_S_uncertainty", "method_diff", "route"}
     assert len(doc["k_S_uncertainty"]) == 2
     assert doc["method_diff"] < 1e-4
 
@@ -530,33 +542,18 @@ def test_fourier_route_without_openblas(monkeypatch):
     assert np.max(np.abs(missing - found)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [2048, 4096])
-def test_fd_route_closed_form_for_constant_curvature(n):
-    # q = -kappa^2/4 is constant, and the periodic second difference has
-    # the symbol (2 sin(pi m/n)/h)^2: lambda = that - kappa^2/4, m = 0 once
-    # and every m >= 1 twice
-    kappa, ell = 1.3, 3.0
-    m = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6])
-    h = ell / n
-    exact = (2.0 * np.sin(math.pi * m / n) / h) ** 2 - 0.25 * kappa * kappa
-    curve = constant_curvature_loop(kappa, ell, n)
-    got = ks_spectrum(curve, n, "fd", k=12)
-    assert got.solver == "block"
-    assert np.array_equal(got.values, exact)
-
-
-
-def closed_form_levels(q, symbol, k):
-    """c + symbol(m), m = 0, 1, 1, 2, 2, ..., c the mean of q as the route
-    reads it, off the FFT of q."""
+def closed_form_levels(q, ell, k):
+    """c + (2 pi m/ell)^2, m = 0, 1, 1, 2, 2, ..., c the mean of q as the
+    route reads it, off the FFT of q."""
     c = np.fft.fft(q)[0].real / q.shape[0]
-    return c + symbol(np.repeat(np.arange(k // 2 + 1), 2)[1:k + 1])
+    m = np.repeat(np.arange(k // 2 + 1), 2)[1:k + 1]
+    return c + curvature_operator._fourier_symbol(ell)(m)
 
 
-def dense_levels(q, ell, symbol, k):
+def dense_levels(q, ell, k):
     """The k lowest levels of the whole matrix, solved as the Fourier route's
     dense fallback solves it."""
-    a = _real_fourier_matrix(q, ell, q.shape[0] // 2, symbol)
+    a = _real_fourier_matrix(q, ell, q.shape[0] // 2)
     with curvature_operator._one_blas_thread():
         return curvature_operator.eigh(a, eigvals_only=True,
                                        subset_by_index=[0, k - 1])
@@ -566,22 +563,20 @@ def dense_levels(q, ell, symbol, k):
 @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, 0.5,
                                    math.pi / 3, math.pi / 2])
 def test_latitude_levels_are_the_weyl_closed_form(theta, n, monkeypatch):
-    # a latitude's kappa is cot(theta) to rounding: every route returns
-    # c + symbol(m) bit for bit with no eigensolve, even at 64 samples, where
-    # the 64-mode block is the whole basis.  Weyl's inequality puts them
-    # within eps symbol(M) of the levels of the whole matrix, so within
-    # 2 eps symbol(M) of a dense solve of it, which has that backward error
-    # too (at 2048 samples only for the benchmark's theta = 0.5: each such
-    # solve takes about a second)
+    # a latitude's kappa is cot(theta) to rounding: ks_levels and the
+    # Fourier route return c + symbol(m) bit for bit with no eigensolve,
+    # even at 64 samples, where the 64-mode block is the whole basis.
+    # Weyl's inequality puts them within eps symbol(M) of the levels of the
+    # whole matrix, so within 2 eps symbol(M) of a dense solve of it, which
+    # has that backward error too (at 2048 samples only for the benchmark's
+    # theta = 0.5: each such solve takes about a second)
     curve, k, eps = latitude(theta, n), 12, np.finfo(float).eps
     ell, grid = curve.length, max(n, 128)  # ks_spectrum needs n >= 128
     rows = record_eigh_rows(monkeypatch)
     got = curvature_operator.ks_levels(curve, k)
     fourier = ks_spectrum(curve, grid, "fourier", k=k)
-    fd = ks_spectrum(curve, grid, "fd", k=k)
     assert rows == []
-    assert (got.route, got.solver, fourier.solver, fd.solver) == \
-        ("fourier", "block", "block", "block")
+    assert (got.route, fourier.solver) == ("fourier", "block")
     want = 1.0 / (4.0 * math.pi * math.tan(theta))
     if theta == math.pi / 2:
         # the great circle's ground level is 0 to rounding: a zero mode
@@ -591,36 +586,27 @@ def test_latitude_levels_are_the_weyl_closed_form(theta, n, monkeypatch):
 
     # ks_levels reads the curve's own samples: at n >= 128 the matrix of
     # the Fourier route on n nodes
-    checks = [(curvature_operator._fourier_symbol(ell), grid, fourier.values),
-              (curvature_operator._fd_symbol(ell, grid), grid, fd.values)]
+    checks = [(grid, fourier.values)]
     if n < grid:
-        checks.append((checks[0][0], n, got.eigenvalues))
+        checks.append((n, got.eigenvalues))
     else:
         assert np.array_equal(got.eigenvalues, fourier.values)
-    for symbol, nodes, values in checks:
+    symbol = curvature_operator._fourier_symbol(ell)
+    for nodes, values in checks:
         q = curvature_operator._potential(curve, nodes)
-        assert np.array_equal(values, closed_form_levels(q, symbol, k))
+        assert np.array_equal(values, closed_form_levels(q, ell, k))
         if n < 2048 or theta == 0.5:
-            assert np.max(np.abs(values - dense_levels(q, ell, symbol, k))) \
+            assert np.max(np.abs(values - dense_levels(q, ell, k))) \
                 <= 2.0 * eps * symbol(nodes // 2)
-    half = grid // 2
-    coarse = closed_form_levels(curvature_operator._potential(curve, half),
-                                curvature_operator._fd_symbol(ell, half), k)
-    assert np.array_equal(fd.richardson_error, (fd.values - coarse) / 3.0)
 
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_closed_form_stops_below_the_nyquist_rows(n):
     # at even n the Nyquist rows of a constant q = c read 2c + symbol(M) and
-    # symbol(M) in the Fourier basis but c + symbol(M) for fd: k levels that
-    # reach them take the band and dense solves, which find them
+    # symbol(M) in the Fourier basis: k levels that reach them take the
+    # dense solve, which finds them
     kappa, ell = 1.3, 3.0
     c, curve = -0.25 * kappa * kappa, constant_curvature_loop(kappa, ell, n)
-    fd = ks_spectrum(curve, n, "fd", k=n)
-    assert fd.solver == "band"
-    assert np.array_equal(fd.values, band_fd_levels(curve, n, n).values)
-    top = c + curvature_operator._fd_symbol(ell, n)(n // 2)
-    assert abs(fd.values[-1] - top) <= 1e-9 * top
     fourier = ks_spectrum(curve, n, "fourier", k=n + 1)
     assert fourier.solver == "dense"
     nyquist = curvature_operator._fourier_symbol(ell)(n // 2) + np.array(
@@ -654,91 +640,3 @@ def test_ripple_at_the_weyl_tolerance_switches_to_the_block(monkeypatch):
     assert rows == [129]
     assert closed.solver == block.solver == "block"
     assert np.max(np.abs(closed.values - block.values)) <= 2.0 * tol
-
-
-def band_fd_levels(curve, n, k):
-    """The periodic fd levels of `ks_spectrum`, from the band solve alone."""
-    def op(m):
-        return spectral1d.assemble(
-            curvature_operator._potential(curve, m),
-            spectral1d.Grid1D.make(0.0, curve.length, m, "periodic"))
-
-    return spectral1d.lowest_eigenvalues(op(n), k, want_vectors=False,
-                                         coarse=op(n // 2))
-
-
-@pytest.mark.parametrize("case, tried", [
-    ("latitude-0.5", []),
-    ("perturbed-0.1-3", [129, 129]),
-    ("perturbed-0.5-0.05-3", [129, 129]),
-], ids=["latitude-0.5", "perturbed-0.1-3", "perturbed-0.5-0.05-3"])
-def test_fd_blocks_match_the_band_solve(case, tried, monkeypatch):
-    # the two ks benchmark curves, and a non-constant one at the latitude's
-    # sizes, at their n_fd: both grids certify, in closed form for the
-    # latitude's constant curvature
-    spec, n, _ = FOURIER_CURVES[case]
-    curve = build_curve(spec, n)
-    ref = band_fd_levels(curve, n, 12)
-    rows = record_eigh_rows(monkeypatch)
-    got = ks_spectrum(curve, n, "fd", k=12)
-    assert rows == tried
-    assert got.solver == "block"
-    assert np.max(np.abs(got.values - ref.values)) < 5e-8
-    assert np.max(np.abs(got.extrapolated - ref.extrapolated)) < 5e-8
-
-
-# (curve, n, k) the fd blocks cannot certify, and the block rows tried
-FD_BAND_CASES = {
-    "perturbed-0.2-5": (lambda: build_curve(FOURIER_CURVES[
-        "perturbed-0.2-5"][0], 1024), 1024, 12, [129]),
-    "bumped-256": (lambda: bumped_loop(256), 256, 12, [129]),
-    "n-128": (lambda: perturbed(0.1, 256), 128, 12, []),
-    "k-130": (lambda: perturbed(0.1), 1024, 130, [129]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(FD_BAND_CASES))
-def test_uncertified_fd_block_falls_back_to_the_band_solve(case,
-                                                           monkeypatch):
-    make, n, k, tried = FD_BAND_CASES[case]
-    curve = make()
-    ref = band_fd_levels(curve, n, k)
-    rows = record_eigh_rows(monkeypatch)
-    got = ks_spectrum(curve, n, "fd", k=k)
-    assert rows == tried
-    assert got.solver == "band"
-    assert np.array_equal(got.values, ref.values)
-    assert np.array_equal(got.richardson_error, ref.richardson_error)
-
-
-def test_uncertified_coarse_fd_grid_alone_is_band_solved(monkeypatch):
-    # at n = 256 the fine block certifies; the 128-node grid has no block
-    curve = perturbed(0.1, 256)
-    fine = band_fd_levels(curve, 256, 12).values
-    coarse = band_fd_levels(curve, 128, 12).values
-    rows = record_eigh_rows(monkeypatch)
-    got = ks_spectrum(curve, 256, "fd", k=12)
-    assert rows == [129]
-    assert got.solver == "band"
-    assert np.max(np.abs(got.values - fine)) < 1e-9
-    assert np.array_equal(got.richardson_error, (got.values - coarse) / 3.0)
-
-
-def test_report_names_the_fd_solver():
-    assert ks_constant(latitude(math.pi / 4)).fd_solver == "block"
-    rough = build_curve(FOURIER_CURVES["perturbed-0.2-5"][0], 1024)
-    assert ks_constant(rough).fd_solver == "band"
-
-
-def test_fd_blocks_run_on_one_blas_thread(monkeypatch, two_blas_threads):
-    before, during = two_blas_threads, []
-    real_eigh = curvature_operator.eigh
-
-    def eigh(*args, **kwargs):
-        during.append(blas_threads())
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(curvature_operator, "eigh", eigh)
-    ks_spectrum(perturbed(0.1), 1024, "fd", k=4)
-    assert during == [[1] * len(before)] * 2
-    assert blas_threads() == before
