@@ -3,7 +3,8 @@
 Each config block is one schema `{key: (type, default, flag)}` (nested
 schemas are sub-blocks) giving its keys, its flags and each typed value:
 flag, else config, else default.  An unknown key or a value not of its type
-(such as 1.9 for an int) is a config error naming the dotted key, such as
+(such as 1.9 or true for an int, "false" for a switch, or a name outside
+its choices) is a config error naming the dotted key, such as
 `curve.theta`.  The potential block stays the raw merged dict, so its hash
 follows the file; `threshold.potential_spec_from_dict` checks its values.
 A summary JSON embeds the resolved config and its hash and replays the run
@@ -76,14 +77,23 @@ RUN = {"out_dir": (str, ".", "--out-dir"),
 
 
 def _coerce(value, typ, key):
-    """value as typ (str for a tuple of choices), else a ConfigError."""
-    conv = str if isinstance(typ, tuple) else typ
+    """value as typ, else the ConfigError its flag would give: a tuple of
+    choices takes only those, a switch only a JSON boolean, a text key only
+    a string, and a number neither a boolean nor a fraction for an int."""
+    if isinstance(typ, tuple):
+        if value not in typ:
+            raise ConfigError(f"{key} must be one of {list(typ)}, "
+                              f"got {value!r}")
+        return value
     try:
-        out = conv(value)
-        if conv is int and out != float(value):
+        if (typ is bool) != isinstance(value, bool) or (
+                typ is str and not isinstance(value, str)):
+            raise TypeError("not a value its flag could give")
+        out = typ(value)
+        if typ is int and out != float(value):
             raise ValueError("not integral")
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {conv.__name__}, got {value!r}")
+        raise ConfigError(f"{key} must be {typ.__name__}, got {value!r}")
     return out
 
 

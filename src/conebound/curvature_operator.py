@@ -24,7 +24,7 @@ whole matrix's norm (a quadratic residual bound, with Cauchy
 interlacing).  When both fail, as for curvature with strong high modes
 or a non-constant curvature on 129 samples or fewer, `ks_spectrum`
 solves the whole Fourier matrix densely.  The fd levels are always the
-periodic band solve of `spectral1d.lowest_eigenvalues` (`_fd_band`).
+band solve of the cyclic second difference (`_fd_band`).
 Every block and dense eigensolve runs on one OpenBLAS thread, so the
 levels, and every byte of the report, do not depend on the thread count
 OpenBLAS was started with.
@@ -46,10 +46,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eig_banded, eigh
 
 from . import spectral1d
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .geometry import SampledCurve
 
 # an eigenvalue closer to zero than this multiple of its error estimate has
@@ -90,6 +90,8 @@ class KsSpectrum(spectral1d.EigResult):
 def _require_kappa(curve: SampledCurve) -> None:
     if curve.kappa is None or curve.kappa.shape[0] != curve.n_samples:
         raise PreconditionError("curve has no curvature field")
+    if not np.all(np.isfinite(curve.kappa)):
+        raise PreconditionError("curvature samples must be finite")
 
 
 def _kappa_on_grid(curve: SampledCurve, n: int) -> np.ndarray:
@@ -299,31 +301,47 @@ def _one_blas_thread():
             set_(count)
 
 
-def _periodic_op(curve: SampledCurve, n: int) -> spectral1d.Operator1D:
-    """-d^2/ds^2 - kappa^2/4 as the periodic second difference on n nodes."""
-    return spectral1d.assemble(_potential(curve, n), spectral1d.Grid1D.make(
-        0.0, curve.length, n, "periodic"))
-
-
 def _fd_band(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
-    """The periodic fd levels on n nodes from the band solve of
-    `spectral1d.lowest_eigenvalues`, Richardson-extrapolated against
-    n // 2 nodes."""
-    res = spectral1d.lowest_eigenvalues(_periodic_op(curve, n), k,
-                                        want_vectors=False,
-                                        coarse=_periodic_op(curve, n // 2))
-    return KsSpectrum(res.values, None, res.richardson_error, "band")
+    """The k lowest levels of the cyclic second difference on n nodes,
+    with the Richardson error (fine - coarse) / 3 against n // 2 nodes on
+    the lowest min(k, n // 2).
+
+    The matrix has 2/h^2 + q on its diagonal, h = ell / n, and -1/h^2 to
+    each node's two circle neighbours.  In the node order 0, n-1, 1, n-2,
+    ... those sit at most two places away: always two places, and one place
+    only at the order's ends (nodes 0 and n-1, and the middle two).  So it
+    is a symmetric band of half-bandwidth 2, solved by LAPACK sbevx.
+    """
+    def levels(m: int, j: int) -> np.ndarray:
+        h = curve.length / m
+        h2 = h * h
+        order = np.empty(m, dtype=np.intp)
+        order[0::2] = np.arange((m + 1) // 2)
+        order[1::2] = m - 1 - np.arange(m // 2)
+        band = np.zeros((3, m))
+        band[0, 2:] = band[1, 1] = band[1, -1] = -1.0 / h2
+        band[2] = (2.0 / h2 + _potential(curve, m))[order]
+        try:
+            return eig_banded(band, eigvals_only=True, select="i",
+                              select_range=(0, j - 1))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK
+            raise ConvergenceError(f"fd band solve failed: {exc}") from exc
+
+    vals, k_c = levels(n, k), min(k, n // 2)
+    rich = np.zeros(k)
+    rich[:k_c] = (vals[:k_c] - levels(n // 2, k_c)) / 3.0
+    return KsSpectrum(vals, None, rich, "band")
 
 
 def ks_spectrum(curve: SampledCurve, n: int, method: str = "fd",
                 k: int = 16) -> KsSpectrum:
     """Low eigenvalues of -d^2/ds^2 - kappa^2/4 on the circle of length ell.
 
-    method "fd" takes the periodic second-difference operator on n nodes,
-    band-solved, with the Richardson error against n // 2 nodes
-    (`_fd_band`).  method "fourier" diagonalizes in the real truncated
-    Fourier basis {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)},
-    0 < m <= n/2, from its closed form or certified low block
+    method "fd" band-solves the cyclic second difference on n nodes, with
+    the Richardson error against n // 2 nodes (`_fd_band`).  method
+    "fourier" diagonalizes in the real truncated Fourier basis
+    {1, sqrt2 cos(2pi m s/ell), sqrt2 sin(2pi m s/ell)}, 0 < m <= n/2,
+    from its closed form or certified low block
     (`_low_block_levels`) when it can and as a whole otherwise, on one
     OpenBLAS thread.  k may not exceed the basis size: n for "fd",
     2 (n // 2) + 1 for "fourier".

@@ -1,33 +1,28 @@
 """Discretized one-dimensional Schrodinger operators.
 
-Symmetric second-difference operators on intervals (Dirichlet / Neumann ends)
-and circles (periodic), with three independent spectral probes:
+Symmetric second-difference operators on intervals (Dirichlet / Neumann
+ends), with three independent spectral probes:
 
 * low eigenvalues and eigenvectors, with a Richardson error estimate from a
   half-grid solve only when the caller passes the operator on that grid.
-  On an interval, lambda_1 and lambda_2 come in O(n) from certified
-  iterations (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998):
-  inverse iteration at lower shifts that LAPACK pttrf proves, and
-  Rayleigh-quotient iteration deflated against the ground state whose index
-  one Sturm count proves (an iteration that lands on a higher level is
-  retried once from inverse iteration just above lambda_1, deflated against
-  that level too); their vectors come from LAPACK stein.  More
-  levels, and any failed certificate, fall back to bisection plus inverse
-  iteration (LAPACK stebz/stein); the periodic matrix, whose corner entries
-  close the circle, is reordered into a symmetric band of half-bandwidth 2
-  and solved with LAPACK sbevx,
+  lambda_1 and lambda_2 come in O(n) from certified iterations (Parlett,
+  The Symmetric Eigenvalue Problem, SIAM 1998): inverse iteration at lower
+  shifts that LAPACK pttrf proves, and Rayleigh-quotient iteration
+  deflated against the ground state whose index one Sturm count proves (an
+  iteration that lands on a higher level is retried once from inverse
+  iteration just above lambda_1, deflated against that level too); their
+  vectors come from LAPACK stein.  More levels, and any failed
+  certificate, fall back to bisection plus inverse iteration (LAPACK
+  stebz/stein),
 * an O(n) eigenvalue counter from the inertia of A - sigma I: LAPACK
-  stebz's Sturm count on the tridiagonal matrix, and for the periodic one the
-  count of its leading tridiagonal block plus the sign of the last row's
-  Schur complement (one tridiagonal solve),
+  stebz's Sturm count on the tridiagonal matrix,
 * a Prufer-phase shooting counter that never touches the matrix at all.
 
 Grids carry their closure.  Dirichlet grids hold the n interior nodes
 a + (i+1) h with h = (b-a)/(n+1).  Neumann grids are cell-centered: n cells
 of width h = (b-a)/n, nodes a + (i+1/2) h at the midpoints, zero-flux closure
 obtained by mirroring the ghost node across the wall (u_ghost = u_first),
-which keeps the matrix exactly symmetric.  Periodic grids hold n nodes
-a + i h, h = (b-a)/n, with b identified with a.
+which keeps the matrix exactly symmetric.
 """
 from __future__ import annotations
 
@@ -36,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import (dgttrf, dgttrs, dpttrf, dpttrs, dstebz,
                                   dstein)
 # not called here: perfbench/tracing.py patches spectral1d.eigh by name
@@ -45,7 +40,7 @@ from scipy.linalg import eigh  # noqa: F401
 from .counting import TIE_SHIFT  # the scipy-free home of the constant
 from .errors import ConvergenceError, PreconditionError
 
-_OFFSETS = {"dirichlet": 1.0, "neumann": 0.5, "periodic": 0.0}
+_OFFSETS = {"dirichlet": 1.0, "neumann": 0.5}
 _EPS = np.finfo(float).eps
 # iteration steps before a solve falls back to bisection
 _MAX_STEPS = 30
@@ -90,16 +85,11 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Operator1D:
-    """Symmetric tridiagonal operator, plus corner entries when periodic."""
+    """Symmetric tridiagonal operator."""
 
     grid: Grid1D
     diag: np.ndarray
     offdiag: np.ndarray
-    corner: float
-
-    @property
-    def kind(self) -> str:
-        return self.grid.kind
 
 
 @dataclass(frozen=True)
@@ -131,36 +121,11 @@ def assemble(potential_samples, grid: Grid1D) -> Operator1D:
     h2 = grid.h * grid.h
     diag = 2.0 / h2 + v
     offdiag = np.full(grid.n - 1, -1.0 / h2)
-    corner = 0.0
     if grid.kind == "neumann":
         diag = diag.copy()
         diag[0] -= 1.0 / h2
         diag[-1] -= 1.0 / h2
-    elif grid.kind == "periodic":
-        corner = -1.0 / h2
-    return Operator1D(grid, diag, offdiag, corner)
-
-
-def _periodic_band(op: Operator1D):
-    """Upper band form of the periodic matrix in the order 0, n-1, 1, n-2, ...
-
-    In that order each node's two circle neighbours sit at most two places
-    away, so the cyclic tridiagonal matrix becomes a symmetric band of
-    half-bandwidth 2.  Returns the (3, n) band and the node order.
-    """
-    n = op.grid.n
-    order = np.empty(n, dtype=np.intp)
-    order[0::2] = np.arange((n + 1) // 2)
-    order[1::2] = n - 1 - np.arange(n // 2)
-    band = np.zeros((3, n))
-    band[2] = op.diag[order]
-    # adjacent places hold circle neighbours only at the two ends of the
-    # order: 0 and n-1 through the corner, and the two middle nodes
-    band[1, 1] = op.corner
-    band[1, -1] = op.offdiag[min(order[-2], order[-1])]
-    # nodes two places apart are always circle neighbours
-    band[0, 2:] = op.offdiag[np.minimum(order[:-2], order[2:])]
-    return band, order
+    return Operator1D(grid, diag, offdiag)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -279,8 +244,7 @@ def _is_second(d, e, rho, res, rho1, tol) -> bool:
 
 
 def _certified(op: Operator1D, k: int, start):
-    """The lowest k <= 2 eigenvalues of a Dirichlet or Neumann operator,
-    each certified within tol = 16 eps ||T|| (Gershgorin), and the
+    """The lowest k <= 2 eigenvalues of op, each certified within tol = 16 eps ||T|| (Gershgorin), and the
     iterations' unit vectors as columns; None when a certificate fails.
 
     start is None or (grid, values, vectors) of an operator solved on an
@@ -334,25 +298,16 @@ def _stein(op: Operator1D, vals) -> Optional[np.ndarray]:
 
 def _solve_sorted(op: Operator1D, k: int, want_vectors: bool, start=None):
     """(values, vectors or None, unit iteration vectors or None)."""
-    found = None
-    if op.kind != "periodic" and k <= 2:
-        found = _certified(op, k, start)
+    found = _certified(op, k, start) if k <= 2 else None
     if found is not None:
         vals, iterates = np.array(found[0]), found[1]
         vecs = _stein(op, vals) if want_vectors else None
         if vecs is not None or not want_vectors:
             return vals, vecs, iterates
     try:
-        if op.kind == "periodic":
-            band, order = _periodic_band(op)
-            out = eig_banded(band, eigvals_only=not want_vectors,
-                             select="i", select_range=(0, k - 1))
-            if want_vectors:
-                out = (out[0], out[1][np.argsort(order)])
-        else:
-            out = eigh_tridiagonal(op.diag, op.offdiag,
-                                   eigvals_only=not want_vectors,
-                                   select="i", select_range=(0, k - 1))
+        out = eigh_tridiagonal(op.diag, op.offdiag,
+                               eigvals_only=not want_vectors,
+                               select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigen solve failed: {exc}") from exc
     if want_vectors:
@@ -365,16 +320,15 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
                        _start=None) -> EigResult:
     """k smallest eigenvalues, certified by inverse iteration or bisected.
 
-    On a Dirichlet or Neumann operator with k <= 2, lambda_1 comes from
+    With k <= 2, lambda_1 comes from
     inverse iteration at certified lower shifts (LAPACK dpttrf/dpttrs) and
     lambda_2 from Rayleigh-quotient iteration deflated against the ground
     state (dgttrf/dgttrs), each certified within 16 eps ||T|| by its
     Rayleigh quotient, its residual, a dpttrf success and one Sturm count;
     vectors are LAPACK stein's inverse iteration at those values.  A
     lambda_2 the count refuses is tried once more before bisection.  Any
-    other operator or k, and any failed certificate, takes Sturm-sequence
-    bisection plus inverse iteration (LAPACK stebz/stein; the periodic
-    band solve is sbevx).
+    other k, and any failed certificate, takes Sturm-sequence bisection plus
+    inverse iteration (LAPACK stebz/stein).
 
     Parameters
     ----------
@@ -439,35 +393,17 @@ def count_below(op: Operator1D, level: float) -> int:
 
     The "<=" convention is realized by counting eigenvalues <= level +
     1e-12 max(1, |level|) + 16 eps ||A||, ||A|| bounded by Gershgorin, as
-    a computed eigenvalue is off by about eps ||A||.  A periodic matrix is
-    counted through its leading (n-1)-row block T and the Schur complement s
-    of its last row: by Haynsworth's inertia additivity, A - sigma I has as
-    many negative eigenvalues as T - sigma I, plus one when s <= 0.
+    a computed eigenvalue is off by about eps ||A||.
     """
     if math.isnan(level):
         raise PreconditionError("cannot count eigenvalues below a NaN level")
-    slack = 16.0 * np.finfo(float).eps * (np.abs(op.diag).max() + 2.0 * max(
-        np.abs(op.offdiag).max(), abs(op.corner)))
+    slack = 16.0 * np.finfo(float).eps * (np.abs(op.diag).max()
+                                          + 2.0 * np.abs(op.offdiag).max())
     sigma = (level + TIE_SHIFT * max(1.0, abs(level)) + slack
              if math.isfinite(level) else level)
     if math.isinf(sigma):
         return op.grid.n if sigma > 0.0 else 0
-    if op.kind != "periodic":
-        return _sturm_count(op.diag, op.offdiag, sigma)
-    d, e = op.diag[:-1], op.offdiag[:-1]
-    below = _sturm_count(d, e, sigma)
-    # the last row couples to row 0 (corner) and row n-2 (offdiag[n-2])
-    b = np.zeros(d.shape[0])
-    b[0] = op.corner
-    b[-1] += op.offdiag[-1]
-    band = np.array([np.r_[0.0, e], d - sigma, np.r_[e, 0.0]])
-    try:
-        x = solve_banded((1, 1), band, b)
-    except np.linalg.LinAlgError:
-        # sigma is an eigenvalue of T, which `below` counts; just above it s
-        # is +inf, so the last row adds nothing
-        return below
-    return below + int(op.diag[-1] - sigma - b @ x <= 0.0)
+    return _sturm_count(op.diag, op.offdiag, sigma)
 
 
 def solve_ivp(*args, **kwargs):

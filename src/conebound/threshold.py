@@ -173,6 +173,9 @@ def potential_spec_from_dict(doc: dict) -> PotentialSpec:
     kwargs = {}
     for key in sorted(set(_PARAMS[family]) & set(doc)):
         try:
+            # float(True) is 1.0, where a number was meant
+            if bool in map(type, np.ravel(np.array(doc[key], dtype=object))):
+                raise TypeError("a boolean for a number")
             if key in ("x", "v"):
                 kwargs["table_" + key] = np.asarray(doc[key], dtype=float)
             else:

@@ -230,3 +230,20 @@ def longdouble_levels(d, e, k, points=255):
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             return 0.5 * (lo + hi)
         lo, hi = new_lo, new_hi
+
+
+def cyclic_fd_levels(q, ell, k):
+    """The k lowest eigenvalues of the cyclic second difference -d^2/ds^2 + q
+    on the n = len(q) nodes i ell / n of a loop of length ell.
+
+    The matrix has 2/h^2 + q_i on its diagonal, h = ell / n, and -1/h^2 to
+    each node's two circle neighbours, (i +- 1) mod n.  A dense numpy
+    eigvalsh: the package band-solves the same matrix.
+    """
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    h2 = (ell / n) ** 2
+    a = np.diag(2.0 / h2 + q)
+    i = np.arange(n)
+    a[i, (i + 1) % n] = a[(i + 1) % n, i] = -1.0 / h2
+    return np.linalg.eigvalsh(a)[:k]

@@ -657,6 +657,22 @@ BAD_CONFIGS = {
         "threshold.potential: x"),
     # the removed thread-count key is now an unknown key
     "threads-key": ({"threads": 2, "counting": {}}, "config.threads"),
+    # each of these ran: a boolean as the number 1 (n_points then exited 4),
+    # "false" as a true switch, and a choice the flag refuses to exit 4
+    "c-bool": ({"counting": {"c": True}}, "counting.c"),
+    "n-points-bool": ({"counting": {"n_points": True}}, "counting.n_points"),
+    "depth-bool": ({"threshold": {"potential": {
+        "family": "square_well", "depth": True}}},
+        "threshold.potential: depth"),
+    "table-bool": ({"threshold": {"potential": {
+        "family": "tabulated", "x": [0.0, 1.0, False], "v": [1.0, 2.0, 3.0]}}},
+        "threshold.potential: x"),
+    "verbose-string": ({"verbose": "false", "counting": {}},
+                       "config.verbose"),
+    "bc-robin": ({"counting": {"bc": "robin"}}, "counting.bc"),
+    # a list for a path used to be read as the file "['x']"
+    "input-list": ({"curve": {"preset": "tabulated", "input": ["x"]}},
+                   "curve.input"),
 }
 
 

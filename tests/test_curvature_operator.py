@@ -4,14 +4,15 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conebound import (CurveSpec, PreconditionError, SampledCurve,
-                       build_curve, ks_constant, ks_spectrum)
+from conebound import (CurveSpec, PotentialSpec, PreconditionError,
+                       SampledCurve, assemble_model, build_curve, ks_constant,
+                       ks_spectrum)
 from conebound import curvature_operator
 from conebound.curvature_operator import _real_fourier_matrix
 
@@ -221,6 +222,26 @@ def test_too_few_levels_for_k_S_is_a_precondition_error():
     with pytest.raises(PreconditionError, match="--n-modes"):
         curvature_operator.ks_levels(curve, 5)
     assert curvature_operator.ks_levels(curve, 6).negative_part.shape == (5,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda c: curvature_operator.ks_levels(c, 12),
+    ks_constant,
+    lambda c: assemble_model(c, PotentialSpec(family="hard_wall",
+                                              half_width=1.0)),
+    lambda c: ks_spectrum(c, 1024, "fd"),
+    lambda c: ks_spectrum(c, 1024, "fourier"),
+], ids=["ks_levels", "ks_constant", "assemble_model", "ks_spectrum-fd",
+        "ks_spectrum-fourier"])
+def test_non_finite_curvature_is_a_precondition_error(call, bad):
+    # the Fourier routes used to stop in scipy's "array must not contain
+    # infs or NaNs"; the fd band checks nothing of its own
+    curve = perturbed(0.1)
+    kappa = curve.kappa.copy()
+    kappa[0] = bad
+    with pytest.raises(PreconditionError, match="curvature samples"):
+        call(replace(curve, kappa=kappa))
 
 
 def test_report_serialization_shape():

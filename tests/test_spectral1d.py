@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
-from conebound import (Grid1D, PotentialSpec, PreconditionError, assemble,
-                       count_below, lowest_eigenvalues, oscillation_count,
-                       spectral1d)
+from conebound import (CurveSpec, Grid1D, PotentialSpec, PreconditionError,
+                       assemble, build_curve, count_below, curvature_operator,
+                       lowest_eigenvalues, oscillation_count, spectral1d)
 from conebound.threshold import _interval_op
 
-from _oracles import longdouble_levels
+from _oracles import cyclic_fd_levels, longdouble_levels
 
 
 def _free_op(a, b, n, kind):
@@ -46,13 +46,6 @@ def test_grid_nodes_neumann_cell_centered():
     assert np.allclose(x + x[::-1], 0.0, atol=1e-14)
 
 
-def test_grid_nodes_periodic():
-    g = Grid1D.make(0.0, 2.0, 20, "periodic")
-    x = g.nodes()
-    assert x[0] == 0.0
-    assert x[-1] == pytest.approx(2.0 - g.h)
-
-
 def test_grid_validation():
     with pytest.raises(PreconditionError):
         Grid1D.make(0.0, 1.0, 8, "dirichlet")
@@ -60,6 +53,8 @@ def test_grid_validation():
         Grid1D.make(1.0, 1.0, 32, "dirichlet")
     with pytest.raises(PreconditionError):
         Grid1D.make(0.0, 1.0, 32, "robin")
+    with pytest.raises(PreconditionError):
+        Grid1D.make(0.0, 1.0, 32, "periodic")
 
 
 def test_assemble_rejects_bad_samples():
@@ -95,22 +90,19 @@ def test_free_neumann_has_exact_zero_mode():
 
 
 def test_free_periodic_zero_mode_and_pairs():
+    # the k_S fd fallback's cyclic second difference on the great circle,
+    # where kappa = 0: levels (2/h^2)(1 - cos(2 pi m/n)), m = 0, 1, 1, 2, 2,
+    # ..., the nonzero ones in cos/sin pairs
     n = 40
-    op, grid = _free_op(0.0, 1.0, n, "periodic")
-    res = lowest_eigenvalues(op, 7, want_vectors=False)
+    curve = build_curve(CurveSpec(kind="latitude_circle", theta=math.pi / 2))
+    res = curvature_operator._fd_band(curve, n, 7)
     assert abs(res.values[0]) < 1e-9
-    # nonzero modes come in cos/sin pairs
     for j in (1, 3, 5):
         assert res.values[j + 1] == pytest.approx(res.values[j], rel=1e-10)
-    k = np.arange(4)
-    exact = (2.0 / grid.h**2) * (1.0 - np.cos(2.0 * math.pi * k / n))
-    got = np.sort(res.values)[[0, 1, 3, 5]]
-    assert np.allclose(got, exact, rtol=1e-10, atol=1e-8)
-
-
-def test_periodic_corner_entry():
-    op, grid = _free_op(0.0, 1.0, 32, "periodic")
-    assert op.corner == pytest.approx(-1.0 / grid.h**2)
+    m = np.arange(4)
+    h = curve.length / n
+    exact = (2.0 / h**2) * (1.0 - np.cos(2.0 * math.pi * m / n))
+    assert np.allclose(res.values[[0, 1, 3, 5]], exact, rtol=1e-10, atol=1e-8)
 
 
 def test_harmonic_oscillator_richardson():
@@ -133,7 +125,7 @@ def _well_op(a, b, n, kind):
     return assemble(-4.0 * np.exp(-x * x) + 0.5 * np.sin(x), grid)
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_richardson_error_is_the_coarse_solve(kind):
     # the estimate is (fine - coarse) / 3 on the levels the coarse grid has,
     # with the coarse operator exactly as the caller built it
@@ -256,16 +248,12 @@ def test_count_below_tie_is_inclusive():
         op, _ = _free_op(0.0, 1.0, n, "dirichlet")
         low = _dense_eigvalsh(op)[:3]
         assert [count_below(op, float(v)) for v in low] == [1, 2, 3]
-    # the free periodic operator's zero level computes as -8.1e-12
-    op, _ = _free_op(0.0, 1.0, 64, "periodic")
-    zero = float(_dense_eigvalsh(op)[0])
-    assert count_below(op, zero) == 1
 
 
 def test_count_below_matches_dense_solve(rng):
-    # Sturm inertia against a dense symmetric eigensolve, all three closures
+    # Sturm inertia against a dense symmetric eigensolve, both closures
     for _ in range(12):
-        kind = ("dirichlet", "neumann", "periodic")[int(rng.integers(3))]
+        kind = ("dirichlet", "neumann")[int(rng.integers(2))]
         n = int(rng.integers(16, 120))
         a, b = 0.0, float(rng.uniform(0.5, 4.0))
         grid = Grid1D.make(a, b, n, kind)
@@ -275,9 +263,6 @@ def test_count_below_matches_dense_solve(rng):
         idx = np.arange(n - 1)
         dense[idx, idx + 1] = op.offdiag
         dense[idx + 1, idx] = op.offdiag
-        if kind == "periodic":
-            dense[0, -1] += op.corner
-            dense[-1, 0] += op.corner
         vals = np.linalg.eigvalsh(dense)
         level = float(rng.uniform(vals[0] - 5.0, vals[min(n - 1, 10)] + 5.0))
         want = int(np.sum(vals <= level + 1e-12 * max(1.0, abs(level))))
@@ -289,16 +274,13 @@ def _dense_eigvalsh(op):
     dense = np.diag(op.diag)
     idx = np.arange(n - 1)
     dense[idx, idx + 1] = dense[idx + 1, idx] = op.offdiag
-    dense[0, -1] += op.corner
-    dense[-1, 0] += op.corner
     return np.linalg.eigvalsh(dense)
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_count_below_matches_eigvalsh_across_the_spectrum(rng, kind):
-    # the Sturm count (and for periodic matrices the block count plus the
-    # Schur complement's sign) against a dense solve, with levels drawn over
-    # the whole spectrum and potentials of scale 0 to 1e4
+    # the Sturm count against a dense solve, with levels drawn over the
+    # whole spectrum and potentials of scale 0 to 1e4
     sizes = [*rng.integers(16, 400, 8), int(rng.integers(1000, 1200))]
     for n in map(int, sizes):
         grid = Grid1D.make(0.0, float(rng.uniform(0.5, 4.0)), n, kind)
@@ -311,7 +293,7 @@ def test_count_below_matches_eigvalsh_across_the_spectrum(rng, kind):
             assert count_below(op, level) == want, f"n = {n}, {level!r}"
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 def test_count_below_infinite_and_nan_levels(kind):
     op, _ = _free_op(0.0, 1.0, 40, kind)
     assert count_below(op, math.inf) == 40
@@ -320,43 +302,30 @@ def test_count_below_infinite_and_nan_levels(kind):
         count_below(op, math.nan)
 
 
-def test_periodic_count_with_a_singular_leading_block():
-    # h = 1, no potential: the leading 17-row block minus 2 I has a zero
-    # diagonal and is exactly singular, while the 18-node circle has no
-    # level at 2 (its levels are 2 - 2 cos(2 pi k / 18)); nine lie below
-    op, grid = _free_op(0.0, 18.0, 18, "periodic")
-    assert grid.h == 1.0
-    level = 2.0 - 2e-12
-    assert level + 1e-12 * level == 2.0   # the shifted level is exactly 2
-    want = int(np.sum(_dense_eigvalsh(op) <= 2.0))
-    assert want == 9
-    for lvl in (math.nextafter(level, 0.0), level, math.nextafter(level, 3.0)):
-        assert count_below(op, lvl) == want
-
-
 def test_periodic_solve_matches_dense_solve(rng):
-    # the banded periodic solver against a dense eigensolve of the cyclic
-    # matrix built here; n of both parities, any k up to n, with vectors
+    # the k_S fd fallback's band solve against a dense eigensolve of the
+    # cyclic matrix (tests/_oracles.py) on perturbed loops: n of both
+    # parities, any k up to n, and the Richardson error against the dense
+    # levels on n // 2 nodes
     for n in (16, 17, *rng.integers(18, 402, 10)):
         n = int(n)
         k = int(rng.integers(1, n + 1))
-        grid = Grid1D.make(0.0, float(rng.uniform(0.5, 4.0)), n, "periodic")
-        v = rng.normal(0.0, 20.0, n)
-        op = assemble(v, grid)
-        h2 = grid.h * grid.h
-        dense = np.diag(2.0 / h2 + v)
-        idx = np.arange(n)
-        dense[idx, (idx + 1) % n] = dense[(idx + 1) % n, idx] = -1.0 / h2
-        scale = 4.0 / h2 + float(np.max(np.abs(v)))
-        res = lowest_eigenvalues(op, k, want_vectors=True)
-        assert np.max(np.abs(res.values - np.linalg.eigvalsh(dense)[:k])) \
-            < 1e-12 * scale
-        phi = res.vectors
-        assert phi.shape == (n, k)
-        # h-weighted normalization and eigenvector residuals
-        assert np.allclose(grid.h * np.sum(phi**2, axis=0), 1.0, atol=1e-12)
-        resid = dense @ phi - phi * res.values
-        assert np.max(np.abs(resid)) * math.sqrt(grid.h) < 1e-12 * scale
+        curve = build_curve(CurveSpec(
+            kind="perturbed_latitude", theta=float(rng.uniform(0.4, 1.2)),
+            amplitude=float(rng.uniform(0.0, 0.3)),
+            mode=int(rng.integers(2, 9))), 512)
+        ell = curve.length
+        q = curvature_operator._potential(curve, n)
+        scale = 4.0 * (n / ell) ** 2 + float(np.max(np.abs(q)))
+        res = curvature_operator._fd_band(curve, n, k)
+        want = cyclic_fd_levels(q, ell, k)
+        assert np.max(np.abs(res.values - want)) < 1e-12 * scale
+        k_c = min(k, n // 2)
+        coarse = cyclic_fd_levels(curvature_operator._potential(curve, n // 2),
+                                  ell, k_c)
+        assert np.max(np.abs(res.richardson_error[:k_c]
+                             - (want[:k_c] - coarse) / 3.0)) < 1e-12 * scale
+        assert np.all(res.richardson_error[k_c:] == 0.0)
 
 
 def test_oscillation_count_free_string():
@@ -541,8 +510,8 @@ def test_iteration_that_lands_on_lambda_3_retries(monkeypatch):
 
 
 def test_more_levels_and_circles_take_the_old_routes(monkeypatch):
-    # k > 2 and periodic operators never reach the certified route, and
-    # give what bisection and the band solve gave, bit for bit
+    # k > 2 never reaches the certified route, and gives what bisection
+    # gave, bit for bit
     def refuse(*args, **kwargs):
         raise AssertionError("certified route taken")
 
@@ -554,15 +523,6 @@ def test_more_levels_and_circles_take_the_old_routes(monkeypatch):
         assert np.array_equal(res.values, vals)
         assert np.array_equal(np.abs(res.vectors),
                               np.abs(vecs) / math.sqrt(op.grid.h))
-    op = _well_op(-5.0, 5.0, 81, "periodic")
-    band, order = spectral1d._periodic_band(op)
-    for k in (1, 2):
-        vals, vecs = eig_banded(band, select="i", select_range=(0, k - 1))
-        res = lowest_eigenvalues(op, k)
-        assert np.array_equal(res.values, vals)
-        assert np.array_equal(np.abs(res.vectors),
-                              np.abs(vecs[np.argsort(order)])
-                              / math.sqrt(op.grid.h))
 
 
 def test_solver_and_count_share_no_code(monkeypatch):

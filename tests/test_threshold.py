@@ -403,7 +403,7 @@ def test_sweep_solves_each_distinct_operator_once(monkeypatch, spec, solves):
     solve = spectral1d.lowest_eigenvalues
 
     def counted(op, *args, **kwargs):
-        calls.append((op.grid.b, op.grid.n, op.kind))
+        calls.append((op.grid.b, op.grid.n, op.grid.kind))
         return solve(op, *args, **kwargs)
 
     monkeypatch.setattr(spectral1d, "lowest_eigenvalues", counted)
