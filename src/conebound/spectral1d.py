@@ -5,14 +5,11 @@ ends), with three independent spectral probes:
 
 * low eigenvalues and eigenvectors, with a Richardson error estimate from a
   half-grid solve only when the caller passes the operator on that grid.
-  lambda_1 and lambda_2 come in O(n) from certified iterations (Parlett,
-  The Symmetric Eigenvalue Problem, SIAM 1998): inverse iteration at lower
-  shifts that LAPACK pttrf proves, and Rayleigh-quotient iteration
-  deflated against the ground state whose index one Sturm count proves (an
-  iteration that lands on a higher level is retried once from inverse
-  iteration just above lambda_1, deflated against that level too); their
-  vectors come from LAPACK stein.  More levels, and any failed
-  certificate, fall back to bisection plus inverse iteration (LAPACK
+  lambda_1 and lambda_2 of a mirror-symmetric operator come in O(n) as the
+  ground states of its even and odd halves, by inverse iteration at lower
+  shifts that LAPACK pttrf proves (Parlett, The Symmetric Eigenvalue
+  Problem, SIAM 1998).  More levels, other operators and any failed
+  certificate fall back to bisection plus inverse iteration (LAPACK
   stebz/stein),
 * an O(n) eigenvalue counter from the inertia of A - sigma I: LAPACK
   stebz's Sturm count on the tridiagonal matrix,
@@ -32,8 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import (dgttrf, dgttrs, dpttrf, dpttrs, dstebz,
-                                  dstein)
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
 # not called here: perfbench/tracing.py patches spectral1d.eigh by name
 from scipy.linalg import eigh  # noqa: F401
 
@@ -44,8 +40,6 @@ _OFFSETS = {"dirichlet": 1.0, "neumann": 0.5}
 _EPS = np.finfo(float).eps
 # iteration steps before a solve falls back to bisection
 _MAX_STEPS = 30
-# inverse-iteration steps that start lambda_2's one retry
-_RETRY_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -154,165 +148,141 @@ def _factor_above(d: np.ndarray, e: np.ndarray, sigma: float):
 
 
 def _ground(d, e, x, tol, hint):
-    """lambda_1 and its unit vector by inverse iteration from x, or None.
+    """The unit ground state of (d, e) by inverse iteration from x, or None.
 
     Every shift sigma is a lower bound on lambda_1, and the Rayleigh
     quotient rho an upper one (Courant-Fischer), so lambda_1 lies in
-    (sigma, rho].  The first shift is Gershgorin's lower bound less tol, or
-    hint - tol when dpttrf certifies it and it lies higher; each step moves
-    it up to rho - ||r|| when dpttrf succeeds there.  The answer is rho
-    once rho - sigma <= tol.
+    (sigma, rho].  The first shift is hint - tol when dpttrf certifies it,
+    else Gershgorin's lower bound less tol; each step moves
+    it up to rho - tol, or else to rho - ||r||, when dpttrf succeeds there.
+    Once rho - sigma <= tol, one more inverse step at sigma gives the
+    vector returned, whose Rayleigh quotient lies in [lambda_1, rho]: such
+    a step never raises it.
     """
-    ae = np.abs(e)
-    sigma = float(min(d[0] - ae[0], d[-1] - ae[-1],
-                      np.min(d[1:-1] - ae[:-1] - ae[1:]))) - tol
-    factors = None
-    if hint is not None and hint - tol > sigma:
-        factors = _factor_above(d, e, hint - tol)
-        if factors is not None:
-            sigma = hint - tol
-            x = dpttrs(*factors, x)[0]
+    factors = None if hint is None else _factor_above(d, e, hint - tol)
+    if factors is not None:
+        sigma = hint - tol
+        x = dpttrs(*factors, x)[0]
+    else:
+        ae = np.abs(e)
+        sigma = float(min(d[0] - ae[0], d[-1] - ae[-1],
+                          np.min(d[1:-1] - ae[:-1] - ae[1:]))) - tol
     for _ in range(_MAX_STEPS):
         x, rho, res = _rayleigh(d, e, x)
-        if rho - res > sigma:
-            raised = _factor_above(d, e, rho - res)
+        for shift in (rho - tol, rho - res) if res > tol else (rho - res,):
+            raised = _factor_above(d, e, shift) if shift > sigma else None
             if raised is not None:
-                sigma, factors = rho - res, raised
-        if rho - sigma <= tol:
-            return rho, x
+                sigma, factors = shift, raised
+                break
         if factors is None:
             factors = _factor_above(d, e, sigma)
             if factors is None:
                 return None
         x = dpttrs(*factors, x)[0]
+        if rho - sigma <= tol:
+            return x / math.sqrt(_dot(x, x))
     return None
 
 
-def _rqi(d, e, x, basis, tol):
-    """Rayleigh-quotient iteration from x, kept orthogonal to the unit
-    vectors in basis: (rho, ||r||, unit x) once ||r|| <= tol, or as left
-    after _MAX_STEPS steps or a singular dgttrf."""
-    for _ in range(_MAX_STEPS):
-        for v in basis:
-            x = x - _dot(v, x) * v
-        x, rho, res = _rayleigh(d, e, x)
-        if res <= tol:
-            break
-        lu = dgttrf(e, d - rho, e)
-        if lu[-1]:  # rho is an eigenvalue to working precision
-            break
-        x = dgttrs(*lu[:-1], x)[0]
-    return rho, res, x
+def _sectors(d: np.ndarray, e: np.ndarray):
+    """The even and odd halves of a mirror-symmetric (d, e), as the
+    (diag, offdiag) of each: the rows from the centre outwards, on the
+    sector's own orthonormal basis.  With odd n the centre node is in the
+    even half only, where it couples to its neighbour with sqrt(2) e; with
+    even n the two centre nodes fold into each half's first row, d_c +- e."""
+    n, m = d.size, d.size // 2
+    if n % 2:
+        ee = e[m:].copy()
+        ee[0] *= math.sqrt(2.0)
+        return (d[m:], ee), (d[m + 1:], e[m + 1:])
+    de, do = d[m:].copy(), d[m:].copy()
+    de[0] += e[0]
+    do[0] -= e[0]
+    return (de, e[m:]), (do, e[m:])
 
 
-def _second(d, e, x, rho1, x1, tol):
-    """lambda_2 and its unit vector by Rayleigh-quotient iteration from x,
-    deflated against the ground state x1, or None.
-
-    Some eigenvalue lies within ||r|| of rho (the residual bound).  When
-    rho - ||r|| > rho1 >= lambda_1 it is not lambda_1, and when exactly two
-    eigenvalues are <= rho + ||r|| (one Sturm count) it is lambda_2.  The
-    first test also keeps the returned pair strictly ascending.
-
-    An iteration the count refuses has mostly found a higher level.  The
-    one retry deflates that level's vector too, when it converged, and
-    starts from _RETRY_STEPS steps of inverse iteration from x at the shift
-    rho1 + 1e6 tol (about 3.6e-9 ||T||): just above lambda_1, where lambda_2
-    is the nearest level left.  It must pass the same certificate.
-    """
-    basis = [x1]
-    rho, res, y = _rqi(d, e, x, basis, tol)
-    if _is_second(d, e, rho, res, rho1, tol):
-        return rho, y
-    if res <= tol and rho - res > rho1:
-        basis.append(y)
-    lu = dgttrf(e, d - (rho1 + 1e6 * tol), e)
-    if lu[-1]:
-        return None
-    for _ in range(_RETRY_STEPS):
-        for v in basis:
-            x = x - _dot(v, x) * v
-        x = dgttrs(*lu[:-1], x)[0]
-        x = x / math.sqrt(_dot(x, x))
-    rho, res, y = _rqi(d, e, x, basis, tol)
-    return (rho, y) if _is_second(d, e, rho, res, rho1, tol) else None
+def _unfold(z: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """The full-length vector, even (sign 1) or odd (sign -1) about the
+    centre, whose sector coordinates are z; it has the norm of z."""
+    half = z / math.sqrt(2.0)
+    if 2 * z.size > n:
+        centre, half = z[:1], half[1:]
+    else:
+        centre = np.zeros(n % 2)
+    return np.concatenate([sign * half[::-1], centre, half])
 
 
-def _is_second(d, e, rho, res, rho1, tol) -> bool:
-    return (res <= tol and rho - res > rho1
-            and _sturm_count(d, e, rho + res) == 2)
+def _quotient(d: np.ndarray, c: float, x: np.ndarray) -> float:
+    """x.Tx / x.x for the tridiagonal T with diagonal d and constant
+    off-diagonal -c, in the form sum (d_i - 2c) x_i^2 + c sum (x_{i+1} -
+    x_i)^2 + c (x_0^2 + x_{n-1}^2), free of the cancellation between d ~ 2c
+    and the off-diagonal products."""
+    dx = np.diff(x)
+    num = (_dot(d - 2.0 * c, x * x) + c * _dot(dx, dx)
+           + c * (x[0] * x[0] + x[-1] * x[-1]))
+    return num / _dot(x, x)
 
 
 def _certified(op: Operator1D, k: int, start):
-    """The lowest k <= 2 eigenvalues of op, each certified within tol = 16 eps ||T|| (Gershgorin), and the
-    iterations' unit vectors as columns; None when a certificate fails.
+    """The lowest k <= 2 eigenvalues of a mirror-symmetric op, each certified
+    within tol = 16 eps ||T|| (Gershgorin), and unit vectors as columns; None
+    when op is not mirror-symmetric, a certificate fails or the pair is not
+    strictly ascending.
+
+    A symmetric diagonal and a constant negative off-diagonal make the even
+    and odd halves invariant (_sectors).  Eigenvector j of such an
+    irreducible Jacobi matrix has j - 1 sign changes (Cantoni and Butler,
+    Linear Algebra Appl. 13 (1976) 275-288), so lambda_1 is the even half's
+    ground state and lambda_2 the odd half's, each taken by _ground.  Each
+    level is reported as the Rayleigh quotient on T itself (_quotient) of
+    the unfolded vector, which is a column of the result.
 
     start is None or (grid, values, vectors) of an operator solved on an
-    overlapping interval: its columns, interpolated onto op's nodes and
-    held at their end values beyond that interval, start the iterations,
-    and its lambda_1, when given, is the first shift tried.
+    overlapping interval: its columns, interpolated onto the nodes of op's
+    right half and held at their end values beyond that interval, start
+    the halves' iterations, and its values are the first shifts tried.
     """
     d, e, n = op.diag, op.offdiag, op.grid.n
-    tol = 16.0 * _EPS * (np.abs(d).max() + 2.0 * np.abs(e).max())
+    c = -float(e[0])
+    if not (c > 0.0 and np.all(e == e[0]) and np.array_equal(d, d[::-1])):
+        return None
+    tol = 16.0 * _EPS * (np.abs(d).max() + 2.0 * c)
     if not math.isfinite(tol):
         return None
-    guess, hint = [np.ones(n), None], None
     if start is not None:
         grid, values, vecs = start
-        x, x_old = op.grid.nodes(), grid.nodes()
-        for j in range(min(k, vecs.shape[1])):
-            guess[j] = np.interp(x, x_old, vecs[:, j])
-        hint = None if values is None else float(values[0])
-    ground = _ground(d, e, guess[0], tol, hint)
-    if ground is None:
+        right, old = op.grid.nodes()[n // 2:], grid.nodes()
+    vals, cols = [], []
+    for j, (ds, es) in enumerate(_sectors(d, e)[:k]):
+        z, hint = np.ones(ds.size), None
+        if start is not None:
+            z = np.interp(right[right.size - ds.size:], old, vecs[:, j])
+            hint = float(values[j])
+        z = _ground(ds, es, z, tol, hint)
+        if z is None:
+            return None
+        x = _unfold(z, n, 1.0 - 2.0 * j)
+        vals.append(_quotient(d, c, x))
+        cols.append(x)
+    if k == 2 and not vals[0] < vals[1]:
         return None
-    rho1, x1 = ground
-    if k == 1:
-        return [rho1], x1[:, None]
-    if guess[1] is None:
-        # an odd start about the middle of the interval
-        guess[1] = (np.arange(n) - 0.5 * (n - 1)) * x1
-    second = _second(d, e, guess[1], rho1, x1, tol)
-    if second is None:
-        return None
-    return [rho1, second[0]], np.stack([x1, second[1]], axis=1)
-
-
-def _stein(op: Operator1D, vals) -> Optional[np.ndarray]:
-    """Eigenvectors at the given values by LAPACK dstein, as
-    eigh_tridiagonal computes them, taking the matrix as one block; None
-    where dstebz would split it at a negligible off-diagonal."""
-    d, e, n = op.diag, op.offdiag, op.grid.n
-    if not np.all(e * e > _EPS * _EPS * np.abs(d[:-1] * d[1:])):
-        return None
-    iblock = np.zeros(n, dtype=np.int32)
-    iblock[:len(vals)] = 1
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    vecs, info = dstein(d, e, vals, iblock, isplit)
-    if info:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigenvector solve failed: dstein info = "
-                               f"{info}")
-    return vecs
+    return np.array(vals), np.stack(cols, axis=1)
 
 
 def _solve_sorted(op: Operator1D, k: int, want_vectors: bool, start=None):
-    """(values, vectors or None, unit iteration vectors or None)."""
+    """(values, unit eigenvectors as columns or None): bisection computes
+    them only with want_vectors, the certified route always, and they can
+    start another solve."""
     found = _certified(op, k, start) if k <= 2 else None
     if found is not None:
-        vals, iterates = np.array(found[0]), found[1]
-        vecs = _stein(op, vals) if want_vectors else None
-        if vecs is not None or not want_vectors:
-            return vals, vecs, iterates
+        return found
     try:
         out = eigh_tridiagonal(op.diag, op.offdiag,
                                eigvals_only=not want_vectors,
                                select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigen solve failed: {exc}") from exc
-    if want_vectors:
-        return out[0], out[1], None
-    return out, None, None
+    return out if want_vectors else (out, None)
 
 
 def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
@@ -320,15 +290,16 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
                        _start=None) -> EigResult:
     """k smallest eigenvalues, certified by inverse iteration or bisected.
 
-    With k <= 2, lambda_1 comes from
-    inverse iteration at certified lower shifts (LAPACK dpttrf/dpttrs) and
-    lambda_2 from Rayleigh-quotient iteration deflated against the ground
-    state (dgttrf/dgttrs), each certified within 16 eps ||T|| by its
-    Rayleigh quotient, its residual, a dpttrf success and one Sturm count;
-    vectors are LAPACK stein's inverse iteration at those values.  A
-    lambda_2 the count refuses is tried once more before bisection.  Any
-    other k, and any failed certificate, takes Sturm-sequence bisection plus
-    inverse iteration (LAPACK stebz/stein).
+    With k <= 2 and a mirror-symmetric op (a palindromic diagonal and a
+    constant negative off-diagonal, as threshold builds for its even
+    potentials), lambda_1 and lambda_2 are the ground states of op's even
+    and odd halves.  Each comes from inverse iteration at lower shifts that
+    LAPACK dpttrf proves, until the shift lies within 16 eps ||T|| of the
+    Rayleigh quotient, and one more inverse step; the level is that step's
+    Rayleigh quotient, which the shift and the quotient before it enclose.
+    Any other op or k, any failed certificate and a pair that is not
+    strictly ascending take Sturm-sequence bisection plus inverse iteration
+    (LAPACK stebz/stein).
 
     Parameters
     ----------
@@ -340,11 +311,11 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
         it solved for the Richardson error estimate (its lowest min(k, n // 2)
         levels); without it richardson_error is all zeros and extrapolated
         equals values.  Any other coarse operator is a PreconditionError,
-        since it would extrapolate silently wrong.  The coarse solve starts
-        from op's iteration vectors.
+        since it would extrapolate silently wrong.  The coarse operator is
+        solved first, and its vectors and levels start op's solve.
     _start : private to truncation_sweep: (grid, values, vectors) of the
         operator solved before, whose columns start this solve's iterations
-        and whose lambda_1 is the first shift tried.  It moves values by
+        and whose values are the first shifts tried.  It moves values by
         rounding only.
     """
     g, n = op.grid, op.grid.n
@@ -355,24 +326,24 @@ def lowest_eigenvalues(op: Operator1D, k: int, want_vectors: bool = True,
         raise PreconditionError(
             f"coarse operator must be {g.kind} on ({g.a}, {g.b}) with "
             f"{n // 2} nodes, got {c.kind} on ({c.a}, {c.b}) with {c.n}")
-    vals, vecs, iterates = _solve_sorted(op, k, want_vectors, _start)
-    vals = np.asarray(vals, dtype=float)
-
-    rich = np.zeros(k)
+    start, vals_c = _start, None
     if coarse is not None:
-        k_c = min(k, coarse.grid.n)
-        warm = None if iterates is None else (g, None, iterates)
-        vals_c = _solve_sorted(coarse, k_c, False, warm)[0]
-        rich[:k_c] = (vals[:k_c] - np.asarray(vals_c, dtype=float)) / 3.0
-
-    if vecs is not None:
-        vecs = np.asarray(vecs, dtype=float) / math.sqrt(op.grid.h)
-        # deterministic sign: largest-magnitude component is made positive
-        lead = np.argmax(np.abs(vecs), axis=0)
-        signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
-        signs[signs == 0.0] = 1.0
-        vecs = vecs * signs
-    return EigResult(vals, vecs, rich)
+        vals_c, vecs_c = _solve_sorted(coarse, min(k, c.n), False, _start)
+        if vecs_c is not None:
+            start = (c, vals_c, vecs_c)
+    vals, vecs = _solve_sorted(op, k, want_vectors, start)
+    vals = np.asarray(vals, dtype=float)
+    rich = np.zeros(k)
+    if vals_c is not None:
+        rich[:len(vals_c)] = (vals[:len(vals_c)] - vals_c) / 3.0
+    if not want_vectors:
+        return EigResult(vals, None, rich)
+    vecs = np.asarray(vecs, dtype=float) / math.sqrt(op.grid.h)
+    # deterministic sign: largest-magnitude component is made positive
+    lead = np.argmax(np.abs(vecs), axis=0)
+    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return EigResult(vals, vecs * signs, rich)
 
 
 def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float) -> int:

@@ -4,9 +4,12 @@ The ground energy eps0 is computed operationally as the Richardson-
 extrapolated first Dirichlet eigenvalue on a truncated interval (-L, L): the
 same discretization is built on n and on n // 2 nodes, each grid averaging
 the piecewise-constant wells over its own cells, and both operators go to
-spectral1d.lowest_eigenvalues.  In the continuum the matching Neumann value
-bounds it from below; at practical L that enclosure is narrower than the
-grid resolves, so compute_threshold records the pair without ordering it.
+spectral1d.lowest_eigenvalues, which solves the half grid first.  Every
+operator is made exactly mirror-symmetric, so that solve takes lambda_1
+and lambda_2 from its even and odd halves.  In the continuum the matching
+Neumann value bounds it from below; at practical L that enclosure is
+narrower than the grid resolves, so compute_threshold records the pair
+without ordering it.
 The truncation study fixes the grid spacing h across the whole L-sweep: the
 discretization bias of lambda_1(L) is then the same for every L and cancels
 in differences, which is what makes the exponentially small truncation gaps
@@ -228,10 +231,12 @@ class AgmonReport:
 def _interval_op(spec: PotentialSpec, L: float, n: int,
                  kind: str) -> spectral1d.Operator1D:
     """Q on n nodes of (-L, L), each sampled by `grid_samples` over its
-    own grid's cells."""
+    own grid's cells and averaged with its mirror node's sample: Q is even,
+    but the nodes are mirror images only up to rounding."""
     half = spec.domain_half_width(L)
     grid = spectral1d.Grid1D.make(-half, half, n, kind)
-    return spectral1d.assemble(spec.grid_samples(grid.nodes(), grid.h), grid)
+    v = spec.grid_samples(grid.nodes(), grid.h)
+    return spectral1d.assemble(0.5 * (v + v[::-1]), grid)
 
 
 def _extrapolated_levels(spec: PotentialSpec, L: float, n: int, kind: str,
@@ -465,17 +470,12 @@ def truncation_sweep(spec: PotentialSpec, L_grid,
                            tuple((g, res.vectors[:, 0]) for g, res in neu))
 
 
-def agmon_weight(spec: PotentialSpec, eps0: float, R: float,
-                 x: np.ndarray) -> np.ndarray:
-    """Agmon weight Phi(x) = int_R^{|x|} sqrt(v(t) - eps0) dt, zero inside.
-
-    The integrand must be positive for |t| > R; a violation is reported with
-    the offending region.
-    """
-    x = np.asarray(x, dtype=float)
+def _agmon_table(spec: PotentialSpec, eps0: float, R: float, x: np.ndarray):
+    """Nodes t on [R, max |x|] and Phi there by the trapezoid rule, at
+    max(1024, 4 x.size) points; None when no |x| exceeds R."""
     xmax = float(np.max(np.abs(x))) if x.size else R
     if xmax <= R:
-        return np.zeros_like(x)
+        return None
     t = np.linspace(R, xmax, max(1024, 4 * x.size))
     integrand_sq = spec(t) - eps0
     if np.any(integrand_sq <= 0.0):
@@ -484,9 +484,22 @@ def agmon_weight(spec: PotentialSpec, eps0: float, R: float,
             f"v - eps0 is not positive on |x| in "
             f"[{bad.min():.6g}, {bad.max():.6g}]; Agmon weight undefined")
     integrand = np.sqrt(integrand_sq)
-    phi_t = np.concatenate([[0.0], np.cumsum(
+    return t, np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))])
-    return np.interp(np.abs(x), t, phi_t, left=0.0)
+
+
+def agmon_weight(spec: PotentialSpec, eps0: float, R: float,
+                 x: np.ndarray) -> np.ndarray:
+    """Agmon weight Phi(x) = int_R^{|x|} sqrt(v(t) - eps0) dt, zero inside.
+
+    The integrand must be positive for |t| > R; a violation is reported with
+    the offending region.
+    """
+    x = np.asarray(x, dtype=float)
+    table = _agmon_table(spec, eps0, R, x)
+    if table is None:
+        return np.zeros_like(x)
+    return np.interp(np.abs(x), *table, left=0.0)
 
 
 def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
@@ -494,13 +507,15 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     """Agmon-weighted norms of a truncation sweep's Neumann ground states.
 
     `sweep` is truncation_sweep(spec, ...); its ground state phi_{L,N} at
-    each L is weighed as it stands, with Phi taken at the sweep's own eps0,
-    and int e^{2 theta Phi} phi^2 dx is evaluated by the grid quadrature.
-    Tail norms ||phi_{L,N}|| over {L - eta < |x| < L} are recorded alongside
+    each L is weighed as it stands, with Phi at the sweep's own eps0 read
+    from one table on the longest length's nodes (Phi depends on |x|
+    alone), and int e^{2 theta Phi} phi^2 dx is evaluated by the grid
+    quadrature.  Tail norms ||phi_{L,N}|| over {L - eta < |x| < L}, scaled
+    sums (math.hypot) that no square underflows, are recorded alongside
     and fitted to a decaying exponential in L.  A window with no grid node,
-    a weighted norm that overflows, and a tail norm that does not fall below
-    the previous length's (the ground state has reached its floating-point
-    floor) are each a PreconditionError.
+    a weighted norm that overflows, and a tail norm that is 0 or does not
+    fall below the previous length's (the ground state has reached its
+    floating-point floor) are each a PreconditionError.
     """
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
@@ -509,10 +524,12 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     if not (math.isfinite(eta) and eta > 0.0):
         raise PreconditionError(f"need finite tail width eta > 0, got {eta}")
     L_grid = sweep.L_grid
+    table = None if theta == 0 else _agmon_table(
+        spec, sweep.eps0, R, sweep.ground_states[-1][0].nodes())
     weighted, tails = [], []
     for L, (grid, phi) in zip(L_grid, sweep.ground_states):
         x = grid.nodes()
-        w = agmon_weight(spec, sweep.eps0, R, x) if theta > 0 else 0.0
+        w = 0.0 if table is None else np.interp(np.abs(x), *table, left=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             norm = float(grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
         if not math.isfinite(norm):
@@ -527,9 +544,9 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
                 f"Agmon tail window {L - eta:g} < |x| < {L:g} (eta = {eta:g})"
                 f" holds no node of the grid on ({grid.a:g}, {grid.b:g}) at "
                 f"spacing h = {grid.h:g}")
-        tails.append(float(math.sqrt(grid.h * np.sum(phi[mask] ** 2))))
+        tails.append(math.sqrt(grid.h) * math.hypot(*phi[mask]))
     weighted, tails = np.array(weighted), np.array(tails)
-    rise = np.flatnonzero(tails[1:] >= tails[:-1])
+    rise = np.flatnonzero((tails[1:] >= tails[:-1]) | (tails[1:] == 0.0))
     if rise.size:
         i = int(rise[0]) + 1
         raise PreconditionError(

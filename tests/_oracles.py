@@ -247,3 +247,38 @@ def cyclic_fd_levels(q, ell, k):
     i = np.arange(n)
     a[i, (i + 1) % n] = a[(i + 1) % n, i] = -1.0 / h2
     return np.linalg.eigvalsh(a)[:k]
+
+
+def longdouble_ground_vector(d, e, steps=12):
+    """The ground state of the symmetric tridiagonal matrix (d, e) with a
+    negative off-diagonal, as a unit vector, by inverse iteration in
+    np.longdouble.
+
+    Numpy only: each step solves (T - sigma) y = x by the Thomas algorithm,
+    from x = 1, at sigma = lambda_1 - 64 eps ||T||, with lambda_1 from
+    `longdouble_levels` and eps the long double's.  That shift lies below
+    lambda_1, so T - sigma is a Stieltjes matrix: every pivot and every
+    iterate is positive, and each step adds no cancellation, which keeps
+    tail components of 1e-150 and below good to their own relative
+    precision.  Each step shrinks a level lambda_j's share of the vector by
+    (lambda_1 - sigma) / (lambda_j - sigma), about 1e-13 / (lambda_j -
+    lambda_1) on the threshold grids.
+    """
+    d = np.asarray(d, dtype=np.longdouble)
+    e = np.asarray(e, dtype=np.longdouble)
+    scale = np.abs(d).max() + 2 * np.abs(e).max()
+    sigma = longdouble_levels(d, e, 1)[0] - 64 * np.finfo(np.longdouble).eps * scale
+    n = d.size
+    pivot = d - sigma
+    for i in range(1, n):
+        pivot[i] -= e[i - 1] * e[i - 1] / pivot[i - 1]
+    mult = e / pivot[:-1]
+    x = np.ones(n, dtype=np.longdouble)
+    for _ in range(steps):
+        for i in range(1, n):
+            x[i] -= mult[i - 1] * x[i - 1]
+        x[-1] /= pivot[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = x[i] / pivot[i] - mult[i] * x[i + 1]
+        x /= np.sqrt(np.sum(x * x))
+    return x

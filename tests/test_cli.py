@@ -243,7 +243,21 @@ def fd_route_assemble(theta, mode):
 # certified Fourier block on its samples (k_S 0.11547277170918983 ->
 # 0.11547277171325303, assemble's value; method_diff 3.5e-11 -> 0.0), and
 # the perturbed 0.2/5 report on 1000 samples kept every number bit for bit
-# (the fd band on 1024 nodes, 4.3e-7 off the Hill's-equation k_S)
+# (the fd band on 1024 nodes, 4.3e-7 off the Hill's-equation k_S).  The two
+# Agmon sweeps and the three threshold summaries were re-frozen when
+# lambda_1 and lambda_2 became the ground states of the even and odd halves
+# of exactly symmetrized operators, the Agmon weight one table per sweep
+# and the tail norms scaled sums: the sweeps' lambda columns moved by at
+# most 6.9e-14, eps0 by 3.5e-13 (square well, 2.8203408e-6 -> 2.8203411e-6
+# off the transcendental root) and 9.5e-14 (harmonic, 1.37674e-9 ->
+# 1.37684e-9 off 1), the agmon_norm column by 6.7e-16 (square well) and
+# 1.3e-9 (harmonic) relative, the tail norms by 1.0e-12 relative at most;
+# against long-double Sturm bisection the errors of lambda_1 and lambda_2
+# went from 5.6e-15 / 8.7e-15 to 7.2e-16 / 3.3e-16 (square well, 767
+# Dirichlet nodes), 2.2e-14 / 1.7e-14 to 2.2e-16 / 2.2e-16 (confining, 1536
+# Neumann) and 4.9e-14 / 5.5e-14 to 2.0e-15 / 2.2e-15 (confining, 4096
+# Dirichlet), and the hard-wall sweep's eps0 and gap_delta from 1.6e-15 /
+# 3.9e-15 to 3.0e-16 / 3.3e-16 off the closed-form fd box levels
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -257,22 +271,22 @@ FROZEN_OUTPUTS = [
     (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
       "--sweep", "--agmon"],
      "sweep.csv",
-     "a3f0b348c1d335ea654db323487e36121475a8c8dff40846583c5dbdfbd30a08"),
+     "aa40e0bd6d79324e8f0104db94d0e38ecdf0db29d9368cc7bec6fe82937b6f85"),
     (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
       "--sweep", "--agmon"],
      "sweep.csv",
-     "28704cc2264c0c8dc212ccdc5dba7b2b9579a250f367697cb2598b328be50a3a"),
+     "0fad50cd030a879c2c1e9701cebfd075e1702d7a0b99330c068dba177860933c"),
     (["threshold", "--family", "square_well", "--depth", "4", "--a", "1",
       "--sweep", "--agmon"],
      "threshold_summary.json",
-     "e1817187efee75acd88da029f3fe0101c8d4c689a7aeac9866c6cf47b90af27a"),
+     "a62b7537e243cd30c065c320a5a55e776c79faade9512e0d0a0c8725a93daa78"),
     (["threshold", "--family", "confining", "--p", "2", "--h", "0.015625",
       "--sweep", "--agmon"],
      "threshold_summary.json",
-     "c8f9056483626986076b0a09bd4f7ba8ff87cf23098b1f586930413c36faf887"),
+     "2295123103c2bfa839d8aec15303fd08e703cf35c9d137546a792035fb341e46"),
     (["threshold", "--family", "hard_wall", "--a", "1", "--sweep"],
      "threshold_summary.json",
-     "4ee07ee2be8d46aa03ce22c58f88a2b3bf45c5d435e8ae00f96abcb6485a1beb"),
+     "6f2fd711db9fb8f6ec8ada8a1dcf5f8fb89cde89d32aecaa1b627635ba8abd93"),
     (KS_LATITUDE, "ks_report.json",
      "e9cc19da3df315c6ec9a170ab68ee1e0c21e33ff31d97a28702640fedab63d5b"),
     (KS_PERTURBED, "ks_report.json",
@@ -857,15 +871,10 @@ BAD_REAL_INPUTS = [
      "L_num = 1000000000 lengths on [4, 14] are more than spacing h"),
     (["threshold", "--sweep", "--L-min", "8", "--L-max", "8"],
      "(at most 1, h / 2 apart)"),
-    # e^(2 theta Phi) overflowed past the stein ground state's floor and
-    # exited 0 with bound_estimate = inf
+    # e^(2 theta Phi) overflows at L = 13; the sweep used to exit 0 with
+    # bound_estimate = inf
     (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4"],
      "Agmon-weighted norm at L = 13, theta = 0.5 is not finite"),
-    # short of that overflow, the tail norms fell to the same floor near
-    # 5e-52 and rose again, and the sweep exited 0 with bound_estimate 5.9e149
-    (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4",
-      "--L-max", "12"],
-     "Agmon tail norm at L = 10.4 is 5.93e-52, not below 4.46e-52 at L = 9.6"),
 ]
 
 
@@ -878,6 +887,34 @@ def test_bad_real_inputs_are_precondition_errors(tmp_path, capsys, argv,
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv + ["--out-dir", tmp_path]) == 4
     assert needle in capsys.readouterr().err
+
+
+def test_confining_sweep_tails_follow_the_long_double_ground_states(
+        tmp_path):
+    # short of the L = 13 overflow above, LAPACK stein's ground states sat
+    # at a floor near 5e-52, and this sweep exited 4 at L = 10.4 (5.93e-52,
+    # not below 4.46e-52 at L = 9.6); before that check it exited 0 with
+    # bound_estimate 5.9e149.  The parity-sector vectors follow the ground
+    # state down to 3.1e-168 at L = 12, where an unscaled sum of squares
+    # underflows to 0, and every tail norm matches the long-double oracle's
+    from conebound import PotentialSpec, threshold
+    from _oracles import longdouble_ground_vector
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["threshold", "--sweep", "--agmon", "--family",
+                    "confining", "--p", "4", "--L-max", "12",
+                    "--out-dir", tmp_path]) == 0
+    rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    spec, h = PotentialSpec(family="confining", p=4.0), 1.0 / 32.0
+    for L, tail in rows[:, [0, -1]]:
+        op = threshold._interval_op(spec, L, int(round(2.0 * L / h)),
+                                    "neumann")
+        phi = longdouble_ground_vector(op.diag, op.offdiag)
+        window = phi[np.abs(op.grid.nodes()) > L - 1.0]
+        want = np.sqrt(np.sum(window * window))  # h cancels: phi is unit
+        assert abs(tail / want - 1.0) < 1e-12, L
+    assert rows[-1, -1] < 1e-167
 
 
 def test_tube_guard_allows_delta_kappa_just_below_one(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from conebound import (CurveSpec, Grid1D, PotentialSpec, PreconditionError,
                        assemble, build_curve, count_below, curvature_operator,
@@ -410,22 +411,71 @@ def test_certified_levels_are_no_farther_from_the_truth(spec, n, kind):
     assert np.all(np.abs(new - truth) < _tol(op))
 
 
+@pytest.mark.parametrize("spec, L, n, kind", [
+    (PotentialSpec(family="square_well", depth=4.0, half_width=1.0), 4.0,
+     256, "neumann"),
+    (PotentialSpec(family="square_well", depth=4.0, half_width=1.0), 14.0,
+     895, "dirichlet"),
+    (PotentialSpec(family="confining", p=2.0), 14.0, 1792, "neumann"),
+    (PotentialSpec(family="square_well", depth=4.0, half_width=1.0), 12.0,
+     2048, "dirichlet"),
+    (PotentialSpec(family="confining", p=2.0), 12.0, 4096, "neumann")],
+    ids=["square-well-256-N", "square-well-895-D", "confining-1792-N",
+         "square-well-2048-D", "confining-4096-N"])
+def test_symmetric_operators_solve_in_parity_sectors(monkeypatch, spec, L, n,
+                                                      kind):
+    # the sweeps' shortest and longest lengths at h = 1/32 and 1/64, and
+    # compute_threshold's grids: both levels lie within the certificate's
+    # resolution of long-double Sturm bisection, no bisection runs, and the
+    # vectors are the exactly even ground state and the exactly odd second
+    op = _interval_op(spec, L, n, kind)
+    calls = _counting_solves(monkeypatch)
+    res = lowest_eigenvalues(op, 2)
+    assert calls == []
+    truth = longdouble_levels(op.diag, op.offdiag, 2)
+    assert np.all(np.abs(res.values - truth) < _tol(op))
+    phi = res.vectors
+    assert np.array_equal(phi[:, 0], phi[::-1, 0])
+    assert np.array_equal(phi[:, 1], -phi[::-1, 1])
+    assert np.all(phi[:, 0] > 0.0)
+    assert op.grid.h * np.sum(phi ** 2, axis=0) == pytest.approx(1.0,
+                                                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_asymmetric_operators_take_bisection(monkeypatch, kind, k):
+    # no caller in the package has one: an operator that is not its own
+    # mirror image takes eigh_tridiagonal's levels and vectors, bit for bit
+    for op in (_harmonic_op(kind), _well_op(-5.0, 5.0, 81, kind)):
+        vals, vecs = _bisected(op, k, True)
+        calls = _counting_solves(monkeypatch)
+        res = lowest_eigenvalues(op, k)
+        assert calls == [op.grid.n]
+        assert np.array_equal(res.values, vals)
+        assert np.array_equal(np.abs(res.vectors),
+                              np.abs(vecs) / math.sqrt(op.grid.h))
+
+
 @pytest.mark.parametrize("centre", [6.5, 7.0])
-def test_double_well_below_the_resolution(centre):
-    # symmetric wells at +-centre split lambda_2 - lambda_1 by 2.3e-11 and
-    # 3.2e-12, below the certificate's resolution 1.0e-10: each level must
-    # certify within it or the solve must fall back to bisection
+def test_double_well_below_the_resolution(monkeypatch, centre):
+    # symmetric wells at +-centre split lambda_2 - lambda_1 by 2.6e-11 and
+    # 2.9e-12, below the certificate's resolution 1.0e-10: the even and odd
+    # halves still certify each level within it, with no bisection
     grid = Grid1D.make(-12.0, 12.0, 2047, "dirichlet")
     x = grid.nodes()
-    op = assemble(-8.0 * (np.exp(-2.0 * (x - centre) ** 2)
-                          + np.exp(-2.0 * (x + centre) ** 2)), grid)
+    v = -8.0 * (np.exp(-2.0 * (x - centre) ** 2)
+                + np.exp(-2.0 * (x + centre) ** 2))
+    op = assemble(0.5 * (v + v[::-1]), grid)
     ref = _bisected(op, 2, False)[0]
     assert 0.0 < ref[1] - ref[0] < _tol(op)
+    calls = _counting_solves(monkeypatch)
     res = lowest_eigenvalues(op, 2)
+    assert calls == []
     # bisection's own error is a few eps ||T||, far inside the resolution
     assert np.all(np.abs(res.values - ref) < 1.25 * _tol(op))
     assert res.values[0] < res.values[1]
-    # stein's vectors at those values span the pair's plane orthonormally
+    # the even and odd vectors span the pair's plane orthonormally
     phi = res.vectors * math.sqrt(grid.h)
     assert np.allclose(phi.T @ phi, np.eye(2), atol=1e-10)
     tphi = op.diag[:, None] * phi
@@ -451,62 +501,41 @@ def _harmonic_op(kind):
     return assemble(x * x + 0.5 * np.sin(x), grid)
 
 
-def _counting_attempts(monkeypatch):
-    # the Rayleigh quotients at which lambda_2's attempts stopped
-    rqi, stops = spectral1d._rqi, []
-
-    def counted(*args):
-        out = rqi(*args)
-        stops.append(out[0])
-        return out
-
-    monkeypatch.setattr(spectral1d, "_rqi", counted)
-    return stops
+def _symmetric_harmonic_op(kind):
+    # 301 nodes: the even half has 151 rows, the odd half 150
+    grid = Grid1D.make(-6.0, 6.0, 301, kind)
+    v = grid.nodes() ** 2
+    return assemble(0.5 * (v + v[::-1]), grid)
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_failed_certificates_fall_back_to_bisection(monkeypatch, kind, k):
-    op = _harmonic_op(kind)
+    # dpttrf refusing every shift in one half leaves its level uncertified,
+    # and the solve takes bisection's levels and vectors bit for bit; with
+    # k = 1 the odd half is never solved
+    op = _symmetric_harmonic_op(kind)
     ref, ref_vecs = _bisected(op, k, True)
     calls = _counting_solves(monkeypatch)
-    assert np.allclose(lowest_eigenvalues(op, k).values, ref, rtol=0,
-                       atol=_tol(op))
+    certified = lowest_eigenvalues(op, k)
     assert calls == []
-    failures = [("dpttrf", lambda d, e: (d, e, 1), 0)]
-    if k == 2:
-        # dgttrf finding rho singular stops the iteration unconverged and
-        # refuses the retry's shift; a Sturm count other than 2 leaves
-        # lambda_2 unidentified on both attempts
-        failures += [("dgttrf", lambda dl, d, du: (dl, d, du, dl, d, 1), 1),
-                     ("_sturm_count", lambda d, e, sigma: 3, 2)]
-    for name, fail, attempts in failures:
+    assert np.all(np.abs(certified.values - ref) < _tol(op))
+    for sector, rows in (("even", 151), ("odd", 150)):
+        def fail(d, e):
+            return (d, e, 1) if d.size == rows else dpttrf(d, e)
+
         with monkeypatch.context() as m:
-            stops = _counting_attempts(m)
-            m.setattr(spectral1d, name, fail)
+            m.setattr(spectral1d, "dpttrf", fail)
             res = lowest_eigenvalues(op, k)
-        assert len(stops) == attempts, name
-        assert calls == [op.grid.n], name
+        if k == 1 and sector == "odd":
+            assert calls == []
+            assert np.array_equal(res.values, certified.values)
+            continue
+        assert calls == [op.grid.n], sector
         calls.clear()
         assert np.array_equal(res.values, ref)
         assert np.array_equal(np.abs(res.vectors),
                               np.abs(ref_vecs) / math.sqrt(op.grid.h))
-
-
-def test_iteration_that_lands_on_lambda_3_retries(monkeypatch):
-    # from the odd start, Rayleigh-quotient iteration on this well converges
-    # to lambda_3 = -0.157 and the Sturm count at rho + ||r|| is 3, not 2;
-    # the retry, deflated against that level and started by inverse
-    # iteration just above lambda_1, certifies lambda_2 with no bisection
-    op = _well_op(-6.0, 6.0, 300, "neumann")
-    ref = _bisected(op, 3, False)[0]
-    assert ref[1] < -0.25 < ref[2] < -0.15
-    calls = _counting_solves(monkeypatch)
-    stops = _counting_attempts(monkeypatch)
-    res = lowest_eigenvalues(op, 2, want_vectors=False)
-    assert calls == []
-    assert len(stops) == 2 and abs(stops[0] - ref[2]) < _tol(op)
-    assert np.all(np.abs(res.values - ref[:2]) <= 2.0 * _tol(op))
 
 
 def test_more_levels_and_circles_take_the_old_routes(monkeypatch):
@@ -537,7 +566,7 @@ def test_solver_and_count_share_no_code(monkeypatch):
         m.setattr(spectral1d, "count_below", refuse)
         lowest_eigenvalues(op, 2)
     for name in ("lowest_eigenvalues", "_solve_sorted", "_certified",
-                 "dpttrf", "dgttrf", "dstein", "eigh_tridiagonal"):
+                 "dpttrf", "dpttrs", "eigh_tridiagonal"):
         monkeypatch.setattr(spectral1d, name, refuse)
     want = int(np.sum(_dense_eigvalsh(op) <= 10.0))
     assert count_below(op, 10.0) == want == 5

@@ -13,7 +13,8 @@ from conebound import (ConfigError, Grid1D, PotentialSpec, PreconditionError,
 from conebound import spectral1d, threshold
 from conebound.threshold import write_sweep_csv
 
-from _oracles import square_well_even_level, square_well_odd_level
+from _oracles import (longdouble_ground_vector, square_well_even_level,
+                      square_well_odd_level)
 
 SQUARE = PotentialSpec(family="square_well", depth=4.0, half_width=1.0)
 L_GRID = [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]
@@ -335,9 +336,9 @@ def test_sweep_rejects_confining_overflow_at_its_longest_length():
 
 def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
     # the sweeps read raw values and vectors, so each length costs one solve
-    # per closure; compute_threshold's extrapolation adds the half grids.
-    # Every solve takes the certified route, and none falls back to
-    # bisection
+    # per closure; compute_threshold's extrapolation adds the half grids,
+    # each solved first to start its full grid.  Every solve takes the
+    # certified route, and none falls back to bisection
     calls = []
     solve = spectral1d._certified
 
@@ -354,7 +355,7 @@ def test_only_compute_threshold_solves_the_half_grid(monkeypatch):
     assert len(calls) == 10
     calls.clear()
     compute_threshold(SQUARE)
-    assert calls == [4096, 2048, 4096, 2048]
+    assert calls == [2048, 4096, 2048, 4096]
 
 
 @pytest.mark.parametrize("spec, h", [(SQUARE, 1.0 / 32.0),
@@ -380,7 +381,7 @@ def test_warm_started_sweep_matches_cold_solves(spec, h):
 def test_harmonic_sweep_tails_match_the_closed_form():
     # the ground state of x^2 is pi^(-1/4) exp(-x^2 / 2), whose norm over
     # L - 1 < |x| < L is sqrt(erfc(L - 1) - erfc(L)); down to 1e-38 at
-    # L = 14, the sweep's (LAPACK stein) ground states follow it within 10%
+    # L = 14, the sweep's ground states follow it within 10%
     from scipy.special import erfc
 
     spec = PotentialSpec(family="confining", p=2.0)
@@ -389,6 +390,24 @@ def test_harmonic_sweep_tails_match_the_closed_form():
     L = np.array(L_GRID)
     exact = np.sqrt(erfc(L - 1.0) - erfc(L))
     assert np.all(np.abs(tails / exact - 1.0) < 0.1)
+
+
+@pytest.mark.parametrize("spec, h", [(SQUARE, 1.0 / 32.0),
+                                     (PotentialSpec(family="confining", p=2.0),
+                                      1.0 / 64.0)],
+                         ids=["square_well", "confining"])
+def test_sweep_ground_states_match_the_long_double_oracle(spec, h):
+    # every Neumann ground state of the two frozen Agmon sweeps, node by
+    # node and in its tail norm, against long-double inverse iteration on
+    # the same matrix; about tol / (lambda_2 - lambda_1) bounds the error
+    sweep = truncation_sweep(spec, L_GRID, h)
+    tails = agmon_norms(spec, sweep, 0.5, 2.0).tail_norms
+    for L, (grid, phi), tail in zip(L_GRID, sweep.ground_states, tails):
+        op = threshold._interval_op(spec, L, grid.n, "neumann")
+        ref = longdouble_ground_vector(op.diag, op.offdiag)
+        assert np.max(np.abs(phi * math.sqrt(grid.h) / ref - 1.0)) < 1e-10
+        window = ref[np.abs(grid.nodes()) > L - 1.0]
+        assert abs(tail / np.sqrt(np.sum(window * window)) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("spec, solves", [
