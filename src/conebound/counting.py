@@ -22,8 +22,9 @@ cross-section modes come from the curvature operator spectrum, the shrinking
 transverse wells contribute channel shifts from `threshold.box_levels`, and
 the staircase is compared against the predicted log slope.  Certified counts
 need only numpy and math; the sweep fallback imports scipy.integrate when it
-runs, and `assemble_model` imports the scipy-backed layers (curvature
-operator, threshold, spectral1d) when it is called, not at import.
+runs, and `assemble_model` imports the curvature operator and threshold
+layers when it is called, not at import.  Those load scipy only in a solve
+that calls LAPACK, so a latitude with a hard wall assembles on numpy alone.
 """
 from __future__ import annotations
 
@@ -34,7 +35,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._serial import parallel_map, write_csv
+from ._serial import write_csv
+# not called here: perfbench/tracing.py patches counting.parallel_map by name
+from ._serial import parallel_map  # noqa: F401
 from .errors import ConvergenceError, PreconditionError
 from .geometry import SampledCurve, sup_curvature
 
@@ -370,7 +373,9 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
 
     For each energy E on the grid the matching radius is R(E) = K_delta
     |ln E| (or R_fixed), the Dirichlet well on (-delta R, delta R) gives
-    channel levels lambda_n = threshold.box_levels, and each retained cross
+    channel levels lambda_n, from one threshold.box_levels call on every
+    energy's half width (a hard wall's in closed form, other families'
+    solved once per distinct width), and each retained cross
     mode m counts half-line eigenvalues below the shifted level
 
         mu_n(E) = (E - eps0 + lambda_n) R^2 (1 - delta kappa_inf)^2
@@ -425,13 +430,8 @@ def assemble_model(curve: SampledCurve, potential: PotentialSpec,
          else np.array([K_delta * abs(math.log(e)) for e in E_grid.tolist()]))
     bad_R = np.flatnonzero(~(np.isfinite(R) & (R > 0.0)))
     live = int(bad_R[0]) if bad_R.size else R.shape[0]
-    # channel levels of each box half width delta R, solved once; Python
-    # floats, so a hard wall's levels overflow into a PreconditionError
-    widths = (delta * R[:live]).tolist()
-    distinct = list(dict.fromkeys(widths))
-    boxes = dict(zip(distinct, parallel_map(
-        lambda w: threshold.box_levels(potential, w, _N_CHANNELS), distinct)))
-    levels = np.array([boxes[w] for w in widths]).reshape(live, _N_CHANNELS)
+    # channel levels of every box half width delta R, in one call
+    levels = threshold.box_levels(potential, delta * R[:live], _N_CHANNELS)
     E, R_live = E_grid[:live, None], R[:live, None]
     # (level - eps0) first: for the ground channel of a closed-form family
     # the pair cancels exactly, keeping mu = E R^2 alive at energies far

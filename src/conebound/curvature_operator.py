@@ -27,7 +27,9 @@ solves the whole Fourier matrix densely.  The fd levels are always the
 band solve of the cyclic second difference (`_fd_band`).
 Every block and dense eigensolve runs on one OpenBLAS thread, so the
 levels, and every byte of the report, do not depend on the thread count
-OpenBLAS was started with.
+OpenBLAS was started with.  scipy is imported only by the solves that
+call it (`eigh` stays a module attribute, a wrapper that imports and calls
+scipy's), so a closed-form curve loads none of it.
 
 k_S has one route, `ks_levels`, which both `ks_constant` (the `ks`
 report) and the assembled model read: the closed form or certified low
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh
 
 from . import spectral1d
 from .errors import ConvergenceError, PreconditionError
@@ -251,6 +252,13 @@ def _low_block_levels(q: np.ndarray, ell: float, k: int):
     return lam[:k] if shift <= tol else None
 
 
+def eigh(*args, **kwargs):
+    """scipy.linalg.eigh, imported on first call, so that a closed-form
+    curvature operator loads no scipy."""
+    from scipy.linalg import eigh
+    return eigh(*args, **kwargs)
+
+
 # thread-count entry points of OpenBLAS builds, 64-bit-integer ones first
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -312,6 +320,8 @@ def _fd_band(curve: SampledCurve, n: int, k: int) -> KsSpectrum:
     only at the order's ends (nodes 0 and n-1, and the middle two).  So it
     is a symmetric band of half-bandwidth 2, solved by LAPACK sbevx.
     """
+    from scipy.linalg import eig_banded
+
     def levels(m: int, j: int) -> np.ndarray:
         h = curve.length / m
         h2 = h * h

@@ -10,7 +10,12 @@ as given.  Their FFT, less coefficients below 1e-15 of the largest, gives
 the speed and kappa = <gamma x gamma_uu, gamma_u> / |gamma_u|^3 in u, and
 the speed's Fourier series the length L and s(u) (Trefethen & Weideman,
 SIAM Rev. 56 (2014) 385-458).  Newton's method on Lagrange interpolation
-of those tables solves s(u_i) = i L / n.  The spectral tail, the largest
+of those tables solves s(u_i) = i L / n.  Tables whose speed and kappa are
+constant to a few ulp, and whose s(u) is L u / 2 pi to the Newton
+tolerance, are a circle: u_i = 2 pi i / n, and kappa is the exactly
+rounded mean of its table at every sample, with no Newton step (tabulated
+rows still interpolate their positions there).  The path is chosen by the
+tables, never by the preset kind.  The spectral tail, the largest
 coefficient in the top quarter of the samples' spectrum over the largest,
 says how well they resolve the loop; above 1e-10 it is refused.
 
@@ -47,7 +52,12 @@ _TABLE_ROWS = 32  # rows of the tables in u per retained Fourier mode
 _STENCIL = 12  # nodes of the Lagrange interpolation on those tables
 _BLOCK = 512  # points interpolated at a time, to bound working memory
 _NEWTON_STEPS = 8
-_NEWTON_TOL = 8.0 * np.finfo(float).eps  # arclength residual, per unit length
+_EPS = np.finfo(float).eps
+_NEWTON_TOL = 8.0 * _EPS  # arclength residual, per unit length
+# the most ulp by which the speed and kappa tables of a circle vary; they
+# vary by at most 2.5 and 6 on latitudes, and by 93 and 1442 on a latitude
+# perturbed by 1e-14
+_FLAT_ULPS = 16
 # the simplicity certificate's space-curvature bound over the one read off
 # the tables, for kappa between their rows and the normalization of
 # tabulated curves; and the most coarse samples it compares pairwise
@@ -174,6 +184,13 @@ def _interpolate(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flat(column: np.ndarray, floor: float = 0.0) -> bool:
+    """True when a table column is constant to _FLAT_ULPS ulp of its
+    largest magnitude, or of floor where that is larger."""
+    scale = max(floor, float(np.max(np.abs(column))))
+    return float(np.ptp(column)) <= _FLAT_ULPS * _EPS * scale
+
+
 def _spectral_curve(points: np.ndarray, n: int,
                     spec: Optional[CurveSpec] = None):
     """(gamma, kappa, length, tail, bend) at n equal steps of arclength
@@ -183,7 +200,7 @@ def _spectral_curve(points: np.ndarray, n: int,
     the samples."""
     # a sample repeating the one before to rounding is no step of a parameter
     chords = np.linalg.norm(np.diff(points, axis=0, append=points[:1]), axis=1)
-    if not np.all(chords > np.finfo(float).eps * np.sum(chords)):
+    if not np.all(chords > _EPS * np.sum(chords)):
         raise PreconditionError("curve has repeated consecutive samples")
     coef, tail = _coefficients(points)
     if tail > _TAIL_BOUND:
@@ -205,25 +222,36 @@ def _spectral_curve(points: np.ndarray, n: int,
     series[1:] /= 1j * np.arange(1, series.shape[0])
     wave = np.fft.irfft(series, m) * m
     wave -= wave[0]
-    table = np.column_stack([wave, speed, kappa] + [gamma] * (spec is None))
-    # Newton steps on the interpolated s(u), from the inverse of the table
-    # read linearly, until the residual is rounding
-    target = length * np.arange(n) / n
-    u = np.interp(target, np.append(length * np.arange(m) / m + wave, length),
-                  2.0 * math.pi * np.arange(m + 1) / m)
-    for _ in range(_NEWTON_STEPS):
-        at_u = _interpolate(table, u)
-        r = length * u / (2.0 * math.pi) + at_u[:, 0] - target
-        if np.max(np.abs(r)) <= _NEWTON_TOL * length:
-            break
-        u = u - r / at_u[:, 1]
+    if _flat(speed) and _flat(kappa, 1.0) and \
+            float(np.max(np.abs(wave))) <= _NEWTON_TOL * length:
+        # a circle: s(u) = length u / 2 pi already meets the Newton
+        # tolerance, and kappa is the tables' constant
+        u = 2.0 * math.pi * np.arange(n) / n
+        kappa_s = np.full(n, math.fsum(kappa) / m)
+        at_gamma = _interpolate(gamma, u) if spec is None else None
     else:
-        raise ConvergenceError(f"arclength inversion left a residual of "
-                               f"{np.max(np.abs(r)):.3e}")
-    gamma = at_u[:, 3:] / np.linalg.norm(at_u[:, 3:], axis=1, keepdims=True) \
+        table = np.column_stack([wave, speed, kappa]
+                                + [gamma] * (spec is None))
+        # Newton steps on the interpolated s(u), from the inverse of the
+        # table read linearly, until the residual is rounding
+        target = length * np.arange(n) / n
+        u = np.interp(target,
+                      np.append(length * np.arange(m) / m + wave, length),
+                      2.0 * math.pi * np.arange(m + 1) / m)
+        for _ in range(_NEWTON_STEPS):
+            at_u = _interpolate(table, u)
+            r = length * u / (2.0 * math.pi) + at_u[:, 0] - target
+            if np.max(np.abs(r)) <= _NEWTON_TOL * length:
+                break
+            u = u - r / at_u[:, 1]
+        else:
+            raise ConvergenceError(f"arclength inversion left a residual of "
+                                   f"{np.max(np.abs(r)):.3e}")
+        kappa_s, at_gamma = at_u[:, 2], at_u[:, 3:]
+    gamma = at_gamma / np.linalg.norm(at_gamma, axis=1, keepdims=True) \
         if spec is None else _preset_points(spec, u)
-    bend = max(float(np.max(np.abs(kappa))), float(np.max(np.abs(at_u[:, 2]))))
-    return gamma, at_u[:, 2], length, tail, bend
+    bend = max(float(np.max(np.abs(kappa))), float(np.max(np.abs(kappa_s))))
+    return gamma, kappa_s, length, tail, bend
 
 
 def _simple_by_curvature(gamma: np.ndarray, h: float, bend: float) -> bool:

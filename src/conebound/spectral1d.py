@@ -20,6 +20,11 @@ a + (i+1) h with h = (b-a)/(n+1).  Neumann grids are cell-centered: n cells
 of width h = (b-a)/n, nodes a + (i+1/2) h at the midpoints, zero-flux closure
 obtained by mirroring the ghost node across the wall (u_ghost = u_first),
 which keeps the matrix exactly symmetric.
+
+scipy is imported by the functions that call it, so an operator that is
+never solved loads none of it.  `eigh_tridiagonal`, `eigh` and `solve_ivp`
+stay module attributes, as wrappers that import and call scipy's, so that
+they can be replaced by name.
 """
 from __future__ import annotations
 
@@ -28,10 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
-# not called here: perfbench/tracing.py patches spectral1d.eigh by name
-from scipy.linalg import eigh  # noqa: F401
 
 from .counting import TIE_SHIFT  # the scipy-free home of the constant
 from .errors import ConvergenceError, PreconditionError
@@ -139,15 +140,28 @@ def _rayleigh(d: np.ndarray, e: np.ndarray, y: np.ndarray):
     return x, rho, math.sqrt(_dot(tx, tx))
 
 
-def _factor_above(d: np.ndarray, e: np.ndarray, sigma: float):
-    """LDL^T factors of T - sigma I, or None: LAPACK dpttrf succeeds only
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on first call."""
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(*args, **kwargs)
+
+
+def eigh(*args, **kwargs):
+    """scipy.linalg.eigh, imported on first call.  Not called here:
+    perfbench/tracing.py patches spectral1d.eigh by name."""
+    from scipy.linalg import eigh
+    return eigh(*args, **kwargs)
+
+
+def _factor_above(pttrf, d: np.ndarray, e: np.ndarray, sigma: float):
+    """LDL^T factors of T - sigma I, or None: LAPACK pttrf succeeds only
     when T - sigma I is positive definite, which puts every eigenvalue of T
     above sigma."""
-    df, ef, info = dpttrf(d - sigma, e)
+    df, ef, info = pttrf(d - sigma, e)
     return None if info else (df, ef)
 
 
-def _ground(d, e, x, tol, hint):
+def _ground(d, e, x, tol, hint, pttrf, pttrs):
     """The unit ground state of (d, e) by inverse iteration from x, or None.
 
     Every shift sigma is a lower bound on lambda_1, and the Rayleigh
@@ -157,12 +171,12 @@ def _ground(d, e, x, tol, hint):
     it up to rho - tol, or else to rho - ||r||, when dpttrf succeeds there.
     Once rho - sigma <= tol, one more inverse step at sigma gives the
     vector returned, whose Rayleigh quotient lies in [lambda_1, rho]: such
-    a step never raises it.
+    a step never raises it.  pttrf and pttrs are LAPACK dpttrf and dpttrs.
     """
-    factors = None if hint is None else _factor_above(d, e, hint - tol)
+    factors = None if hint is None else _factor_above(pttrf, d, e, hint - tol)
     if factors is not None:
         sigma = hint - tol
-        x = dpttrs(*factors, x)[0]
+        x = pttrs(*factors, x)[0]
     else:
         ae = np.abs(e)
         sigma = float(min(d[0] - ae[0], d[-1] - ae[-1],
@@ -170,15 +184,16 @@ def _ground(d, e, x, tol, hint):
     for _ in range(_MAX_STEPS):
         x, rho, res = _rayleigh(d, e, x)
         for shift in (rho - tol, rho - res) if res > tol else (rho - res,):
-            raised = _factor_above(d, e, shift) if shift > sigma else None
+            raised = _factor_above(pttrf, d, e, shift) \
+                if shift > sigma else None
             if raised is not None:
                 sigma, factors = shift, raised
                 break
         if factors is None:
-            factors = _factor_above(d, e, sigma)
+            factors = _factor_above(pttrf, d, e, sigma)
             if factors is None:
                 return None
-        x = dpttrs(*factors, x)[0]
+        x = pttrs(*factors, x)[0]
         if rho - sigma <= tol:
             return x / math.sqrt(_dot(x, x))
     return None
@@ -242,6 +257,8 @@ def _certified(op: Operator1D, k: int, start):
     right half and held at their end values beyond that interval, start
     the halves' iterations, and its values are the first shifts tried.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs  # once per solve
+
     d, e, n = op.diag, op.offdiag, op.grid.n
     c = -float(e[0])
     if not (c > 0.0 and np.all(e == e[0]) and np.array_equal(d, d[::-1])):
@@ -258,7 +275,7 @@ def _certified(op: Operator1D, k: int, start):
         if start is not None:
             z = np.interp(right[right.size - ds.size:], old, vecs[:, j])
             hint = float(values[j])
-        z = _ground(ds, es, z, tol, hint)
+        z = _ground(ds, es, z, tol, hint, dpttrf, dpttrs)
         if z is None:
             return None
         x = _unfold(z, n, 1.0 - 2.0 * j)
@@ -353,6 +370,8 @@ def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
     its own Gershgorin lower bound, and a tolerance this wide stops it before
     any bisection step.  A vanishing pivot counts as negative.
     """
+    from scipy.linalg.lapack import dstebz
+
     m, _, _, _, info = dstebz(d, e, 1, -math.inf, sigma, 1, 1, 1e300, "E")
     if info:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Sturm count failed: dstebz info = {info}")

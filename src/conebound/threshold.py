@@ -248,29 +248,39 @@ def _extrapolated_levels(spec: PotentialSpec, L: float, n: int, kind: str,
         coarse=_interval_op(spec, L, n // 2, kind))
 
 
-def box_levels(spec: PotentialSpec, half_width: float, k: int) -> np.ndarray:
-    """The k lowest Dirichlet levels of Q on (-w, w).
+def box_levels(spec: PotentialSpec, half_width, k: int) -> np.ndarray:
+    """The k lowest Dirichlet levels of Q on (-w, w), for a half width w
+    (shape (k,)) or an array of them (its shape plus (k,)).
 
-    A hard wall's box has w = min(half_width, a) and levels (j pi / 2w)^2 in
-    Python floats, so lambda_1 - eps0 cancels to exactly 0 at any E; levels
-    that overflow are a PreconditionError.  Other families take w =
-    half_width and _extrapolated_levels at spacing at most 1/512 and at
-    least 1023 interior nodes, meaningful only above that solve's error.
+    A hard wall's box has w = min(half_width, a) and levels (j pi / 2w)^2,
+    one array expression whose ** 2 is the C library's pow, as a Python
+    float's, so lambda_1 - eps0 cancels to exactly 0 at any E; levels that
+    are not finite are a PreconditionError naming the first such width.
+    Other families take w = half_width and _extrapolated_levels at spacing
+    at most 1/512 and at least 1023 interior nodes, once per distinct
+    width, meaningful only above that solve's error.
     """
+    widths = np.asarray(half_width, dtype=float)
     if spec.family == "hard_wall":
-        w = min(half_width, spec.half_width)
-        try:
-            levels = [(j * math.pi / (2.0 * w)) ** 2 for j in range(1, k + 1)]
-            if math.isinf(levels[-1]):  # pi / (2 w) rounds to inf unraised
-                raise OverflowError
-        except (OverflowError, ZeroDivisionError):
+        w = np.minimum(widths, spec.half_width)
+        with np.errstate(over="ignore", divide="ignore"):
+            levels = np.float_power(
+                np.arange(1, k + 1) * math.pi / (2.0 * w[..., None]), 2)
+        bad = ~np.isfinite(levels[..., -1])
+        if bad.any():
             raise PreconditionError(
-                f"hard_wall levels overflow on the half width {w:.3e}"
-            ) from None
-        return np.array(levels)
-    n = max(1024, int(round(2.0 * half_width * 512.0)))
-    return _extrapolated_levels(spec, half_width, n - 1, "dirichlet",
-                                k).extrapolated
+                f"hard_wall levels overflow on the half width "
+                f"{float(w[bad].flat[0]):.3e}")
+        return levels
+    distinct, inverse = np.unique(widths, return_inverse=True)
+
+    def solve(w):
+        n = max(1024, int(round(2.0 * w * 512.0)))
+        return _extrapolated_levels(spec, w, n - 1, "dirichlet",
+                                    k).extrapolated
+
+    levels = np.array(parallel_map(solve, distinct.tolist()))
+    return levels[inverse].reshape(widths.shape + (k,))
 
 
 def compute_threshold(spec: PotentialSpec, L: float = 12.0,
@@ -510,12 +520,14 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     each L is weighed as it stands, with Phi at the sweep's own eps0 read
     from one table on the longest length's nodes (Phi depends on |x|
     alone), and int e^{2 theta Phi} phi^2 dx is evaluated by the grid
-    quadrature.  Tail norms ||phi_{L,N}|| over {L - eta < |x| < L}, scaled
-    sums (math.hypot) that no square underflows, are recorded alongside
-    and fitted to a decaying exponential in L.  A window with no grid node,
-    a weighted norm that overflows, and a tail norm that is 0 or does not
-    fall below the previous length's (the ground state has reached its
-    floating-point floor) are each a PreconditionError.
+    quadrature, its integrand as the one exponent e^{2 theta Phi + 2 ln
+    |phi|}, which stays finite where the weight alone would overflow and
+    phi^2 underflow.  Tail norms ||phi_{L,N}|| over {L - eta < |x| < L},
+    scaled sums (math.hypot) that no square underflows, are recorded
+    alongside and fitted to a decaying exponential in L.  A window with no
+    grid node, a weighted norm that overflows, and a tail norm that is 0 or
+    does not fall below the previous length's (the ground state has reached
+    its floating-point floor) are each a PreconditionError.
     """
     if not 0.0 <= theta < 1.0:
         raise PreconditionError(f"need theta in [0, 1), got {theta}")
@@ -530,12 +542,15 @@ def agmon_norms(spec: PotentialSpec, sweep: TruncationSweep, theta: float,
     for L, (grid, phi) in zip(L_grid, sweep.ground_states):
         x = grid.nodes()
         w = 0.0 if table is None else np.interp(np.abs(x), *table, left=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(grid.h * np.sum(np.exp(2.0 * theta * w) * phi ** 2))
+        # one exponent: the weight alone overflows where phi^2 underflows,
+        # and a zero of phi adds e^-inf = 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            norm = float(grid.h * np.sum(np.exp(
+                2.0 * theta * w + 2.0 * np.log(np.abs(phi)))))
         if not math.isfinite(norm):
             raise PreconditionError(
                 f"the Agmon-weighted norm at L = {L:g}, theta = {theta:g} is "
-                f"not finite: the weight e^(2 theta Phi) leaves the "
+                f"not finite: e^(2 theta Phi) phi^2 leaves the "
                 f"floating-point range; lower theta or L_max")
         weighted.append(norm)
         mask = np.abs(x) > L - eta

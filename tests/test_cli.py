@@ -257,7 +257,14 @@ def fd_route_assemble(theta, mode):
 # Dirichlet nodes), 2.2e-14 / 1.7e-14 to 2.2e-16 / 2.2e-16 (confining, 1536
 # Neumann) and 4.9e-14 / 5.5e-14 to 2.0e-15 / 2.2e-15 (confining, 4096
 # Dirichlet), and the hard-wall sweep's eps0 and gap_delta from 1.6e-15 /
-# 3.9e-15 to 3.0e-16 / 3.3e-16 off the closed-form fd box levels
+# 3.9e-15 to 3.0e-16 / 3.3e-16 off the closed-form fd box levels.  The
+# README assemble summary was re-frozen when a circle's curvature became
+# the exactly rounded mean of its constant kappa table, with no Newton step
+# or interpolation: kappa_inf went from 1.0000000000000013 to
+# 1.0000000000000002, 1.3e-15 -> 1.6e-16 off cot(0.7853981633974483) =
+# 1 + 6.1e-17, and nothing else moved.  The latitude 0.5 ks report and
+# FROZEN_KS_REPORTS kept their bytes (k_S 1.7e-16 off cot(0.5) / (4 pi)
+# before and after), and so did every count
 FROZEN_OUTPUTS = [
     (["counting", "--c", "1.25", "--E-top", "1e-3", "--E-bottom", "1e-8"],
      "counting.csv",
@@ -292,7 +299,7 @@ FROZEN_OUTPUTS = [
     (KS_PERTURBED, "ks_report.json",
      "c2bb95ea92c6916867f91496b9fb1440731ef7533d299493e1cdb3dd5e006c77"),
     (README_ASSEMBLE, "assemble_summary.json",
-     "49e9b16eda36063bdcafaf538a8ee5cf518ea7e85e207e900dc0cd885d38c4b2"),
+     "ae9750053f349aa49f60809038f4072c24a9e2fc30b530a0dfdf589fdc1b279d"),
     (["curve", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3",
       "--n-samples", "4096"],
      "curve_summary.json",
@@ -871,10 +878,13 @@ BAD_REAL_INPUTS = [
      "L_num = 1000000000 lengths on [4, 14] are more than spacing h"),
     (["threshold", "--sweep", "--L-min", "8", "--L-max", "8"],
      "(at most 1, h / 2 apart)"),
-    # e^(2 theta Phi) overflows at L = 13; the sweep used to exit 0 with
-    # bound_estimate = inf
-    (["threshold", "--sweep", "--agmon", "--family", "confining", "--p", "4"],
-     "Agmon-weighted norm at L = 13, theta = 0.5 is not finite"),
+    # the default sweep to L = 14 stopped here at L = 13 while e^(2 theta
+    # Phi) was formed alone; with one exponent, the computed tail stalls
+    # (2.27e-252 at |x| = 18.4, where Phi = 2068) and the product's
+    # exponent reaches 909 at L = 18.4
+    (["threshold", "--sweep", "--agmon", "--family", "confining",
+      "--L-max", "20", "--p", "4"],
+     "Agmon-weighted norm at L = 18.4, theta = 0.5 is not finite"),
 ]
 
 
@@ -891,30 +901,37 @@ def test_bad_real_inputs_are_precondition_errors(tmp_path, capsys, argv,
 
 def test_confining_sweep_tails_follow_the_long_double_ground_states(
         tmp_path):
-    # short of the L = 13 overflow above, LAPACK stein's ground states sat
-    # at a floor near 5e-52, and this sweep exited 4 at L = 10.4 (5.93e-52,
-    # not below 4.46e-52 at L = 9.6); before that check it exited 0 with
-    # bound_estimate 5.9e149.  The parity-sector vectors follow the ground
-    # state down to 3.1e-168 at L = 12, where an unscaled sum of squares
-    # underflows to 0, and every tail norm matches the long-double oracle's
+    # LAPACK stein's ground states sat at a floor near 5e-52, and a sweep
+    # to L = 12 exited 4 at L = 10.4 (5.93e-52, not below 4.46e-52 at
+    # L = 9.6); before that check it exited 0 with bound_estimate 5.9e149.
+    # e^(2 theta Phi) alone overflows at L = 13, and this default sweep to
+    # L = 14 exited 4 there until the weighted integrand became one
+    # exponent; its weighted norms now agree to 12 digits.  The
+    # parity-sector vectors follow the ground state down to 2.7e-209 at
+    # L = 13, where an unscaled sum of squares underflows to 0, and the
+    # tail norms match the long-double oracle's to L = 13, once the oracle
+    # takes the 24 steps it needs there.  At L = 14 the tail norm reads
+    # 2.37e-254 against the converged oracle's 1.36e-254
     from conebound import PotentialSpec, threshold
     from _oracles import longdouble_ground_vector
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(["threshold", "--sweep", "--agmon", "--family",
-                    "confining", "--p", "4", "--L-max", "12",
-                    "--out-dir", tmp_path]) == 0
+                    "confining", "--p", "4", "--out-dir", tmp_path]) == 0
     rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
     spec, h = PotentialSpec(family="confining", p=4.0), 1.0 / 32.0
-    for L, tail in rows[:, [0, -1]]:
+    assert rows[:, 0].tolist() == [4.0 + L for L in range(11)]
+    for L, tail in rows[:-1][:, [0, -1]]:
         op = threshold._interval_op(spec, L, int(round(2.0 * L / h)),
                                     "neumann")
-        phi = longdouble_ground_vector(op.diag, op.offdiag)
+        phi = longdouble_ground_vector(op.diag, op.offdiag, steps=24)
         window = phi[np.abs(op.grid.nodes()) > L - 1.0]
         want = np.sqrt(np.sum(window * window))  # h cancels: phi is unit
         assert abs(tail / want - 1.0) < 1e-12, L
-    assert rows[-1, -1] < 1e-167
+    assert rows[-2, -1] < 1e-208
+    assert rows[-1, -1] < rows[-2, -1]
+    np.testing.assert_allclose(rows[:, -2], 1.00012428612373, rtol=1e-12)
 
 
 def test_tube_guard_allows_delta_kappa_just_below_one(tmp_path):

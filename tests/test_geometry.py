@@ -185,6 +185,74 @@ def test_tabulated_round_trip_of_latitude():
     assert np.max(np.abs(c.kappa - cot)) < 1e-13
 
 
+# ------------------------------------------------------------------ circles
+
+CIRCLE_THETAS = [0.05, 0.3, 0.5, math.pi / 4, 1.0, 1.5, math.pi / 2]
+
+
+def interpolations(monkeypatch):
+    # the column count of each table geometry._interpolate reads
+    calls, real = [], geometry._interpolate
+
+    def spy(table, u):
+        calls.append(table.shape[1])
+        return real(table, u)
+
+    monkeypatch.setattr(geometry, "_interpolate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("theta", CIRCLE_THETAS)
+def test_circle_kappa_is_one_constant_near_cot(monkeypatch, theta):
+    # speed and kappa tables constant to a few ulp take the circle path: no
+    # Newton step, no interpolation, and the exactly rounded mean of the
+    # kappa table at every sample.  Measured: within 1.06 ulp of cot(theta)
+    # (of 1 where cot(theta) < 1) over these angles and sample counts
+    import mpmath as mp
+
+    calls = interpolations(monkeypatch)
+    with mp.workdps(40):
+        cot = mp.cot(mp.mpf(theta))
+        for n in (64, 1000, 1024, 4096):
+            kappa = latitude(theta, n).kappa
+            assert np.all(kappa == kappa[0]), n
+            err = abs(mp.mpf(float(kappa[0])) - cot) / max(1, abs(cot))
+            assert err <= 2.0 * np.finfo(float).eps, n
+    assert calls == []
+
+
+def test_tabulated_circle_takes_the_circle_path(monkeypatch):
+    # the path is chosen by the tables in u, not by the kind: latitude rows
+    # interpolate only their three gamma columns, once, and keep a constant
+    # kappa
+    rows = _preset_points(CurveSpec(kind="latitude_circle", theta=0.5),
+                          np.linspace(0.0, 2.0 * math.pi, 600, endpoint=False))
+    calls = interpolations(monkeypatch)
+    c = build_curve(CurveSpec(kind="tabulated", samples=rows), 1000)
+    assert calls == [3]
+    assert np.all(c.kappa == c.kappa[0])
+    assert abs(c.kappa[0] - 1.0 / math.tan(0.5)) <= 1e-14
+    assert np.max(np.abs(c.gamma - latitude(0.5, 1000).gamma)) <= 1e-14
+
+
+@pytest.mark.parametrize("amplitude, mode", [(1e-14, 3), (0.1, 3)])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["preset", "rows"])
+def test_perturbed_curves_keep_the_newton_path(monkeypatch, amplitude, mode,
+                                               tabulated):
+    # a 1e-14 bump moves the speed and kappa tables by about 93 and 1442
+    # ulp at pi/4, far above the circle path's 16: the arclength inversion
+    # runs, on the wave, speed and kappa columns and, for rows, gamma's
+    spec = CurveSpec(kind="perturbed_latitude", theta=math.pi / 4,
+                     amplitude=amplitude, mode=mode)
+    if tabulated:
+        spec = CurveSpec(kind="tabulated", samples=_preset_points(
+            spec, np.linspace(0.0, 2.0 * math.pi, 600, endpoint=False)))
+    calls = interpolations(monkeypatch)
+    c = build_curve(spec, 1024)
+    assert calls and set(calls) == {6 if tabulated else 3}
+    assert np.ptp(c.kappa) > 0.0
+
+
 # --------------------------------------------------------- tabulated input
 # rows of the perturbed latitude theta = 1, amplitude 0.15, mode 4, whose
 # preset reads sup|kappa| = 3.2733610324 and length 5.872419641765

@@ -155,3 +155,29 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, bool({SPATIAL})]))
 """)
     assert loaded == [0, spatial]
+
+
+@pytest.mark.parametrize("argv,linalg", [
+    (["assemble", "--preset", "latitude", "--theta", "0.7853981633974483",
+      "--family", "hard_wall", "--a", "1.0"], False),
+    (["ks", "--preset", "latitude"], False),
+    (["ks", "--preset", "perturbed", "--amplitude", "0.1", "--mode", "3"],
+     True),
+    (["threshold"], True),
+], ids=["readme-assemble", "ks-latitude", "ks-perturbed", "threshold"])
+def test_scipy_loads_only_where_lapack_runs(tmp_path, argv, linalg):
+    # a latitude's levels and a hard wall's are closed forms, and the
+    # counts need none of scipy either; a perturbed curve's Fourier block
+    # and a well's levels call LAPACK, and import scipy.linalg to do so
+    loaded = fresh(f"""
+import contextlib, io, json, sys
+import conebound.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = conebound.cli.main({argv + ["--out-dir", str(tmp_path)]!r})
+print(json.dumps([code, {SCIPY}]))
+""")
+    code, modules = loaded
+    assert code == 0
+    assert ("scipy.linalg" in modules) == linalg
+    if not linalg:
+        assert modules == []

@@ -52,6 +52,52 @@ def test_box_levels_of_other_families_are_the_extrapolated_solve(spec, w, n):
     assert np.array_equal(got, want.extrapolated)
 
 
+def _readme_widths():
+    # delta R = 0.05 * 5 |ln E| on the README assemble grid
+    from conebound.counting import default_energy_grid
+    return 0.25 * np.abs(np.log(default_energy_grid()))
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0], ids=["readme-wall", "wide-wall"])
+def test_box_levels_of_a_hard_wall_take_arrays(a):
+    # the README grid's 43 widths and random widths, in one call: each row
+    # is the scalar form, and the Python expression, bit for bit
+    spec = PotentialSpec(family="hard_wall", half_width=a)
+    rng = np.random.default_rng(7)
+    for widths in (_readme_widths(),
+                   10.0 ** rng.uniform(-3.0, 2.0, size=(4, 9))):
+        got = threshold.box_levels(spec, widths, 8)
+        assert got.shape == widths.shape + (8,)
+        for w, row in zip(widths.ravel().tolist(), got.reshape(-1, 8)):
+            box = min(w, a)
+            want = [(j * math.pi / (2.0 * box)) ** 2 for j in range(1, 9)]
+            assert row.tolist() == want
+            assert np.array_equal(row, threshold.box_levels(spec, w, 8))
+
+
+def test_box_levels_of_a_hard_wall_name_the_first_width_that_overflows():
+    spec = PotentialSpec(family="hard_wall", half_width=1.0)
+    with pytest.raises(PreconditionError,
+                       match="overflow on the half width 1.000e-200"):
+        threshold.box_levels(spec, np.array([0.5, 1e-200, 1e-320]), 8)
+
+
+def test_box_levels_solve_each_distinct_width_once(monkeypatch):
+    calls, solve = [], threshold._extrapolated_levels
+
+    def counted(spec, L, n, kind, k):
+        calls.append(L)
+        return solve(spec, L, n, kind, k)
+
+    monkeypatch.setattr(threshold, "_extrapolated_levels", counted)
+    widths = np.array([4.0, 3.0, 4.0, 5.0])
+    got = threshold.box_levels(SQUARE, widths, 2)
+    assert sorted(calls) == [3.0, 4.0, 5.0]
+    assert got.shape == (4, 2)
+    for w, row in zip(widths.tolist(), got):
+        assert np.array_equal(row, threshold.box_levels(SQUARE, w, 2))
+
+
 def test_extrapolated_solve_of_the_hard_wall_box():
     # the fd route on the box (-1, 1) that compute_threshold ran for a hard
     # wall before it took box_levels; it returned eps0 = 2.467401098443026
@@ -492,6 +538,25 @@ def test_agmon_norms_solve_nothing(monkeypatch, square_sweep):
     monkeypatch.setattr(spectral1d, "lowest_eigenvalues", refuse)
     rep = agmon_norms(SQUARE, square_sweep, 0.5, 2.0)
     assert rep.weighted_norms.shape == (len(L_GRID),)
+
+
+def test_agmon_norms_add_nothing_for_zeros_of_phi(square_sweep):
+    # the integrand is the one exponent e^(2 theta Phi + 2 ln|phi|): a
+    # zero of phi adds e^-inf = 0, with no RuntimeWarning (the test suite
+    # makes those errors); the two end nodes it zeroes weigh 1.5e-12
+    import dataclasses
+
+    grid, phi = square_sweep.ground_states[-1]
+    zeroed = phi.copy()
+    zeroed[0] = zeroed[-1] = 0.0
+    sweep = dataclasses.replace(square_sweep, ground_states=(
+        *square_sweep.ground_states[:-1], (grid, zeroed)))
+    rep = agmon_norms(SQUARE, sweep, 0.5, 2.0)
+    ref = agmon_norms(SQUARE, square_sweep, 0.5, 2.0)
+    assert np.array_equal(rep.weighted_norms[:-1], ref.weighted_norms[:-1])
+    assert 0.0 < ref.weighted_norms[-1] - rep.weighted_norms[-1] \
+        < 1e-9 * ref.weighted_norms[-1]
+    assert np.array_equal(rep.tail_norms[:-1], ref.tail_norms[:-1])
 
 
 def test_agmon_theta_range(square_sweep):
